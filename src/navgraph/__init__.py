@@ -21,13 +21,13 @@ from .oracle import (DegreeStats, DivergenceWitness, degree_statistics,
                      monotonicity_check, random_disjoint_sets, tau_tail)
 from .routing import (Failure, RouteOutcome, RoutingMode, combined_route,
                       greedy_route, half_greedy_route, phase_index, route)
-from .spaces import (Ball, DirectedCycle, Euclidean, Grid, Space, TreeLeaves,
+from .spaces import (DirectedCycle, Euclidean, Grid, Space, TreeLeaves,
                      UndirectedCycle, doubling_constant_estimate)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "Ball", "DegreeStats", "DirectedCycle", "DivergenceWitness",
+    "Assignment", "DegreeStats", "DirectedCycle", "DivergenceWitness",
     "Euclidean", "ExperimentResult", "ExperimentSpec", "Failure", "Grid",
     "NavGraph", "Provenance", "RouteOutcome", "RoutingMode", "ScalingFit",
     "Seed", "Space", "TreeLeaves", "UndirectedCycle",

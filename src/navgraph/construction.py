@@ -42,7 +42,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 # below this size the pure-Python builder path beats numpy call overhead
-_NUMPY_BUILD_THRESHOLD = 256
+_NUMPY_BUILD_THRESHOLD = 32
+
+# candidate entries per block of rows in the numpy builders
+_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -197,26 +200,76 @@ def _record_select_mask(sorted_key: np.ndarray, sorted_val: np.ndarray) -> np.nd
     return sorted_val <= before
 
 
-def _candidate_order(space1: Space, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates j != i sorted by d1(i, j), plus the sorted distances."""
-    analytic = space1.shell_order_from(i)
-    if analytic is not None:
-        return analytic
-    d1 = space1.distances_from(i)
-    order = np.argsort(d1, kind="stable")
-    order = order[order != i]
-    return order, d1[order]
+def _prefix_plan(space: Space) -> tuple[float, int]:
+    """Prefix radius and rows per block for the numpy builders.
+
+    The radius is the distance from a reference vertex to its
+    ceil(sqrt(n))-th nearest other vertex, so each prefix ball holds about
+    sqrt(n) candidates and bounds a second ball of about n / sqrt(n).  A
+    block holds as many rows as keep its candidate arrays near
+    ``_BLOCK_ENTRIES`` entries.
+    """
+    n = space.n
+    k = min(n - 1, math.isqrt(n - 1) + 1)
+    radius = np.partition(space.distances_from(n // 2), k)[k]
+    return radius, max(1, _BLOCK_ENTRIES // (2 * max(k, 1)))
 
 
-def _select_rows_numpy(space1: Space, value_row, n: int) -> list[list[int]]:
-    out: list[list[int]] = []
-    for i in range(n):
-        order, sorted_d1 = _candidate_order(space1, i)
-        vals = value_row(i)[order].astype(np.float64, copy=False)
-        mask = _record_select_mask(sorted_d1, vals)
-        heads = np.sort(order[mask])
-        out.append([int(h) for h in heads])
-    return out
+def _prefix(space: Space, rows: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, member) pairs of each row's prefix: the whole space-1 ball of
+    ``radius`` around ``rows[owner]``, the row itself left out."""
+    owner, member = space.ball_members(rows, radius)
+    other = member != rows[owner]
+    return owner[other], member[other]
+
+
+def _block_heads(space1: Space, rows: np.ndarray, radius, prefix, bounded
+                 ) -> list[list[int]]:
+    """Heads of a block of rows from two (owner, member, value) candidate
+    sets: each row's prefix, and the vertices whose value is within the
+    bound its prefix sets.  Bounded candidates inside the prefix ball, the
+    row itself among them, are already listed and are dropped."""
+    owner1, member1, value1 = prefix
+    owner2, member2, value2 = bounded
+    d1_2 = space1.distances_between(rows[owner2], member2)
+    later = d1_2 > radius
+    return _record_heads(
+        len(rows), np.concatenate([owner1, owner2[later]]),
+        np.concatenate([member1, member2[later]]),
+        np.concatenate([space1.distances_between(rows[owner1], member1),
+                        d1_2[later]]),
+        np.concatenate([value1, value2[later]]))
+
+
+def _exact_ranks(x: np.ndarray) -> np.ndarray:
+    """Integers ordered and tied exactly as ``x`` (integer input as is)."""
+    if x.dtype.kind == "f":
+        return np.unique(x, return_inverse=True)[1]
+    return x
+
+
+def _record_heads(rows: int, owner: np.ndarray, member: np.ndarray,
+                  d1: np.ndarray, value: np.ndarray) -> list[list[int]]:
+    """Sorted heads of each of ``rows`` rows under the record rule.
+
+    Candidate t of row ``owner[t]`` lies at space-1 distance ``d1[t]`` and
+    is kept iff ``value[t]`` is <= the value of every candidate of the same
+    row strictly closer in space 1.
+    """
+    if owner.size == 0:
+        return [[] for _ in range(rows)]
+    d1, value = _exact_ranks(d1), _exact_ranks(value)
+    # one shell per (row, d1); the order inside a shell does not matter
+    shell = owner * (int(d1.max()) + 1) + d1
+    order = np.argsort(shell)
+    # each row lies wholly below the rows before it, so the running minimum
+    # restarts at every row
+    shifted = value[order] - owner[order] * (int(value.max()) + 1)
+    keep = order[_record_select_mask(shell[order], shifted)]
+    span = int(member.max()) + 1
+    heads = np.sort(owner[keep] * span + member[keep])
+    ends = np.cumsum(np.bincount(owner[keep], minlength=rows))[:-1]
+    return [row.tolist() for row in np.split(heads % span, ends)]
 
 
 def _select_row_python(pairs: list[tuple[float, int, float]]) -> list[int]:
@@ -252,22 +305,39 @@ def build_double_clustering(assignment: Assignment) -> NavGraph:
     """Link i -> j iff j is at least as close in space 2 as every vertex
     strictly closer than j in space 1 (vacuously true for the nearest
     shell, so the base adjacency of both spaces is always contained).
+
+    Each row needs only a few candidates.  Let P be the whole space-1 ball
+    of the prefix radius around i (i left out) and M the smallest space-2
+    distance from i over P.  Every j outside P has all of P strictly closer
+    in space 1, so it is kept only if d2(i, j) <= M; and a vertex outside
+    both P and the space-2 ball of radius M is never kept and, at d2 > M,
+    never lowers the minimum that decides another candidate.  The rule
+    applied to P and that ball therefore gives the same heads as applied
+    to all n vertices.
     """
     n = assignment.n
-    if n >= _NUMPY_BUILD_THRESHOLD:
-        pi = assignment.pi
-        space2 = assignment.space2
-
-        def value_row(i: int) -> np.ndarray:
-            return space2.distances_from(int(pi[i]))[pi]
-
-        out = _select_rows_numpy(assignment.space1, value_row, n)
-    else:
+    if n < _NUMPY_BUILD_THRESHOLD:
         out = []
         for i in range(n):
             pairs = [(assignment.d1(i, j), j, float(assignment.d2(i, j)))
                      for j in range(n) if j != i]
             out.append(_select_row_python(pairs))
+        return NavGraph(n, out, Provenance("double-clustering"))
+    space1, space2 = assignment.space1, assignment.space2
+    pi, pi_inv = assignment.pi, assignment.pi_inverse
+    radius, block = _prefix_plan(space1)
+    out = []
+    for start in range(0, n, block):
+        rows = np.arange(start, min(n, start + block))
+        owner1, member1 = _prefix(space1, rows, radius)
+        value1 = space2.distances_between(pi[rows[owner1]], pi[member1])
+        bound = np.full(len(rows), np.inf)
+        # (float values: ufunc.at scatters them far faster than int64)
+        np.minimum.at(bound, owner1, value1.astype(np.float64))
+        owner2, pos2 = space2.ball_members(pi[rows], bound)
+        value2 = space2.distances_between(pi[rows[owner2]], pos2)
+        out += _block_heads(space1, rows, radius, (owner1, member1, value1),
+                            (owner2, pi_inv[pos2], value2))
     return NavGraph(n, out, Provenance("double-clustering"))
 
 
@@ -276,24 +346,39 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
     interest in every strictly closer vertex.
 
     Uniform values are the simplest exchangeable family with no ties; each
-    vertex draws from its own stream ("ii", x).
+    vertex draws its n values from its own stream ("ii", x).  Candidates
+    are pruned as in :func:`build_double_clustering`, with the space-2 ball
+    replaced by the vertices whose interest is at least the prefix's
+    largest.
     """
     n = space.n
-    out: list[list[int]] = []
-    if n >= _NUMPY_BUILD_THRESHOLD:
-        for i in range(n):
-            values = seed.rng("ii", i).random(n)
-            order, sorted_d1 = _candidate_order(space, i)
-            # keep iff value >= running max  <=>  -value <= running min
-            mask = _record_select_mask(sorted_d1, -values[order])
-            heads = np.sort(order[mask])
-            out.append([int(h) for h in heads])
-    else:
+    if n < _NUMPY_BUILD_THRESHOLD:
+        out = []
         for i in range(n):
             values = seed.rng("ii", i).random(n)
             pairs = [(space.distance(i, j), j, -float(values[j]))
                      for j in range(n) if j != i]
             out.append(_select_row_python(pairs))
+        return NavGraph(n, out, Provenance("independent-interest"))
+    radius, block = _prefix_plan(space)
+    out = []
+    for start in range(0, n, block):
+        rows = np.arange(start, min(n, start + block))
+        owner1, member1 = _prefix(space, rows, radius)
+        firsts = np.searchsorted(owner1, np.arange(len(rows) + 1))
+        value1 = np.empty(len(member1))
+        owner2, member2, value2 = [], [], []
+        for k, i in enumerate(rows.tolist()):
+            # keep iff value >= running max  <=>  -value <= running min
+            values = -seed.rng("ii", i).random(n)
+            prefix = slice(firsts[k], firsts[k + 1])
+            value1[prefix] = values[member1[prefix]]
+            members = np.flatnonzero(values <= value1[prefix].min(initial=0.0))
+            owner2.append(np.full(len(members), k))
+            member2.append(members)
+            value2.append(values[members])
+        out += _block_heads(space, rows, radius, (owner1, member1, value1),
+                            tuple(map(np.concatenate, (owner2, member2, value2))))
     return NavGraph(n, out, Provenance("independent-interest"))
 
 

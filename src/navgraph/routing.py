@@ -32,6 +32,7 @@ __all__ = [
     "Failure",
     "RoutingMode",
     "RouteOutcome",
+    "PHASE_AT_ZERO",
     "phase_index",
     "route",
     "greedy_route",
@@ -111,6 +112,10 @@ class RouteOutcome:
     ``phase_steps`` maps phase index i to the number of steps taken from
     vertices whose distance d to the target satisfied 2^(i-1) < d <= 2^i,
     measured in the algorithm's primary space; it always sums to ``steps``.
+    Steps taken from a vertex at distance 0 that is not the target (it
+    coincides with the target in a point cloud) are counted under
+    :data:`PHASE_AT_ZERO`, ``-math.inf``, which sorts below every phase
+    index, as the limit of ``phase_index(d)`` for d -> 0.
     """
 
     source: int
@@ -119,7 +124,10 @@ class RouteOutcome:
     steps: int
     success: bool
     failure: Failure = Failure.NONE
-    phase_steps: dict[int, int] = field(default_factory=dict)
+    phase_steps: dict[int | float, int] = field(default_factory=dict)
+
+
+PHASE_AT_ZERO = -math.inf
 
 
 def phase_index(d) -> int:
@@ -204,8 +212,8 @@ def _finish(source, target, path, phase, failure):
                         failure=failure, phase_steps=phase)
 
 
-def _bump(phase: dict[int, int], d) -> None:
-    i = phase_index(d)
+def _bump(phase: dict[int | float, int], d) -> None:
+    i = phase_index(d) if d > 0 else PHASE_AT_ZERO
     phase[i] = phase.get(i, 0) + 1
 
 
@@ -214,7 +222,7 @@ def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
                             use_array=graph.n >= _ARRAY_THRESHOLD)
     path = [source]
     visited = {source} if plateau else None
-    phase: dict[int, int] = {}
+    phase: dict[int | float, int] = {}
     x = source
     dx = get(x)
     while x != target:
@@ -251,7 +259,7 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
     else:
         base_of = a.base_neighbors2
     path = [source]
-    phase: dict[int, int] = {}
+    phase: dict[int | float, int] = {}
     x = source
     while x != target:
         if len(path) - 1 >= max_steps:
@@ -286,7 +294,7 @@ def _combined(graph, a, plateau, max_steps, literal_m, source, target):
     sorted2 = np.sort(a.space2.distances_from(int(a.pi[target])))
     path = [source]
     visited = {source}
-    phase: dict[int, int] = {}
+    phase: dict[int | float, int] = {}
     x = source
     while x != target:
         if len(path) - 1 >= max_steps:

@@ -7,8 +7,14 @@ inequality, but it is *not* required to be symmetric (the directed cycle
 is the canonical asymmetric case).  Graph-like kinds (cycles and grids)
 return exact integer distances; the point-cloud kind returns floats.
 
-Balls are always counted by exact enumeration over the point set, never
-by closed-form volume, so heterogeneous densities are handled uniformly.
+Balls are listed by :meth:`Space.ball_members`, exactly in every kind.
+The cycles (an arc), the grid (an L1 diamond, wrapped or clipped per axis)
+and tree leaves (the leaves of one subtree) list them in closed form:
+their distances are integers, so a radius r reaches exactly the vertices
+at distance <= floor(r), and the closed form generates exactly those
+vertices rather than estimating a volume.  Point clouds have no such
+form; their balls are enumerated over the point set, so heterogeneous
+densities and coincident points are handled uniformly.
 """
 
 from __future__ import annotations
@@ -27,18 +33,16 @@ __all__ = [
     "Grid",
     "TreeLeaves",
     "Euclidean",
-    "Ball",
     "doubling_constant_estimate",
 ]
 
 
-@dataclass(frozen=True)
-class Ball:
-    """All points within ``radius`` of ``center`` (center included)."""
-
-    center: int
-    radius: float
-    members: frozenset[int]
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, value) listing starts[k], ..., starts[k] + counts[k] - 1 for
+    every k in turn, each value tagged with its k."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    firsts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - firsts[owner] + starts[owner]
 
 
 class Space:
@@ -69,14 +73,10 @@ class Space:
             return self.distances_from(x)
         raise NotImplementedError
 
-    def shell_order_from(self, x: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Optional analytic candidate ordering for builders.
-
-        Returns ``(order, sorted_distances)`` where ``order`` lists every
-        vertex except ``x`` with nondecreasing distance from ``x``, or
-        ``None`` if no closed form is available (builders then sort).
-        """
-        return None
+    def distances_between(self, xs, ys) -> np.ndarray:
+        """Vector of ``distance(xs[k], ys[k])`` for every k, each entry
+        equal, bit for bit, to the matching entry of :meth:`distances_from`."""
+        raise NotImplementedError
 
     # -- adjacency and balls ----------------------------------------------
 
@@ -86,19 +86,25 @@ class Space:
         """
         raise NotImplementedError
 
-    def ball_count(self, center: int, radius) -> int:
-        """|{y : distance(center, y) <= radius}| by exact enumeration."""
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        self._check_vertex(center)
-        return int(np.count_nonzero(self.distances_from(center) <= radius))
+    def ball_members(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Every y with ``distance(centers[k], y) <= radii[k]``, for every k.
 
-    def ball(self, center: int, radius) -> Ball:
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        self._check_vertex(center)
-        members = np.flatnonzero(self.distances_from(center) <= radius)
-        return Ball(center, radius, frozenset(int(v) for v in members))
+        Returns ``(owner, member)`` arrays: ``member[t]`` lies in the ball
+        around ``centers[owner[t]]``.  Owners ascend; the members of one
+        owner come in no promised order.  ``radii`` broadcasts against
+        ``centers`` and may be infinite.  This base version enumerates
+        :meth:`distances_from` per center; kinds with integer distances
+        override it with a closed form.
+        """
+        centers, radii = self._ball_args(centers, radii)
+        members = [np.flatnonzero(self.distances_from(int(c)) <= r)
+                   for c, r in zip(centers, radii)]
+        owner = np.repeat(np.arange(len(members)), [len(m) for m in members])
+        return owner, np.concatenate([np.empty(0, dtype=np.int64)] + members)
+
+    def ball_count(self, center: int, radius) -> int:
+        """|{y : distance(center, y) <= radius}|."""
+        return len(self.ball_members([center], radius)[1])
 
     def diameter(self):
         """Maximum kernel distance between any ordered pair."""
@@ -109,6 +115,26 @@ class Space:
     def _check_vertex(self, x: int) -> None:
         if not 0 <= x < self.n:
             raise ValueError(f"vertex id {x} out of range [0, {self.n})")
+
+    def _check_vertices(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.size and not (0 <= xs.min() and xs.max() < self.n):
+            bad = xs[(xs < 0) | (xs >= self.n)][0]
+            raise ValueError(f"vertex id {bad} out of range [0, {self.n})")
+        return xs
+
+    def _ball_args(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+        centers = self._check_vertices(np.atleast_1d(centers))
+        radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape)
+        if not np.all(radii >= 0):
+            raise ValueError(f"radius must be >= 0, got {radii[~(radii >= 0)][0]}")
+        return centers, radii
+
+    def _ball_steps(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and, for integer distances, the largest distance each
+        radius reaches, capped at the diameter."""
+        centers, radii = self._ball_args(centers, radii)
+        return centers, np.floor(np.minimum(radii, self.diameter())).astype(np.int64)
 
     def descriptor(self) -> dict:
         """Config-format description of this space (see harness docs)."""
@@ -145,9 +171,14 @@ class DirectedCycle(Space):
         self._check_vertex(x)
         return (x - np.arange(self.n, dtype=np.int64)) % self.n
 
-    def shell_order_from(self, x: int):
-        ks = np.arange(1, self.n, dtype=np.int64)
-        return (x + ks) % self.n, ks
+    def distances_between(self, xs, ys) -> np.ndarray:
+        return (self._check_vertices(ys) - self._check_vertices(xs)) % self.n
+
+    def ball_members(self, centers, radii):
+        # the forward arc x, x+1, ..., x+r
+        centers, steps = self._ball_steps(centers, radii)
+        owner, ahead = _ranges(np.zeros_like(steps), steps + 1)
+        return owner, (centers[owner] + ahead) % self.n
 
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
@@ -185,19 +216,15 @@ class UndirectedCycle(Space):
         a = np.abs(np.arange(self.n, dtype=np.int64) - x)
         return np.minimum(a, self.n - a)
 
-    def shell_order_from(self, x: int):
-        n = self.n
-        if n == 1:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        ks = np.arange(1, n // 2 + 1, dtype=np.int64)
-        order = np.empty(n - 1, dtype=np.int64)
-        dist = np.empty(n - 1, dtype=np.int64)
-        order[0::2] = (x + ks) % n
-        dist[0::2] = ks
-        back = ks if n % 2 == 1 else ks[:-1]
-        order[1::2] = (x - back) % n
-        dist[1::2] = back
-        return order, dist
+    def distances_between(self, xs, ys) -> np.ndarray:
+        a = np.abs(self._check_vertices(xs) - self._check_vertices(ys))
+        return np.minimum(a, self.n - a)
+
+    def ball_members(self, centers, radii):
+        # the arc x-r, ..., x+r, which covers the whole cycle once 2r+1 >= n
+        centers, steps = self._ball_steps(centers, radii)
+        owner, offset = _ranges(-steps, np.minimum(2 * steps + 1, self.n))
+        return owner, (centers[owner] + offset) % self.n
 
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
@@ -238,6 +265,11 @@ class Grid(Space):
         idx = np.unravel_index(np.arange(self.n), self.dims)
         return np.stack(idx, axis=1).astype(np.int64)
 
+    @cached_property
+    def _strides(self) -> tuple[int, ...]:
+        # row-major: vertex id = sum of coord[axis] * _strides[axis]
+        return tuple(math.prod(self.dims[axis + 1:]) for axis in range(len(self.dims)))
+
     def coord_of(self, x: int) -> tuple[int, ...]:
         self._check_vertex(x)
         return tuple(int(c) for c in self._coords[x])
@@ -261,22 +293,49 @@ class Grid(Space):
             diff = np.minimum(diff, np.asarray(self.dims) - diff)
         return diff.sum(axis=1)
 
+    def distances_between(self, xs, ys) -> np.ndarray:
+        coords = self._coords
+        diff = np.abs(coords[self._check_vertices(ys)] - coords[self._check_vertices(xs)])
+        if self.toric:
+            diff = np.minimum(diff, np.asarray(self.dims) - diff)
+        return diff.sum(axis=1)
+
+    def ball_members(self, centers, radii):
+        # the L1 diamond, one axis at a time: each partial member spends
+        # part of its remaining budget on an offset along the next axis
+        centers, budget = self._ball_steps(centers, radii)
+        owner = np.arange(len(centers))
+        member = np.zeros(len(centers), dtype=np.int64)
+        for axis, (length, stride) in enumerate(zip(self.dims, self._strides)):
+            c = self._coords[centers[owner], axis]
+            if self.toric:
+                # an arc of the axis cycle, as on UndirectedCycle
+                reach = np.minimum(budget, length // 2)
+                lo, count = -reach, np.minimum(2 * reach + 1, length)
+            else:
+                lo = -np.minimum(budget, c)
+                count = np.minimum(budget, length - 1 - c) - lo + 1
+            entry, offset = _ranges(lo, count)
+            coord = (c[entry] + offset) % length
+            owner = owner[entry]
+            member = member[entry] + coord * stride
+            budget = budget[entry] - np.abs(offset)
+        return owner, member
+
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
-        coord = self._coords[x]
+        coord = self._coords[x].tolist()
         out: set[int] = set()
-        for axis, length in enumerate(self.dims):
+        for axis, (length, stride) in enumerate(zip(self.dims, self._strides)):
             if length == 1:
                 continue
             for delta in (-1, 1):
-                c = int(coord[axis]) + delta
+                c = coord[axis] + delta
                 if self.toric:
                     c %= length
                 elif not 0 <= c < length:
                     continue
-                nb = list(coord)
-                nb[axis] = c
-                out.add(self.vertex_at(nb))
+                out.add(x + (c - coord[axis]) * stride)
         out.discard(x)
         return sorted(out)
 
@@ -345,6 +404,20 @@ class TreeLeaves(Space):
         d[x] = 0
         return d
 
+    def distances_between(self, xs, ys) -> np.ndarray:
+        xs, ys = self._check_vertices(xs), self._check_vertices(ys)
+        d = np.zeros(xs.shape, dtype=np.int64)
+        for _ in range(self.height):
+            d += xs != ys
+            xs, ys = xs // self.branching, ys // self.branching
+        return d
+
+    def ball_members(self, centers, radii):
+        # the leaves of x's subtree of height r: an aligned range of b^r ids
+        centers, steps = self._ball_steps(centers, radii)
+        width = self.branching ** steps
+        return _ranges(centers // width * width, width)
+
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
         if self.height == 0:
@@ -397,6 +470,11 @@ class Euclidean(Space):
     def distances_from(self, x: int) -> np.ndarray:
         self._check_vertex(x)
         return np.linalg.norm(self.points - self.points[x], axis=1)
+
+    def distances_between(self, xs, ys) -> np.ndarray:
+        pts = self.points
+        return np.linalg.norm(pts[self._check_vertices(ys)] - pts[self._check_vertices(xs)],
+                              axis=1)
 
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)

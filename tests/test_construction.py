@@ -140,6 +140,98 @@ def test_builder_small_and_large_paths_agree():
         assert via_numpy.out_edges == via_python.out_edges
 
 
+# ---------------------------------------------------------------------------
+# production builders against the quantified rule on tie-heavy families
+
+
+def rule_heads(n, d1_row, value_row):
+    """Heads by the record rule read verbatim: j != i is kept iff
+    value(i, j) <= value(i, k) for every k != i with d1(i, k) < d1(i, j)."""
+    out = []
+    for i in range(n):
+        d1 = d1_row(i)
+        value = np.asarray(value_row(i), dtype=np.float64)
+        others = np.where(np.arange(n) == i, np.inf, value)
+        closer = d1[None, :] < d1[:, None]  # closer[j, k]: k strictly closer than j
+        bound = np.where(closer, others[None, :], np.inf).min(axis=1)
+        keep = value <= bound
+        keep[i] = False
+        out.append(np.flatnonzero(keep).tolist())
+    return out
+
+
+def snapped_cloud(rng, n, dim, cells):
+    # coordinates floored to a coarse lattice, so many points coincide
+    return Euclidean(np.floor(rng.random((n, dim)) * cells) / cells)
+
+
+TIE_HEAVY_FAMILIES = ("toric-grids", "clipped-grids", "tree-first",
+                      "tree-second", "directed-cycles", "undirected-cycles",
+                      "snapped-clouds")
+
+
+def tie_heavy_pair(family, large, rng):
+    """(space1, space2) of one family, below the pure-Python threshold or
+    well above it."""
+    if family == "toric-grids":  # even sides: antipodal ties on each axis
+        return ((Grid((16, 20), toric=True), Grid((10, 32), toric=True)) if large
+                else (Grid((4, 6), toric=True), Grid((2, 12), toric=True)))
+    if family == "clipped-grids":
+        return ((Grid((12, 27)), Grid((18, 18))) if large
+                else (Grid((3, 8)), Grid((4, 6))))
+    if family == "tree-first":
+        return ((TreeLeaves(2, 9), UndirectedCycle(512)) if large
+                else (TreeLeaves(3, 3), UndirectedCycle(27)))
+    if family == "tree-second":
+        return ((Grid((16, 32)), TreeLeaves(2, 9)) if large
+                else (Grid((4, 4)), TreeLeaves(2, 4)))
+    if family == "directed-cycles":
+        n = 300 if large else 20
+        return DirectedCycle(n), DirectedCycle(n)
+    if family == "undirected-cycles":
+        n = 301 if large else 22
+        return UndirectedCycle(n), UndirectedCycle(n)
+    n = 300 if large else 24
+    return snapped_cloud(rng, n, 2, 4), snapped_cloud(rng, n, 3, 3)
+
+
+def check_size_class(space, large):
+    n = space.n
+    if large:
+        # the numpy path, over several blocks of rows with a ragged last one
+        _, block = cons._prefix_plan(space)
+        assert n >= cons._NUMPY_BUILD_THRESHOLD and block < n and n % block
+    else:
+        assert n < cons._NUMPY_BUILD_THRESHOLD
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+@pytest.mark.parametrize("family", TIE_HEAVY_FAMILIES)
+def test_double_clustering_matches_rule_on_tie_heavy_families(family, large):
+    rng = np.random.default_rng(TIE_HEAVY_FAMILIES.index(family))
+    space1, space2 = tie_heavy_pair(family, large, rng)
+    check_size_class(space1, large)
+    for _ in range(1 if large else 3):
+        a = Assignment(space1, space2, rng.permutation(space1.n))
+        expected = rule_heads(a.n, space1.distances_from,
+                              lambda i: space2.distances_from(int(a.pi[i]))[a.pi])
+        assert build_double_clustering(a).out_edges == expected
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+@pytest.mark.parametrize("family", TIE_HEAVY_FAMILIES)
+def test_interest_matches_rule_on_tie_heavy_families(family, large):
+    rng = np.random.default_rng(TIE_HEAVY_FAMILIES.index(family))
+    space, _ = tie_heavy_pair(family, large, rng)
+    check_size_class(space, large)
+    n = space.n
+    for master in range(1 if large else 3):
+        seed = Seed(master)
+        expected = rule_heads(n, space.distances_from,
+                              lambda i: -seed.rng("ii", i).random(n))
+        assert build_independent_interest(space, seed).out_edges == expected
+
+
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 50)),
                 min_size=0, max_size=40))
 @settings(max_examples=200, deadline=None)

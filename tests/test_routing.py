@@ -46,6 +46,35 @@ def test_phase_index_brackets_distance():
         assert d > 2.0 ** (i - 1)
 
 
+def test_coincident_points_route_under_every_mode():
+    # vertices 0 and 1 coincide in space 1: a step taken at space-1
+    # distance 0 is counted under PHASE_AT_ZERO, never raised
+    a = Assignment.identity(Euclidean([[0, 0], [0, 0], [1, 0]]),
+                            Euclidean([[0, 0], [1, 1], [2, 2]]))
+    g = build_double_clustering(a)
+    edges = set(g.iter_edges())
+    for label in ("greedy-1", "greedy-2", "combined", "combined-literal-m"):
+        for plateau in (None, True, False):
+            mode = RoutingMode.parse(label)
+            mode = RoutingMode(mode.kind, mode.space, plateau,
+                               literal_m=mode.literal_m)
+            for s in range(3):
+                for t in range(3):
+                    out = route(g, a, mode, s, t)
+                    assert out.steps == len(out.path) - 1
+                    assert sum(out.phase_steps.values()) == out.steps
+                    sorted(out.phase_steps)  # keys sort together, or this raises
+                    assert all(step in edges for step in zip(out.path, out.path[1:]))
+                    assert out.success == (out.path[-1] == t
+                                           and out.failure is Failure.NONE)
+    out = route(g, a, RoutingMode.parse("combined"), 0, 1)
+    assert out.success and out.phase_steps == {rt.PHASE_AT_ZERO: 1}
+    out = greedy_route(g, a, 0, 1, plateau=True)
+    assert out.success and out.phase_steps == {rt.PHASE_AT_ZERO: 1}
+    with pytest.raises(ValueError, match="graph-kind"):
+        half_greedy_route(g, a, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # greedy
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navgraph.spaces import (Ball, DirectedCycle, Euclidean, Grid, TreeLeaves,
+from navgraph.spaces import (DirectedCycle, Euclidean, Grid, TreeLeaves,
                              UndirectedCycle, doubling_constant_estimate)
 
 
@@ -23,6 +23,34 @@ def small_spaces(rng=None):
 
 
 space_strategy = st.sampled_from(small_spaces())
+
+
+def space_id(space):
+    if isinstance(space, Euclidean):
+        return f"Euclidean(n={space.n})"
+    return repr(space)
+
+
+def tie_heavy_spaces():
+    """Every space kind, with the tie patterns that closed forms must get
+    right: even and odd cycles, even-sided toric and non-square clipped
+    grids, degenerate axes, and a point cloud with coincident points."""
+    rng = np.random.default_rng(54321)
+    return small_spaces() + [
+        DirectedCycle(1),
+        UndirectedCycle(1),
+        UndirectedCycle(2),
+        UndirectedCycle(10),
+        Grid((4, 6), toric=True),
+        Grid((2, 2), toric=True),
+        Grid((3, 7)),
+        Grid((1, 6)),
+        Grid((3, 2, 4)),
+        Grid((2, 3, 4), toric=True),
+        TreeLeaves(2, 0),
+        TreeLeaves(4, 2),
+        Euclidean(np.floor(rng.random((24, 2)) * 3) / 3),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -106,18 +134,16 @@ def test_scalar_matches_vectorized(space, data):
     assert space.distance(x, y) == pytest.approx(col[x])
 
 
-@given(space_strategy, st.data())
-@settings(max_examples=50, deadline=None)
-def test_shell_order_consistency(space, data):
-    x = data.draw(st.integers(0, space.n - 1))
-    analytic = space.shell_order_from(x)
-    if analytic is None:
-        return
-    order, dist = analytic
-    assert sorted(int(v) for v in order) == [v for v in range(space.n) if v != x]
-    assert np.all(np.diff(dist) >= 0)
-    row = space.distances_from(x)
-    assert np.array_equal(row[order], dist)
+@pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
+def test_distances_between_matches_distances_from(space):
+    # equal entry for entry, floats included: builders mix the two kernels
+    n = space.n
+    xs = np.repeat(np.arange(n), n)
+    ys = np.tile(np.arange(n), n)
+    rows = np.concatenate([space.distances_from(x) for x in range(n)])
+    assert np.array_equal(space.distances_between(xs, ys), rows)
+    with pytest.raises(ValueError):
+        space.distances_between([0], [n])
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +158,42 @@ def test_ball_count_examples():
 
 
 def test_ball_members():
-    ball = UndirectedCycle(8).ball(0, 2)
-    assert isinstance(ball, Ball)
-    assert ball.members == {6, 7, 0, 1, 2}
-    assert ball.center in ball.members
+    owner, member = UndirectedCycle(8).ball_members(0, 2)
+    assert owner.tolist() == [0] * 5
+    assert set(member.tolist()) == {6, 7, 0, 1, 2}
+    owner, member = DirectedCycle(8).ball_members([6, 1], [3, 0.5])
+    assert owner.tolist() == [0, 0, 0, 0, 1]
+    assert member.tolist() == [6, 7, 0, 1, 1]  # forward arc, center included
+    assert UndirectedCycle(8).ball_members([], 1)[1].size == 0
+
+
+@pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
+def test_ball_members_matches_enumeration(space):
+    # every radius at which a ball changes, plus the values between them,
+    # beyond the diameter and infinity, several centers in one call
+    n = space.n
+    for x in range(n):
+        d = space.distances_from(x)
+        shells = np.unique(d)
+        radii = np.concatenate([shells, shells + 0.5, [space.diameter() + 3, np.inf]])
+        owner, member = space.ball_members(np.full(len(radii), x), radii)
+        assert np.all(np.diff(owner) >= 0)
+        for k, r in enumerate(radii):
+            got = member[owner == k]
+            assert len(got) == len(set(got.tolist()))
+            assert sorted(got.tolist()) == np.flatnonzero(d <= r).tolist()
+        assert space.ball_count(x, radii[0]) == np.count_nonzero(d <= radii[0])
+
+
+def test_ball_members_rejects_bad_arguments():
+    for space in (UndirectedCycle(8), Grid((3, 3)), TreeLeaves(2, 3),
+                  Euclidean(np.zeros((4, 2)))):
+        with pytest.raises(ValueError):
+            space.ball_members([0, 1], [1, -1])
+        with pytest.raises(ValueError):
+            space.ball_members([0], np.nan)
+        with pytest.raises(ValueError):
+            space.ball_members([space.n], 1)
 
 
 def test_ball_negative_radius_rejected():
@@ -196,7 +254,7 @@ def test_base_neighbors_within_unit_ball_for_graph_kinds(space, data):
     neighbors = space.base_neighbors(x)
     assert x not in neighbors
     if space.is_graph_kind:
-        assert set(neighbors) <= space.ball(x, 1).members
+        assert set(neighbors) <= set(space.ball_members(x, 1)[1].tolist())
         for w in neighbors:
             assert space.distance(x, w) == 1
 
