@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -18,15 +19,12 @@ import numpy as np
 from . import harness, oracle
 from .construction import (Seed, load_permutation, read_edge_list,
                            thin_edges, write_edge_list)
-from .routing import RoutingMode, route
+from .routing import MODE_LABELS, RoutingMode, route
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERTION = 2
 EXIT_IO = 3
-
-_MODE_CHOICES = ("greedy-1", "greedy-2", "half-greedy-1", "half-greedy-2",
-                 "combined", "combined-literal-m")
 
 
 class _UsageError(Exception):
@@ -120,13 +118,9 @@ def _cmd_route(args, argv) -> int:
     for v in (args.source, args.target):
         if not 0 <= v < graph.n:
             raise _UsageError(f"vertex {v} out of range [0, {graph.n})")
-    mode = RoutingMode.parse(args.mode)
-    if args.plateau != "auto":
-        mode = RoutingMode(mode.kind, mode.space, args.plateau == "on",
-                           args.max_steps, mode.literal_m)
-    elif args.max_steps is not None:
-        mode = RoutingMode(mode.kind, mode.space, mode.plateau,
-                           args.max_steps, mode.literal_m)
+    mode = dataclasses.replace(
+        RoutingMode.parse(args.mode), max_steps=args.max_steps,
+        plateau=None if args.plateau == "auto" else args.plateau == "on")
     outcome = route(graph, assignment, mode, args.source, args.target)
     print(f"mode: {mode.label}")
     print("path: " + " -> ".join(str(v) for v in outcome.path))
@@ -274,7 +268,7 @@ def build_parser() -> _Parser:
     p_route.add_argument("--edges", help="edge-list file overriding the built graph")
     p_route.add_argument("--source", type=int, required=True)
     p_route.add_argument("--target", type=int, required=True)
-    p_route.add_argument("--mode", default="greedy-1", choices=_MODE_CHOICES)
+    p_route.add_argument("--mode", default="greedy-1", choices=MODE_LABELS)
     p_route.add_argument("--plateau", choices=("auto", "on", "off"), default="auto")
     p_route.add_argument("--max-steps", type=int, default=None)
 

@@ -4,7 +4,10 @@ The central rule links a vertex to every candidate that is at least as
 close in the second space as all candidates strictly closer in the first
 space.  Ties in the first space form one unordered shell: members of a
 shell never constrain each other, and the running second-space minimum is
-updated only after the whole shell has been scanned.
+updated only after the whole shell has been scanned.  One kernel,
+``_record_heads``, applies the rule for every builder and size; what
+changes with the size is only which candidates it is given (all n(n-1)
+pairs for small graphs, each row's pruned prefix and bounded balls above).
 
 All builders are pure functions of their parameters and a :class:`Seed`;
 randomness is drawn from per-vertex streams derived from (master seed,
@@ -14,7 +17,7 @@ stream label, vertex id), so edge sets do not depend on evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,6 @@ from .spaces import Space
 __all__ = [
     "Seed",
     "Assignment",
-    "Provenance",
     "NavGraph",
     "build_double_clustering",
     "build_independent_interest",
@@ -36,15 +38,15 @@ __all__ = [
     "load_permutation",
     "write_edge_list",
     "read_edge_list",
-    "write_dot",
 ]
 
 _MASK64 = (1 << 64) - 1
 
-# below this size the pure-Python builder path beats numpy call overhead
-_NUMPY_BUILD_THRESHOLD = 32
+# below this size a build passes all n(n-1) candidate pairs to the record
+# kernel at once, which beats pruning each row's candidates
+_PRUNED_BUILD_THRESHOLD = 64
 
-# candidate entries per block of rows in the numpy builders
+# candidate entries per block of rows in the pruned builds
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -133,32 +135,17 @@ class Assignment:
         return cls(space1, space2, seed.permutation(space1.n))
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """How a NavGraph was produced."""
-
-    kind: str
-    alpha: float | None = None
-    links: int | None = None
-    of: "Provenance | None" = None
-
-    @property
-    def label(self) -> str:
-        if self.kind == "kleinberg":
-            return f"kleinberg(alpha={self.alpha:g},links={self.links})"
-        if self.kind == "thinned":
-            inner = self.of.label if self.of else "?"
-            return f"thinned({inner})"
-        return self.kind
-
-
 @dataclass(eq=False)
 class NavGraph:
-    """Directed adjacency: per-vertex sorted lists of head ids."""
+    """Directed adjacency: per-vertex sorted lists of head ids.
+
+    ``kind`` says how the graph was produced, e.g. ``"double-clustering"``,
+    ``"kleinberg(alpha=2,links=1)"`` or ``"thinned(double-clustering)"``.
+    """
 
     n: int
     out_edges: list[list[int]]
-    provenance: Provenance = field(default_factory=lambda: Provenance("unknown"))
+    kind: str = "unknown"
 
     def edge_count(self) -> int:
         return sum(len(heads) for heads in self.out_edges)
@@ -170,13 +157,6 @@ class NavGraph:
         for tail, heads in enumerate(self.out_edges):
             for head in heads:
                 yield tail, head
-
-    def undirected_view(self) -> "NavGraph":
-        """Union with reversed edges; read-only adapter for degree stats."""
-        sym: list[set[int]] = [set(h) for h in self.out_edges]
-        for tail, head in self.iter_edges():
-            sym[head].add(tail)
-        return NavGraph(self.n, [sorted(s) for s in sym], self.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +173,14 @@ def _record_select_mask(sorted_key: np.ndarray, sorted_val: np.ndarray) -> np.nd
     change[0] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    shell_of = np.cumsum(change) - 1
-    cummin = np.minimum.accumulate(sorted_val)
-    prev_last = starts[shell_of] - 1
-    before = np.where(prev_last >= 0, cummin[np.maximum(prev_last, 0)], np.inf)
-    return sorted_val <= before
+    # before[k]: the minimum of the first k values; no value exceeds the
+    # sentinel that the first group sees
+    before = np.concatenate(([sorted_val.max()], np.minimum.accumulate(sorted_val)))
+    return sorted_val <= before[starts[np.cumsum(change) - 1]]
 
 
 def _prefix_plan(space: Space) -> tuple[float, int]:
-    """Prefix radius and rows per block for the numpy builders.
+    """Prefix radius and rows per block for the pruned builds.
 
     The radius is the distance from a reference vertex to its
     ceil(sqrt(n))-th nearest other vertex, so each prefix ball holds about
@@ -268,33 +247,16 @@ def _record_heads(rows: int, owner: np.ndarray, member: np.ndarray,
     keep = order[_record_select_mask(shell[order], shifted)]
     span = int(member.max()) + 1
     heads = np.sort(owner[keep] * span + member[keep])
-    ends = np.cumsum(np.bincount(owner[keep], minlength=rows))[:-1]
-    return [row.tolist() for row in np.split(heads % span, ends)]
+    # row bounds and heads as Python ints once, then a list slice per row
+    ends = np.searchsorted(heads, np.arange(rows + 1) * span).tolist()
+    flat = (heads % span).tolist()
+    return [flat[ends[k]:ends[k + 1]] for k in range(rows)]
 
 
-def _select_row_python(pairs: list[tuple[float, int, float]]) -> list[int]:
-    """pairs: (d1, candidate, value) for all candidates of one source."""
-    pairs.sort(key=lambda t: t[0])
-    best = math.inf
-    heads: list[int] = []
-    idx = 0
-    m = len(pairs)
-    while idx < m:
-        shell_d = pairs[idx][0]
-        shell_best = math.inf
-        j = idx
-        while j < m and pairs[j][0] == shell_d:
-            _, cand, val = pairs[j]
-            if val <= best:
-                heads.append(cand)
-            if val < shell_best:
-                shell_best = val
-            j += 1
-        if shell_best < best:
-            best = shell_best
-        idx = j
-    heads.sort()
-    return heads
+def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, member) arrays of every pair of distinct vertices, by row."""
+    owner, member = np.divmod(np.arange(n * (n - 1)), n - 1)
+    return owner, member + (member >= owner)
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +278,14 @@ def build_double_clustering(assignment: Assignment) -> NavGraph:
     to all n vertices.
     """
     n = assignment.n
-    if n < _NUMPY_BUILD_THRESHOLD:
-        out = []
-        for i in range(n):
-            pairs = [(assignment.d1(i, j), j, float(assignment.d2(i, j)))
-                     for j in range(n) if j != i]
-            out.append(_select_row_python(pairs))
-        return NavGraph(n, out, Provenance("double-clustering"))
     space1, space2 = assignment.space1, assignment.space2
     pi, pi_inv = assignment.pi, assignment.pi_inverse
+    if n < _PRUNED_BUILD_THRESHOLD:
+        owner, member = _all_pairs(n)
+        out = _record_heads(n, owner, member,
+                            space1.distances_between(owner, member),
+                            space2.distances_between(pi[owner], pi[member]))
+        return NavGraph(n, out, "double-clustering")
     radius, block = _prefix_plan(space1)
     out = []
     for start in range(0, n, block):
@@ -338,7 +299,7 @@ def build_double_clustering(assignment: Assignment) -> NavGraph:
         value2 = space2.distances_between(pi[rows[owner2]], pos2)
         out += _block_heads(space1, rows, radius, (owner1, member1, value1),
                             (owner2, pi_inv[pos2], value2))
-    return NavGraph(n, out, Provenance("double-clustering"))
+    return NavGraph(n, out, "double-clustering")
 
 
 def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
@@ -352,14 +313,14 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
     largest.
     """
     n = space.n
-    if n < _NUMPY_BUILD_THRESHOLD:
-        out = []
-        for i in range(n):
-            values = seed.rng("ii", i).random(n)
-            pairs = [(space.distance(i, j), j, -float(values[j]))
-                     for j in range(n) if j != i]
-            out.append(_select_row_python(pairs))
-        return NavGraph(n, out, Provenance("independent-interest"))
+    if n < _PRUNED_BUILD_THRESHOLD:
+        # keep iff value >= running max  <=>  -value <= running min
+        values = np.array([seed.rng("ii", i).random(n) for i in range(n)])
+        owner, member = _all_pairs(n)
+        out = _record_heads(n, owner, member,
+                            space.distances_between(owner, member),
+                            -values[owner, member])
+        return NavGraph(n, out, "independent-interest")
     radius, block = _prefix_plan(space)
     out = []
     for start in range(0, n, block):
@@ -369,7 +330,6 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
         value1 = np.empty(len(member1))
         owner2, member2, value2 = [], [], []
         for k, i in enumerate(rows.tolist()):
-            # keep iff value >= running max  <=>  -value <= running min
             values = -seed.rng("ii", i).random(n)
             prefix = slice(firsts[k], firsts[k + 1])
             value1[prefix] = values[member1[prefix]]
@@ -379,7 +339,7 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
             value2.append(values[members])
         out += _block_heads(space, rows, radius, (owner1, member1, value1),
                             tuple(map(np.concatenate, (owner2, member2, value2))))
-    return NavGraph(n, out, Provenance("independent-interest"))
+    return NavGraph(n, out, "independent-interest")
 
 
 def long_range_distribution(space: Space, x: int, alpha: float):
@@ -416,7 +376,7 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
             heads.update(int(y) for y in np.atleast_1d(draws))
         heads.discard(x)
         out.append(sorted(heads))
-    return NavGraph(n, out, Provenance("kleinberg", alpha=float(alpha), links=links))
+    return NavGraph(n, out, f"kleinberg(alpha={float(alpha):g},links={links})")
 
 
 def edge_keep_probability(n) -> float:
@@ -447,7 +407,7 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
             u = seed.rng("thin", x).random(len(extras))
             kept.update(h for h, uh in zip(extras, u) if uh < keep_p)
         out.append(sorted(kept))
-    return NavGraph(n, out, Provenance("thinned", of=graph.provenance))
+    return NavGraph(n, out, f"thinned({graph.kind})")
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +452,4 @@ def read_edge_list(path: str | Path, n: int | None = None) -> NavGraph:
             raise ValueError(f"edge ({tail}, {head}) out of range for n={n}")
         if tail != head:
             out[tail].add(head)
-    return NavGraph(n, [sorted(s) for s in out], Provenance("imported"))
-
-
-def write_dot(graph: NavGraph, path: str | Path) -> None:
-    """Plain DOT digraph for visualization tooling."""
-    lines = ["digraph navgraph {"]
-    lines += [f"  {tail} -> {head};" for tail, head in graph.iter_edges()]
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return NavGraph(n, [sorted(s) for s in out], "imported")

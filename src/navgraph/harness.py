@@ -94,6 +94,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if not self.sizes or list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be nonempty and strictly ascending")
+        # a trial needs a route pair, and thinning needs ln(n) > 1
+        smallest = 3 if self.thinning else 2
+        if self.sizes[0] < smallest:
+            raise ValueError(f"sizes must be >= {smallest}"
+                             + (" with thinning" if self.thinning else ""))
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         if self.routes_per_size < 1:

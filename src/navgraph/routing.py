@@ -14,7 +14,8 @@ global space geometry:
 Plateau moves (equal-distance steps to vertices not already on the path)
 are allowed when enabled; they default on for tree-distance and combined
 routing, where huge equal-distance shells otherwise strand most routes,
-and off elsewhere.
+and off elsewhere.  :func:`route` is the one entry point; a
+:class:`RoutingMode` selects the algorithm.
 """
 
 from __future__ import annotations
@@ -35,16 +36,14 @@ __all__ = [
     "PHASE_AT_ZERO",
     "phase_index",
     "route",
-    "greedy_route",
-    "half_greedy_route",
-    "combined_route",
+    "MODE_LABELS",
 ]
 
 # below this size scalar distance calls beat building per-route arrays
 _ARRAY_THRESHOLD = 1024
 
-_MODE_LABELS = ("greedy-1", "greedy-2", "half-greedy-1", "half-greedy-2",
-                "combined", "combined-literal-m")
+MODE_LABELS = ("greedy-1", "greedy-2", "half-greedy-1", "half-greedy-2",
+               "combined", "combined-literal-m")
 
 
 class Failure(str, Enum):
@@ -94,9 +93,9 @@ class RoutingMode:
             label = "greedy-1"
         if label == "half-greedy":
             label = "half-greedy-1"
-        if label not in _MODE_LABELS:
+        if label not in MODE_LABELS:
             raise ValueError(
-                f"unknown routing mode {label!r}; expected one of {_MODE_LABELS}")
+                f"unknown routing mode {label!r}; expected one of {MODE_LABELS}")
         if label == "combined":
             return cls(kind="combined")
         if label == "combined-literal-m":
@@ -355,26 +354,3 @@ def route(graph: NavGraph, assignment: Assignment, mode: RoutingMode,
                             source, target)
     return _combined(graph, assignment, plateau, max_steps, mode.literal_m,
                      source, target)
-
-
-def greedy_route(graph: NavGraph, assignment: Assignment, source: int,
-                 target: int, *, space: int = 1, plateau: bool | None = None,
-                 max_steps: int | None = None) -> RouteOutcome:
-    mode = RoutingMode("greedy", space=space, plateau=plateau, max_steps=max_steps)
-    return route(graph, assignment, mode, source, target)
-
-
-def half_greedy_route(graph: NavGraph, assignment: Assignment, source: int,
-                      target: int, *, space: int = 1,
-                      max_steps: int | None = None) -> RouteOutcome:
-    mode = RoutingMode("half-greedy", space=space, max_steps=max_steps)
-    return route(graph, assignment, mode, source, target)
-
-
-def combined_route(graph: NavGraph, assignment: Assignment, source: int,
-                   target: int, *, plateau: bool | None = None,
-                   max_steps: int | None = None,
-                   literal_m: bool = False) -> RouteOutcome:
-    mode = RoutingMode("combined", plateau=plateau, max_steps=max_steps,
-                       literal_m=literal_m)
-    return route(graph, assignment, mode, source, target)

@@ -2,8 +2,15 @@ import json
 import subprocess
 import sys
 
+from pathlib import Path
+
+import pytest
+
 from navgraph import cli
 from navgraph.oracle import find_divergent_permutation
+from navgraph.routing import MODE_LABELS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -80,6 +87,31 @@ def test_route_source_equals_target(capsys):
     out = capsys.readouterr().out
     assert "steps: 0" in out
     assert "success: yes" in out
+
+
+@pytest.mark.parametrize("label", MODE_LABELS)
+def test_route_accepts_every_mode_label(capsys, label):
+    code = run_cli("route", "--model", "two-undirected-cycles", "--n", "16",
+                   "--seed", "4", "--source", "0", "--target", "8",
+                   "--mode", label)
+    assert code == 0
+    assert f"mode: {label}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,result", [
+    ((), "success: yes"),
+    (("--plateau", "on"), "success: yes"),
+    (("--plateau", "off"), "success: no (stuck)"),
+    (("--max-steps", "1"), "success: no (step-limit)"),
+    (("--plateau", "on", "--max-steps", "1"), "success: no (step-limit)"),
+])
+def test_route_plateau_and_max_steps_flags(capsys, flags, result):
+    # greedy over the tree space: 0 -> 1 -> 2 needs one equal-distance move
+    code = run_cli("route", "--model", "grid-tree", "--n", "16", "--seed", "0",
+                   "--branching", "2", "--source", "0", "--target", "2",
+                   "--mode", "greedy-2", *flags)
+    assert code == 0
+    assert result in capsys.readouterr().out
 
 
 def test_route_half_greedy_on_continuum_refused(capsys):
@@ -197,6 +229,18 @@ def test_experiment_runs_config(tmp_path, capsys):
     assert len(list((tmp_path / "edges").glob("*.edges"))) == 4
 
 
+@pytest.mark.parametrize("sizes,thinning", [([1, 8], False), ([2, 8], True)])
+def test_experiment_rejects_too_small_sizes(tmp_path, capsys, sizes, thinning):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(json.dumps({"model": "two-directed-cycles", "sizes": sizes,
+                               "seeds": [1], "thinning": thinning}))
+    code = run_cli("experiment", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.csv"))
+    assert code == 1
+    assert "sizes must be >=" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_experiment_missing_config_is_io_error(tmp_path, capsys):
     code = run_cli("experiment", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o.csv"))
@@ -230,3 +274,15 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+# ---------------------------------------------------------------------------
+# benchmark contract
+
+
+def test_benchmark_smoke_run_passes():
+    # the benchmark drives navgraph through its public names; a rename or
+    # removal it depends on fails this run
+    proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -10,8 +10,7 @@ from navgraph.construction import (Assignment, Seed, build_double_clustering,
                                    build_independent_interest, build_kleinberg,
                                    edge_keep_probability, load_permutation,
                                    long_range_distribution, parse_permutation,
-                                   read_edge_list, thin_edges, write_dot,
-                                   write_edge_list)
+                                   read_edge_list, thin_edges, write_edge_list)
 from navgraph.spaces import (DirectedCycle, Euclidean, Grid, TreeLeaves,
                              UndirectedCycle)
 
@@ -76,7 +75,7 @@ def test_identity_permutation_gives_successor_graph():
     a = Assignment.identity(DirectedCycle(4))
     g = build_double_clustering(a)
     assert g.out_edges == [[1], [2], [3], [0]]
-    assert g.provenance.label == "double-clustering"
+    assert g.kind == "double-clustering"
 
 
 def test_hand_enumerated_example():
@@ -125,21 +124,6 @@ def test_space_swap_symmetry_up_to_relabeling():
         assert [sorted(s) for s in relabeled] == g.out_edges
 
 
-def test_builder_small_and_large_paths_agree():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        a = random_assignment(rng)
-        old = cons._NUMPY_BUILD_THRESHOLD
-        try:
-            cons._NUMPY_BUILD_THRESHOLD = 0
-            via_numpy = build_double_clustering(a)
-            cons._NUMPY_BUILD_THRESHOLD = 1 << 30
-            via_python = build_double_clustering(a)
-        finally:
-            cons._NUMPY_BUILD_THRESHOLD = old
-        assert via_numpy.out_edges == via_python.out_edges
-
-
 # ---------------------------------------------------------------------------
 # production builders against the quantified rule on tie-heavy families
 
@@ -160,6 +144,27 @@ def rule_heads(n, d1_row, value_row):
     return out
 
 
+def rule_double_clustering(a):
+    return rule_heads(a.n, a.space1.distances_from,
+                      lambda i: a.space2.distances_from(int(a.pi[i]))[a.pi])
+
+
+def test_builder_small_and_large_paths_agree():
+    # random assignments on both sides of the pruning threshold: all
+    # candidate pairs below it, pruned balls from it
+    rng = np.random.default_rng(10)
+    threshold = cons._PRUNED_BUILD_THRESHOLD
+    cases = [random_assignment(rng) for _ in range(10)]
+    for n in (threshold, threshold + 37):
+        for s1, s2 in ((DirectedCycle(n), DirectedCycle(n)),
+                       (UndirectedCycle(n), UndirectedCycle(n)),
+                       (Euclidean(rng.random((n, 2))), Euclidean(rng.random((n, 3))))):
+            cases.append(Assignment(s1, s2, rng.permutation(n)))
+    assert min(a.n for a in cases) < threshold <= max(a.n for a in cases)
+    for a in cases:
+        assert build_double_clustering(a).out_edges == rule_double_clustering(a)
+
+
 def snapped_cloud(rng, n, dim, cells):
     # coordinates floored to a coarse lattice, so many points coincide
     return Euclidean(np.floor(rng.random((n, dim)) * cells) / cells)
@@ -171,8 +176,8 @@ TIE_HEAVY_FAMILIES = ("toric-grids", "clipped-grids", "tree-first",
 
 
 def tie_heavy_pair(family, large, rng):
-    """(space1, space2) of one family, below the pure-Python threshold or
-    well above it."""
+    """(space1, space2) of one family, below the pruning threshold or well
+    above it."""
     if family == "toric-grids":  # even sides: antipodal ties on each axis
         return ((Grid((16, 20), toric=True), Grid((10, 32), toric=True)) if large
                 else (Grid((4, 6), toric=True), Grid((2, 12), toric=True)))
@@ -198,11 +203,12 @@ def tie_heavy_pair(family, large, rng):
 def check_size_class(space, large):
     n = space.n
     if large:
-        # the numpy path, over several blocks of rows with a ragged last one
+        # pruned candidates, over several blocks of rows with a ragged last one
         _, block = cons._prefix_plan(space)
-        assert n >= cons._NUMPY_BUILD_THRESHOLD and block < n and n % block
+        assert n >= cons._PRUNED_BUILD_THRESHOLD and block < n and n % block
     else:
-        assert n < cons._NUMPY_BUILD_THRESHOLD
+        # all n(n-1) candidate pairs in one call
+        assert n < cons._PRUNED_BUILD_THRESHOLD
 
 
 @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
@@ -213,9 +219,7 @@ def test_double_clustering_matches_rule_on_tie_heavy_families(family, large):
     check_size_class(space1, large)
     for _ in range(1 if large else 3):
         a = Assignment(space1, space2, rng.permutation(space1.n))
-        expected = rule_heads(a.n, space1.distances_from,
-                              lambda i: space2.distances_from(int(a.pi[i]))[a.pi])
-        assert build_double_clustering(a).out_edges == expected
+        assert build_double_clustering(a).out_edges == rule_double_clustering(a)
 
 
 @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
@@ -274,6 +278,7 @@ def test_interest_deterministic():
     g3 = build_independent_interest(s, Seed(124))
     assert g1.out_edges == g2.out_edges
     assert g1.out_edges != g3.out_edges
+    assert g1.kind == "independent-interest"
 
 
 def test_interest_expected_degree_record_law():
@@ -289,16 +294,13 @@ def test_interest_expected_degree_record_law():
 
 
 def test_interest_paths_agree():
-    s = UndirectedCycle(40)
-    old = cons._NUMPY_BUILD_THRESHOLD
-    try:
-        cons._NUMPY_BUILD_THRESHOLD = 0
-        via_numpy = build_independent_interest(s, Seed(5))
-        cons._NUMPY_BUILD_THRESHOLD = 1 << 30
-        via_python = build_independent_interest(s, Seed(5))
-    finally:
-        cons._NUMPY_BUILD_THRESHOLD = old
-    assert via_numpy.out_edges == via_python.out_edges
+    # undirected cycles on both sides of the pruning threshold
+    seed = Seed(5)
+    for n in (40, cons._PRUNED_BUILD_THRESHOLD + 40):
+        s = UndirectedCycle(n)
+        expected = rule_heads(n, s.distances_from,
+                              lambda i: -seed.rng("ii", i).random(n))
+        assert build_independent_interest(s, seed).out_edges == expected
 
 
 def test_interest_mean_degree_near_harmonic():
@@ -353,7 +355,7 @@ def test_kleinberg_builder_basics():
     for x in range(16):
         assert set(grid.base_neighbors(x)) <= set(g.out_edges[x])
         assert x not in g.out_edges[x]
-    assert g.provenance.label == "kleinberg(alpha=2,links=1)"
+    assert g.kind == "kleinberg(alpha=2,links=1)"
     again = build_kleinberg(Grid((4, 4)), alpha=2.0, links=1, seed=Seed(3))
     assert again.out_edges == g.out_edges
 
@@ -383,7 +385,7 @@ def test_thinning_preserves_base_only_graph():
     g = build_double_clustering(a)
     thinned = thin_edges(g, a.space1, Seed(77))
     assert thinned.out_edges == g.out_edges
-    assert thinned.provenance.label == "thinned(double-clustering)"
+    assert thinned.kind == "thinned(double-clustering)"
 
 
 def test_thinning_rejects_tiny_graphs():
@@ -429,18 +431,10 @@ def test_edge_list_round_trip(tmp_path):
     assert lines == sorted(lines)
     back = read_edge_list(path, n=6)
     assert back.out_edges == g.out_edges
+    assert back.kind == "imported"
     inferred = read_edge_list(path)  # n from the largest id seen
     assert inferred.n == 6
     assert inferred.out_edges == g.out_edges
-
-
-def test_dot_output(tmp_path):
-    g = build_double_clustering(double_cycle(4, [0, 2, 1, 3]))
-    path = tmp_path / "g.dot"
-    write_dot(g, path)
-    text = path.read_text()
-    assert text.startswith("digraph")
-    assert "0 -> 2;" in text
 
 
 def test_permutation_parsing(tmp_path):
@@ -450,12 +444,3 @@ def test_permutation_parsing(tmp_path):
     path = tmp_path / "pi.txt"
     path.write_text("3 2 1 0\n")
     assert list(load_permutation(path)) == [3, 2, 1, 0]
-
-
-def test_undirected_view_symmetrizes():
-    g = build_double_clustering(double_cycle(4, [0, 2, 1, 3]))
-    u = g.undirected_view()
-    for x, heads in enumerate(u.out_edges):
-        for h in heads:
-            assert x in u.out_edges[h]
-    assert u.edge_count() >= g.edge_count()

@@ -51,6 +51,24 @@ def test_spec_validation():
         make_spec(seeds=())
 
 
+@pytest.mark.parametrize("model", ["two-directed-cycles", "continuum",
+                                   "independent-interest", "kleinberg"])
+def test_spec_rejects_sizes_without_route_pairs(model):
+    # n = 1 has no (source, target) pair to route
+    with pytest.raises(ValueError, match=">= 2"):
+        make_spec(model=model, sizes=(1, 8))
+    result = run_experiment(make_spec(model=model, sizes=(2,), seeds=(1,)))
+    assert [row.routes for row in result.rows] == [2]
+
+
+def test_spec_rejects_sizes_too_small_to_thin():
+    # thinning keeps edges with probability 1/ln(n), defined for n >= 3
+    with pytest.raises(ValueError, match=">= 3 with thinning"):
+        make_spec(sizes=(2, 8), thinning=True)
+    result = run_experiment(make_spec(sizes=(3,), seeds=(1,), thinning=True))
+    assert [row.routes for row in result.rows] == [6]
+
+
 def test_config_round_trip(tmp_path):
     spec = make_spec(routing_modes=(RoutingMode.parse("greedy-1"),
                                     RoutingMode.parse("combined")),

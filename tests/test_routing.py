@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navgraph import routing as rt
 from navgraph.construction import Assignment, NavGraph, build_double_clustering
-from navgraph.routing import (Failure, RoutingMode, combined_route,
-                              greedy_route, half_greedy_route, phase_index,
-                              resolved_plateau, route)
+from navgraph.routing import (MODE_LABELS, Failure, RouteOutcome, RoutingMode,
+                              phase_index, resolved_plateau, route)
 from navgraph.spaces import (DirectedCycle, Euclidean, Grid, TreeLeaves,
                              UndirectedCycle)
 
@@ -69,10 +72,10 @@ def test_coincident_points_route_under_every_mode():
                                            and out.failure is Failure.NONE)
     out = route(g, a, RoutingMode.parse("combined"), 0, 1)
     assert out.success and out.phase_steps == {rt.PHASE_AT_ZERO: 1}
-    out = greedy_route(g, a, 0, 1, plateau=True)
+    out = route(g, a, RoutingMode("greedy", plateau=True), 0, 1)
     assert out.success and out.phase_steps == {rt.PHASE_AT_ZERO: 1}
     with pytest.raises(ValueError, match="graph-kind"):
-        half_greedy_route(g, a, 0, 1)
+        route(g, a, RoutingMode("half-greedy"), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +94,7 @@ def test_source_equals_target():
 def test_greedy_reaches_adjacent_target_in_one_step():
     a = double_cycle(4, [0, 2, 1, 3])
     g = build_double_clustering(a)
-    out = greedy_route(g, a, 0, 2)
+    out = route(g, a, RoutingMode("greedy"), 0, 2)
     assert out.path == [0, 2]
     assert out.steps == 1
     assert out.success
@@ -108,7 +111,7 @@ def test_greedy_monotone_in_routing_distance():
             if s == t:
                 continue
             for space in (1, 2):
-                out = greedy_route(g, a, s, t, space=space)
+                out = route(g, a, RoutingMode("greedy", space=space), s, t)
                 assert out.success
                 dist = a.d1 if space == 1 else a.d2
                 trace = [dist(v, t) for v in out.path]
@@ -131,7 +134,7 @@ def test_phase_steps_sum_to_steps():
 def test_greedy_stuck_without_outgoing_improvement():
     a = Assignment.identity(UndirectedCycle(6))
     g = custom_graph(6, [(0, 5)])  # only a worsening edge toward target 2
-    out = greedy_route(g, a, 0, 2, plateau=False)
+    out = route(g, a, RoutingMode("greedy", plateau=False), 0, 2)
     assert not out.success
     assert out.failure is Failure.STUCK
     assert out.path == [0]
@@ -140,7 +143,7 @@ def test_greedy_stuck_without_outgoing_improvement():
 def test_step_limit_reported():
     a = Assignment.identity(DirectedCycle(8))
     g = build_double_clustering(a)
-    out = greedy_route(g, a, 0, 7, max_steps=3)
+    out = route(g, a, RoutingMode("greedy", max_steps=3), 0, 7)
     assert not out.success
     assert out.failure is Failure.STEP_LIMIT
     assert out.steps == 3
@@ -150,9 +153,9 @@ def test_plateau_moves_rescue_tree_routing():
     # 0's only edge keeps the tree distance flat; footnote behavior takes it
     a = Assignment.identity(UndirectedCycle(4), TreeLeaves(2, 2))
     g = custom_graph(4, [(0, 1), (1, 3)])
-    stuck = greedy_route(g, a, 0, 3, space=2, plateau=False)
+    stuck = route(g, a, RoutingMode("greedy", space=2, plateau=False), 0, 3)
     assert stuck.failure is Failure.STUCK
-    saved = greedy_route(g, a, 0, 3, space=2, plateau=True)
+    saved = route(g, a, RoutingMode("greedy", space=2, plateau=True), 0, 3)
     assert saved.success
     assert saved.path == [0, 1, 3]
     assert len(set(saved.path)) == len(saved.path)
@@ -179,7 +182,7 @@ def test_half_greedy_takes_big_step_when_distance_more_than_halves():
     # d1(x, z) = 7 and a neighbor at 3: 7 > 6, so jump
     a = Assignment.identity(UndirectedCycle(15))
     g = custom_graph(15, [(0, 4)])
-    out = half_greedy_route(g, a, 0, 7)
+    out = route(g, a, RoutingMode("half-greedy"), 0, 7)
     assert out.path[1] == 4
     assert out.success
 
@@ -188,7 +191,7 @@ def test_half_greedy_strictness_forces_small_step():
     # d1(x, z) = 4 and best neighbor at 2: 4 > 4 is false, so walk the base
     a = Assignment.identity(UndirectedCycle(9))
     g = custom_graph(9, [(0, 2)])
-    out = half_greedy_route(g, a, 0, 4)
+    out = route(g, a, RoutingMode("half-greedy"), 0, 4)
     assert out.path[1] == 1
     assert out.success
     assert out.path == [0, 1, 2, 3, 4]
@@ -205,7 +208,7 @@ def test_half_greedy_steps_halve_or_decrement():
             src, tgt = int(rng.integers(n)), int(rng.integers(n))
             if src == tgt:
                 continue
-            out = half_greedy_route(g, a, src, tgt)
+            out = route(g, a, RoutingMode("half-greedy"), src, tgt)
             assert out.success
             trace = [a.d1(v, tgt) for v in out.path]
             for before, after in zip(trace, trace[1:]):
@@ -222,7 +225,7 @@ def test_half_greedy_in_second_space():
         src, tgt = int(rng.integers(n)), int(rng.integers(n))
         if src == tgt:
             continue
-        out = half_greedy_route(g, a, src, tgt, space=2)
+        out = route(g, a, RoutingMode("half-greedy", space=2), src, tgt)
         assert out.success
         trace = [a.d2(v, tgt) for v in out.path]
         for before, after in zip(trace, trace[1:]):
@@ -234,7 +237,7 @@ def test_half_greedy_needs_graph_kind_space():
     a = Assignment.identity(Euclidean(pts), Euclidean(pts))
     g = custom_graph(8, [(0, 1)])
     with pytest.raises(ValueError):
-        half_greedy_route(g, a, 0, 3)
+        route(g, a, RoutingMode("half-greedy"), 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +249,7 @@ def test_combined_ball_count_tie_prefers_first_space():
     a = Assignment(UndirectedCycle(8), UndirectedCycle(8),
                    np.array([5, 3, 4, 1, 0, 6, 7, 2]))
     g = custom_graph(8, [(0, 2), (0, 7), (2, 4), (7, 4)])
-    out = combined_route(g, a, 0, 4)
+    out = route(g, a, RoutingMode("combined"), 0, 4)
     assert out.path[1] == 2
 
 
@@ -256,8 +259,8 @@ def test_combined_ball_rule_differs_from_literal_distance_rule():
     a = Assignment(UndirectedCycle(8), TreeLeaves(2, 3),
                    np.array([5, 1, 4, 3, 0, 6, 7, 2]))
     g = custom_graph(8, [(0, 2), (0, 7), (2, 4), (7, 4)])
-    by_balls = combined_route(g, a, 0, 4)
-    literal = combined_route(g, a, 0, 4, literal_m=True)
+    by_balls = route(g, a, RoutingMode("combined"), 0, 4)
+    literal = route(g, a, RoutingMode("combined", literal_m=True), 0, 4)
     assert by_balls.path[1] == 7
     assert literal.path[1] == 2
 
@@ -269,7 +272,7 @@ def test_combined_jumps_to_target_when_adjacent():
     g = build_double_clustering(a)
     for x in range(n):
         for t in g.out_edges[x]:
-            out = combined_route(g, a, x, t)
+            out = route(g, a, RoutingMode("combined"), x, t)
             assert out.path == [x, t]
 
 
@@ -280,7 +283,7 @@ def test_combined_succeeds_on_double_cycles():
     g = build_double_clustering(a)
     for _ in range(30):
         s, t = int(rng.integers(n)), int(rng.integers(n))
-        out = combined_route(g, a, s, t)
+        out = route(g, a, RoutingMode("combined"), s, t)
         assert out.success
 
 
@@ -353,6 +356,92 @@ def test_endpoint_validation():
     a = Assignment.identity(DirectedCycle(4))
     g = build_double_clustering(a)
     with pytest.raises(ValueError):
-        greedy_route(g, a, 0, 4)
+        route(g, a, RoutingMode("greedy"), 0, 4)
     with pytest.raises(ValueError):
-        greedy_route(g, a, -1, 2)
+        route(g, a, RoutingMode("greedy"), -1, 2)
+
+
+# ---------------------------------------------------------------------------
+# route invariants on random instances of every family
+
+
+@st.composite
+def routing_instances(draw):
+    """Random small assignment of one family, tie-heavy ones included."""
+    family = draw(st.sampled_from(("directed-cycles", "undirected-cycles",
+                                   "toric-grids", "clipped-grids",
+                                   "tree-leaves", "snapped-clouds")))
+    if family == "directed-cycles":
+        n = draw(st.integers(2, 24))
+        s1, s2 = DirectedCycle(n), DirectedCycle(n)
+    elif family == "undirected-cycles":
+        n = draw(st.integers(2, 24))
+        s1, s2 = UndirectedCycle(n), UndirectedCycle(n)
+    elif family == "toric-grids":  # even sides: antipodal ties on each axis
+        rows, cols = 2 * draw(st.integers(1, 3)), 2 * draw(st.integers(1, 4))
+        s1, s2 = Grid((rows, cols), toric=True), Grid((cols, rows), toric=True)
+    elif family == "clipped-grids":
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+        s1, s2 = Grid((rows, cols)), UndirectedCycle(rows * cols)
+    elif family == "tree-leaves":
+        branching = draw(st.integers(2, 3))
+        tree = TreeLeaves(branching, draw(st.integers(1, 4 if branching == 2 else 2)))
+        other = draw(st.sampled_from((UndirectedCycle(tree.n), DirectedCycle(tree.n))))
+        s1, s2 = (tree, other) if draw(st.booleans()) else (other, tree)
+    else:  # coordinates on a coarse lattice, so points coincide
+        n, cells = draw(st.integers(2, 16)), draw(st.integers(1, 3))
+        coords = st.lists(st.lists(st.integers(0, cells), min_size=2, max_size=2),
+                          min_size=n, max_size=n)
+        s1 = Euclidean(np.array(draw(coords)) / cells)
+        s2 = Euclidean(np.array(draw(coords)) / cells)
+    pi = draw(st.permutations(range(s1.n)))
+    return Assignment(s1, s2, np.array(pi))
+
+
+def admitted_modes(a):
+    """Every routing mode the assignment's spaces admit."""
+    modes = [RoutingMode.parse(label) for label in MODE_LABELS]
+    return [m for m in modes if m.kind != "half-greedy"
+            or (a.space1 if m.space == 1 else a.space2).is_graph_kind]
+
+
+def check_route_invariants(graph, a, mode, s, t, out):
+    edges = set(graph.iter_edges())
+    assert isinstance(out, RouteOutcome)
+    assert (out.source, out.target, out.path[0]) == (s, t, s)
+    assert all(step in edges for step in zip(out.path, out.path[1:]))
+    assert out.steps == len(out.path) - 1
+    assert sum(out.phase_steps.values()) == out.steps
+    assert out.success == (out.path[-1] == t) == (out.failure is Failure.NONE)
+    max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
+    assert out.steps <= max_steps
+    if out.failure is Failure.STEP_LIMIT:
+        assert out.steps == max_steps
+    if mode.kind == "greedy" and not resolved_plateau(mode, a):
+        dist = a.d1 if mode.space == 1 else a.d2
+        trace = [dist(v, t) for v in out.path]
+        assert all(after < before for before, after in zip(trace, trace[1:]))
+
+
+@given(routing_instances(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_routers_keep_invariants_on_random_instances(a, data):
+    graph = build_double_clustering(a)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, a.n - 1),
+                                         st.integers(0, a.n - 1)),
+                               min_size=1, max_size=3))
+    max_steps = data.draw(st.none() | st.integers(1, 6))
+    old = rt._ARRAY_THRESHOLD
+    try:
+        for base in admitted_modes(a):
+            for plateau in (None, True, False):
+                mode = dataclasses.replace(base, plateau=plateau, max_steps=max_steps)
+                for s, t in pairs:
+                    rt._ARRAY_THRESHOLD = 0
+                    via_array = route(graph, a, mode, s, t)
+                    rt._ARRAY_THRESHOLD = 1 << 30
+                    via_scalar = route(graph, a, mode, s, t)
+                    assert via_array == via_scalar
+                    check_route_invariants(graph, a, mode, s, t, via_array)
+    finally:
+        rt._ARRAY_THRESHOLD = old
