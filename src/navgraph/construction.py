@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -110,21 +111,22 @@ class Assignment:
     def pi_inverse(self) -> np.ndarray:
         return self._pi_inv  # type: ignore[attr-defined]
 
+    @cached_property
+    def pi_list(self) -> list[int]:
+        """``pi`` as a list, for reading one position at a time."""
+        return self.pi.tolist()
+
     def d1(self, x: int, y: int):
         return self.space1.distance(x, y)
 
     def d2(self, x: int, y: int):
         """Second-space distance between the positions of vertices x, y."""
-        return self.space2.distance(int(self.pi[x]), int(self.pi[y]))
+        return self.space2.distance(self.pi_list[x], self.pi_list[y])
 
     def base_neighbors2(self, x: int) -> list[int]:
         """Vertices whose space-2 position neighbors x's space-2 position."""
         inv = self.pi_inverse
         return sorted(int(inv[p]) for p in self.space2.base_neighbors(int(self.pi[x])))
-
-    def swapped(self) -> "Assignment":
-        """Role-swapped assignment (space2 primary, inverse permutation)."""
-        return Assignment(self.space2, self.space1, self.pi_inverse)
 
     @classmethod
     def identity(cls, space1: Space, space2: Space | None = None) -> "Assignment":

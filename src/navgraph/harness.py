@@ -13,7 +13,6 @@ scheduling.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -44,7 +43,6 @@ __all__ = [
     "run_experiment",
     "fit_scaling",
     "export_csv",
-    "read_aggregate_csv",
     "csv_without_wall_ms",
     "load_experiment_config",
     "experiment_spec_from_dict",
@@ -105,17 +103,10 @@ class ExperimentSpec:
             raise ValueError("routes_per_size must be >= 1")
         if not self.routing_modes:
             raise ValueError("routing_modes must be nonempty")
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "sizes": list(self.sizes),
-            "seeds": list(self.seeds),
-            "routes_per_size": self.routes_per_size,
-            "routing_modes": [m.label for m in self.routing_modes],
-            "thinning": self.thinning,
-            "params": dict(self.params),
-        }
+        # every size must fit the model's spaces before any trial runs
+        for n in self.sizes:
+            for descriptor in _space_descriptors(self.model, self.params):
+                build_space(descriptor, n)
 
 
 def experiment_spec_from_dict(data: dict) -> ExperimentSpec:
@@ -218,6 +209,20 @@ def build_space(descriptor: dict, n: int) -> Space:
     raise ValueError(f"unknown space kind {kind!r}")
 
 
+def _space_descriptors(model: str, params: dict) -> list[dict]:
+    """Descriptors of the spaces :func:`build_model` instantiates from
+    ``params``; the cycle and continuum models take any size."""
+    if model == "grid-tree":
+        return [{"kind": "grid", "dims": params.get("grid_dims"),
+                 "toric": params.get("toric", False)},
+                {"kind": "tree", "branching": params.get("branching", 2)}]
+    if model == "independent-interest":
+        return [params.get("space", {"kind": "undirected-cycle"})]
+    if model == "kleinberg":
+        return [params.get("space", {"kind": "grid"})]
+    return []
+
+
 def build_model(model: str, params: dict, n: int, seed: Seed,
                 pi: np.ndarray | None = None) -> tuple[Assignment, NavGraph]:
     """Instantiate the model's spaces at size n and build its graph.
@@ -233,6 +238,7 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
 
     if model in ("independent-interest", "kleinberg", "continuum") and pi is not None:
         raise ValueError(f"model {model!r} takes no explicit permutation")
+    described = [build_space(d, n) for d in _space_descriptors(model, params)]
     if model == "two-directed-cycles":
         assignment = paired(DirectedCycle(n), DirectedCycle(n))
         graph = build_double_clustering(assignment)
@@ -240,11 +246,7 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
         assignment = paired(UndirectedCycle(n), UndirectedCycle(n))
         graph = build_double_clustering(assignment)
     elif model == "grid-tree":
-        grid = build_space({"kind": "grid", "dims": params.get("grid_dims"),
-                            "toric": params.get("toric", False)}, n)
-        tree = build_space({"kind": "tree",
-                            "branching": params.get("branching", 2)}, n)
-        assignment = paired(grid, tree)
+        assignment = paired(*described)
         graph = build_double_clustering(assignment)
     elif model == "continuum":
         box1 = tuple(params.get("box1", (1.33, 1.0)))
@@ -255,11 +257,11 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
                                          Euclidean(pts2, box2))
         graph = build_double_clustering(assignment)
     elif model == "independent-interest":
-        space = build_space(params.get("space", {"kind": "undirected-cycle"}), n)
+        space, = described
         assignment = Assignment.identity(space)
         graph = build_independent_interest(space, seed)
     elif model == "kleinberg":
-        space = build_space(params.get("space", {"kind": "grid"}), n)
+        space, = described
         assignment = Assignment.identity(space)
         graph = build_kleinberg(space, float(params.get("alpha", 0.0)),
                                 int(params.get("links", 1)), seed)
@@ -409,7 +411,7 @@ def fit_scaling(result: ExperimentResult) -> dict[str, ScalingFit]:
 
 
 # ---------------------------------------------------------------------------
-# CSV export / import
+# CSV export
 
 
 def _fmt(value) -> str:
@@ -449,22 +451,6 @@ def export_csv(result: ExperimentResult, path: str | Path,
     Path(path).write_text(aggregate_csv_text(result))
     if raw_path is not None:
         Path(raw_path).write_text(raw_csv_text(result))
-
-
-def read_aggregate_csv(path: str | Path) -> list[AggregateRow]:
-    rows: list[AggregateRow] = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(AggregateRow(
-                model=rec["model"], n=int(rec["n"]), seed=int(rec["seed"]),
-                mode=rec["mode"], routes=int(rec["routes"]),
-                successes=int(rec["successes"]),
-                success_rate=float(rec["success_rate"]),
-                mean_len=float(rec["mean_len"]) if rec["mean_len"] else None,
-                median_len=float(rec["median_len"]) if rec["median_len"] else None,
-                mean_outdeg=float(rec["mean_outdeg"]),
-                wall_ms=float(rec["wall_ms"])))
-    return rows
 
 
 def csv_without_wall_ms(text: str) -> str:

@@ -6,10 +6,16 @@ global space geometry:
 * greedy: move to the out-neighbor closest to the target in one chosen
   space, requiring strict improvement (ties broken by smallest id).
 * half-greedy: either a "very big step" to an out-neighbor that more than
-  halves the remaining distance, or one base-graph step that decreases it
-  by exactly one.
+  halves the remaining distance, or one base-graph step, along an
+  out-edge, that decreases it by exactly one.
 * combined: greedy over both spaces at once, at each step preferring the
   space whose best neighbor leaves the smaller ball around the target.
+
+Greedy and half-greedy read each distance through the space's scalar
+kernel toward the target (:meth:`~navgraph.spaces.Space.distance_to`), so
+a route costs its path length times the out-degree, at every size.
+Combined routing counts the balls around the target, which enumerates the
+target's whole distance multiset, so it builds per-route distance arrays.
 
 Plateau moves (equal-distance steps to vertices not already on the path)
 are allowed when enabled; they default on for tree-distance and combined
@@ -38,9 +44,6 @@ __all__ = [
     "route",
     "MODE_LABELS",
 ]
-
-# below this size scalar distance calls beat building per-route arrays
-_ARRAY_THRESHOLD = 1024
 
 MODE_LABELS = ("greedy-1", "greedy-2", "half-greedy-1", "half-greedy-2",
                "combined", "combined-literal-m")
@@ -158,24 +161,17 @@ def _dist_array(a: Assignment, space_sel: int, target: int) -> np.ndarray:
     return a.space2.distances_to(int(a.pi[target]))[a.pi]
 
 
-def _dist_getter(a: Assignment, space_sel: int, target: int, use_array: bool):
-    if use_array:
-        arr = _dist_array(a, space_sel, target)
-        return arr.__getitem__, arr
+def _dist_getter(a: Assignment, space_sel: int, target: int):
+    """``v -> distance(v, target)`` in the selected space."""
     if space_sel == 1:
-        space = a.space1
-        return (lambda v: space.distance(v, target)), None
-    space2, pi = a.space2, a.pi
-    pos_target = int(pi[target])
-    return (lambda v: space2.distance(int(pi[v]), pos_target)), None
+        return a.space1.distance_to(target)
+    pos = a.pi_list
+    to_target = a.space2.distance_to(pos[target])
+    return lambda v: to_target(pos[v])
 
 
-def _argmin_neighbor(nbrs, get, arr):
+def _argmin_neighbor(nbrs, get):
     """(neighbor, distance) minimizing distance, smallest id on ties."""
-    if arr is not None and len(nbrs) >= 32:
-        vals = arr[nbrs]
-        i = int(np.argmin(vals))  # first occurrence == smallest id
-        return nbrs[i], vals[i]
     best_w = -1
     best_d = None
     for w in nbrs:
@@ -217,8 +213,7 @@ def _bump(phase: dict[int | float, int], d) -> None:
 
 
 def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
-    get, arr = _dist_getter(a, space_sel, target,
-                            use_array=graph.n >= _ARRAY_THRESHOLD)
+    get = _dist_getter(a, space_sel, target)
     path = [source]
     visited = {source} if plateau else None
     phase: dict[int | float, int] = {}
@@ -228,7 +223,7 @@ def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
         if len(path) - 1 >= max_steps:
             return _finish(source, target, path, phase, Failure.STEP_LIMIT)
         nbrs = graph.out_edges[x]
-        w, dw = _argmin_neighbor(nbrs, get, arr)
+        w, dw = _argmin_neighbor(nbrs, get)
         if w < 0 or not dw < dx:
             if plateau:
                 w = _plateau_pick(nbrs, get, dx, visited)
@@ -251,8 +246,7 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
         raise ValueError(
             "half-greedy routing needs a graph-kind space (no base neighbors "
             f"on {space.kind})")
-    get, arr = _dist_getter(a, space_sel, target,
-                            use_array=graph.n >= _ARRAY_THRESHOLD)
+    get = _dist_getter(a, space_sel, target)
     if space_sel == 1:
         base_of = space.base_neighbors
     else:
@@ -264,24 +258,19 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
         if len(path) - 1 >= max_steps:
             return _finish(source, target, path, phase, Failure.STEP_LIMIT)
         dx = get(x)
-        # very big step: any out-neighbor with dx > 2 d(w); take the closest
-        best_w = -1
-        best_d = None
-        for w in graph.out_edges[x]:
-            dw = get(w)
-            if dx > 2 * dw and (best_d is None or dw < best_d):
-                best_w, best_d = w, dw
-        if best_w < 0:
-            # small step: base neighbor exactly one closer, smallest id
-            for w in base_of(x):
-                if get(w) == dx - 1:
-                    best_w = w
-                    break
-        if best_w < 0:
+        nbrs = graph.out_edges[x]
+        # very big step: the closest out-neighbor, if dx > 2 d(w)
+        w, dw = _argmin_neighbor(nbrs, get)
+        if w < 0 or not dx > 2 * dw:
+            # small step: the smallest-id base neighbor exactly one closer
+            # that is an out-neighbor too (thinning keeps only space-1 base
+            # edges)
+            w = next((b for b in base_of(x) if b in nbrs and get(b) == dx - 1), -1)
+        if w < 0:
             return _finish(source, target, path, phase, Failure.STUCK)
         _bump(phase, dx)
-        path.append(best_w)
-        x = best_w
+        path.append(w)
+        x = w
     return _finish(source, target, path, phase, Failure.NONE)
 
 
@@ -305,8 +294,8 @@ def _combined(graph, a, plateau, max_steps, literal_m, source, target):
         d1x, d2x = d1[x], d2[x]
         w = -1
         if nbrs:
-            w1, m1 = _argmin_neighbor(nbrs, d1.__getitem__, d1)
-            w2, m2 = _argmin_neighbor(nbrs, d2.__getitem__, d2)
+            w1, m1 = _argmin_neighbor(nbrs, d1.__getitem__)
+            w2, m2 = _argmin_neighbor(nbrs, d2.__getitem__)
             improving1 = m1 < d1x
             improving2 = m2 < d2x
             if improving1 and improving2:

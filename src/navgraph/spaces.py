@@ -7,6 +7,13 @@ inequality, but it is *not* required to be symmetric (the directed cycle
 is the canonical asymmetric case).  Graph-like kinds (cycles and grids)
 return exact integer distances; the point-cloud kind returns floats.
 
+Each kind computes the kernel in two forms that agree bit for bit: the
+array forms (:meth:`Space.distances_from`, :meth:`Space.distances_to`,
+:meth:`Space.distances_between`) for builders and balls, and one scalar
+form, :meth:`Space.distance_to`, which prepares a target once and then
+reads one distance per call, for routers that visit a few vertices per
+step.  :meth:`Space.distance` is the scalar form for a single pair.
+
 Balls are listed by :meth:`Space.ball_members`, exactly in every kind.
 The cycles (an arc), the grid (an L1 diamond, wrapped or clipped per axis)
 and tree leaves (the leaves of one subtree) list them in closed form:
@@ -22,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
 __all__ = [
@@ -33,8 +38,11 @@ __all__ = [
     "Grid",
     "TreeLeaves",
     "Euclidean",
-    "doubling_constant_estimate",
 ]
+
+
+def _out_of_range(x, n: int) -> ValueError:
+    return ValueError(f"vertex id {x} out of range [0, {n})")
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,6 +51,15 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     owner = np.repeat(np.arange(len(counts)), counts)
     firsts = np.cumsum(counts) - counts
     return owner, np.arange(owner.size) - firsts[owner] + starts[owner]
+
+
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, its squares summed in coordinate order: the
+    arithmetic of :meth:`Euclidean.distance_to`, at every dimension."""
+    total = np.zeros(len(diff))
+    for column in (diff * diff).T:
+        total += column
+    return np.sqrt(total)
 
 
 class Space:
@@ -56,9 +73,18 @@ class Space:
 
     # -- kernel -----------------------------------------------------------
 
+    def distance_to(self, y: int):
+        """The kernel toward ``y``: a function ``v -> distance(v, y)``.
+
+        Each call equals ``distances_to(y)[v]`` bit for bit and raises
+        ValueError for an out-of-range ``v``; the work that depends only
+        on ``y`` is done once, here.
+        """
+        raise NotImplementedError
+
     def distance(self, x: int, y: int):
         """Kernel distance from ``x`` to ``y`` (int for graph kinds)."""
-        raise NotImplementedError
+        return self.distance_to(y)(x)
 
     def distances_from(self, x: int) -> np.ndarray:
         """Vector of ``distance(x, y)`` for every ``y``."""
@@ -114,13 +140,12 @@ class Space:
 
     def _check_vertex(self, x: int) -> None:
         if not 0 <= x < self.n:
-            raise ValueError(f"vertex id {x} out of range [0, {self.n})")
+            raise _out_of_range(x, self.n)
 
     def _check_vertices(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
         if xs.size and not (0 <= xs.min() and xs.max() < self.n):
-            bad = xs[(xs < 0) | (xs >= self.n)][0]
-            raise ValueError(f"vertex id {bad} out of range [0, {self.n})")
+            raise _out_of_range(xs[(xs < 0) | (xs >= self.n)][0], self.n)
         return xs
 
     def _ball_args(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +160,6 @@ class Space:
         radius reaches, capped at the diameter."""
         centers, radii = self._ball_args(centers, radii)
         return centers, np.floor(np.minimum(radii, self.diameter())).astype(np.int64)
-
-    def descriptor(self) -> dict:
-        """Config-format description of this space (see harness docs)."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -158,10 +179,15 @@ class DirectedCycle(Space):
         if self.n < 1:
             raise ValueError("cycle needs n >= 1")
 
-    def distance(self, x: int, y: int) -> int:
-        self._check_vertex(x)
+    def distance_to(self, y: int):
         self._check_vertex(y)
-        return (y - x) % self.n
+        n = self.n
+
+        def d(v: int) -> int:
+            if not 0 <= v < n:
+                raise _out_of_range(v, n)
+            return (y - v) % n
+        return d
 
     def distances_from(self, x: int) -> np.ndarray:
         self._check_vertex(x)
@@ -187,9 +213,6 @@ class DirectedCycle(Space):
     def diameter(self) -> int:
         return self.n - 1
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "n": self.n}
-
 
 @dataclass(frozen=True)
 class UndirectedCycle(Space):
@@ -205,11 +228,16 @@ class UndirectedCycle(Space):
         if self.n < 1:
             raise ValueError("cycle needs n >= 1")
 
-    def distance(self, x: int, y: int) -> int:
-        self._check_vertex(x)
+    def distance_to(self, y: int):
         self._check_vertex(y)
-        a = abs(x - y)
-        return min(a, self.n - a)
+        n, half = self.n, self.n // 2
+
+        def d(v: int) -> int:
+            if not 0 <= v < n:
+                raise _out_of_range(v, n)
+            a = v - y if v >= y else y - v
+            return a if a <= half else n - a
+        return d
 
     def distances_from(self, x: int) -> np.ndarray:
         self._check_vertex(x)
@@ -234,9 +262,6 @@ class UndirectedCycle(Space):
 
     def diameter(self) -> int:
         return self.n // 2
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -270,21 +295,27 @@ class Grid(Space):
         # row-major: vertex id = sum of coord[axis] * _strides[axis]
         return tuple(math.prod(self.dims[axis + 1:]) for axis in range(len(self.dims)))
 
-    def coord_of(self, x: int) -> tuple[int, ...]:
-        self._check_vertex(x)
-        return tuple(int(c) for c in self._coords[x])
+    @cached_property
+    def _coord_rows(self) -> list[list[int]]:
+        return self._coords.tolist()
 
-    def vertex_at(self, coord: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(coord), self.dims))
-
-    def distance(self, x: int, y: int) -> int:
-        self._check_vertex(x)
+    def distance_to(self, y: int):
         self._check_vertex(y)
-        total = 0
-        for cx, cy, length in zip(self._coords[x], self._coords[y], self.dims):
-            a = abs(int(cx) - int(cy))
-            total += min(a, length - a) if self.toric else a
-        return total
+        n, rows = self.n, self._coord_rows
+        # per axis: y's coordinate, the length, and the longest offset that
+        # is still the short way (half the length around a toric axis)
+        axes = [(c, length, length // 2 if self.toric else length)
+                for c, length in zip(rows[y], self.dims)]
+
+        def d(v: int) -> int:
+            if not 0 <= v < n:
+                raise _out_of_range(v, n)
+            total = 0
+            for c, (cy, length, reach) in zip(rows[v], axes):
+                a = c - cy if c >= cy else cy - c
+                total += a if a <= reach else length - a
+            return total
+        return d
 
     def distances_from(self, x: int) -> np.ndarray:
         self._check_vertex(x)
@@ -344,9 +375,6 @@ class Grid(Space):
             return sum(d // 2 for d in self.dims)
         return sum(d - 1 for d in self.dims)
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "dims": list(self.dims), "toric": self.toric}
-
 
 @dataclass(frozen=True)
 class TreeLeaves(Space):
@@ -385,15 +413,22 @@ class TreeLeaves(Space):
             codes.append(ids)
         return codes
 
-    def distance(self, x: int, y: int) -> int:
-        self._check_vertex(x)
+    def distance_to(self, y: int):
         self._check_vertex(y)
-        level = 0
-        while x != y:
-            x //= self.branching
-            y //= self.branching
-            level += 1
-        return level
+        n, height = self.n, self.height
+        widths = [self.branching**level for level in range(height)]
+        subtree = [y // w for w in widths]  # y's subtree at each level
+
+        def d(v: int) -> int:
+            if not 0 <= v < n:
+                raise _out_of_range(v, n)
+            # the lowest level whose subtree holds both, searched from the
+            # root down: most leaves part from y near the root
+            level = height
+            while level and v // widths[level - 1] == subtree[level - 1]:
+                level -= 1
+            return level
+        return d
 
     def distances_from(self, x: int) -> np.ndarray:
         self._check_vertex(x)
@@ -430,9 +465,6 @@ class TreeLeaves(Space):
     def diameter(self) -> int:
         return self.height
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "branching": self.branching, "height": self.height}
-
 
 @dataclass(frozen=True, eq=False)
 class Euclidean(Space):
@@ -462,19 +494,32 @@ class Euclidean(Space):
     def n(self) -> int:
         return self.points.shape[0]
 
-    def distance(self, x: int, y: int) -> float:
-        self._check_vertex(x)
+    @cached_property
+    def _rows(self) -> list[list[float]]:
+        return self.points.tolist()
+
+    def distance_to(self, y: int):
         self._check_vertex(y)
-        return float(np.linalg.norm(self.points[x] - self.points[y]))
+        n, rows = self.n, self._rows
+        py = rows[y]
+
+        def d(v: int) -> float:
+            if not 0 <= v < n:
+                raise _out_of_range(v, n)
+            total = 0.0
+            for a, b in zip(rows[v], py):
+                diff = a - b
+                total += diff * diff
+            return math.sqrt(total)
+        return d
 
     def distances_from(self, x: int) -> np.ndarray:
         self._check_vertex(x)
-        return np.linalg.norm(self.points - self.points[x], axis=1)
+        return _row_norms(self.points - self.points[x])
 
     def distances_between(self, xs, ys) -> np.ndarray:
         pts = self.points
-        return np.linalg.norm(pts[self._check_vertices(ys)] - pts[self._check_vertices(xs)],
-                              axis=1)
+        return _row_norms(pts[self._check_vertices(ys)] - pts[self._check_vertices(xs)])
 
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
@@ -486,27 +531,3 @@ class Euclidean(Space):
 
     def diameter(self) -> float:
         return max(float(self.distances_from(x).max()) for x in range(self.n))
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "box": list(self.box)}
-
-
-def doubling_constant_estimate(space: Space, radii: Sequence[float]) -> float:
-    """Max over centers u and radii r of |B_2r(u)| / |B_r(u)|.
-
-    Same-center reading of the doubling condition; exact enumeration, so
-    O(n^2 * len(radii)) and intended for n up to a few thousand.
-    """
-    radii = list(radii)
-    if not radii:
-        raise ValueError("radii must be nonempty")
-    if any(r < 0 for r in radii):
-        raise ValueError("radii must be nonnegative")
-    worst = 0.0
-    for u in range(space.n):
-        d = space.distances_from(u)
-        for r in radii:
-            small = int(np.count_nonzero(d <= r))
-            big = int(np.count_nonzero(d <= 2 * r))
-            worst = max(worst, big / small)
-    return worst

@@ -241,6 +241,20 @@ def test_experiment_rejects_too_small_sizes(tmp_path, capsys, sizes, thinning):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_experiment_rejects_sizes_the_spaces_cannot_take(tmp_path, capsys):
+    cfg = tmp_path / "grid-tree.cfg"
+    cfg.write_text(json.dumps({"model": "grid-tree", "sizes": [4, 6],
+                               "seeds": [1]}))
+    code = run_cli("experiment", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.csv"),
+                   "--dump-edges", str(tmp_path / "edges"))
+    assert code == 1
+    assert "n=6 is not a power of branching=2" in capsys.readouterr().err
+    # refused before any work: not even the n = 4 trial ran
+    assert not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "edges").exists()
+
+
 def test_experiment_missing_config_is_io_error(tmp_path, capsys):
     code = run_cli("experiment", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o.csv"))

@@ -53,8 +53,8 @@ def test_assignment_validates_permutation():
 def test_assignment_inverse_and_swap():
     a = double_cycle(5, [2, 0, 4, 1, 3])
     assert list(a.pi[a.pi_inverse]) == list(range(5))
-    swapped = a.swapped()
-    assert list(swapped.pi) == list(a.pi_inverse)
+    swapped = Assignment(a.space2, a.space1, a.pi_inverse)
+    assert list(swapped.pi[a.pi]) == list(range(5))
 
 
 def test_seed_streams_are_stable_and_distinct():
@@ -116,7 +116,8 @@ def test_space_swap_symmetry_up_to_relabeling():
     for _ in range(15):
         a = random_assignment(rng)
         g = build_double_clustering(a)
-        g_swapped = build_double_clustering(a.swapped())
+        g_swapped = build_double_clustering(
+            Assignment(a.space2, a.space1, a.pi_inverse))
         relabeled = [set() for _ in range(a.n)]
         for i in range(a.n):
             for j in g_swapped.out_edges[int(a.pi[i])]:

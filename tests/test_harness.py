@@ -10,7 +10,7 @@ from navgraph.harness import (AggregateRow, ExperimentResult, ExperimentSpec,
                               aggregate_csv_text, build_model, build_space,
                               csv_without_wall_ms, experiment_spec_from_dict,
                               export_csv, fit_scaling, load_experiment_config,
-                              raw_csv_text, read_aggregate_csv, run_experiment)
+                              raw_csv_text, run_experiment)
 from navgraph.routing import RoutingMode
 from navgraph.spaces import DirectedCycle, Grid, TreeLeaves, UndirectedCycle
 
@@ -69,12 +69,35 @@ def test_spec_rejects_sizes_too_small_to_thin():
     assert [row.routes for row in result.rows] == [6]
 
 
+@pytest.mark.parametrize("model,params,sizes,message", [
+    ("grid-tree", {}, (4, 6), "n=6 is not a power of branching=2"),
+    ("grid-tree", {"branching": 3}, (9, 27, 32), "n=32 is not a power of branching=3"),
+    ("grid-tree", {"grid_dims": [4, 4]}, (16, 64),
+     r"grid dims \(4, 4\) do not multiply to n=64"),
+    ("kleinberg", {"space": {"kind": "tree", "branching": 2}}, (8, 12),
+     "n=12 is not a power of branching=2"),
+    ("independent-interest", {"space": {"kind": "grid", "dims": [2, 4]}}, (8, 16),
+     "do not multiply to n=16"),
+    ("kleinberg", {"space": {"kind": "sphere"}}, (8,), "unknown space kind"),
+])
+def test_spec_rejects_sizes_the_spaces_cannot_take(model, params, sizes, message):
+    # checked for every size before any trial builds a graph
+    with pytest.raises(ValueError, match=message):
+        make_spec(model=model, params=params, sizes=sizes)
+    assert make_spec(model="grid-tree", sizes=(4, 16)).sizes == (4, 16)
+    assert make_spec(model="grid-tree", params={"branching": 3},
+                     sizes=(9, 27)).sizes == (9, 27)
+
+
 def test_config_round_trip(tmp_path):
     spec = make_spec(routing_modes=(RoutingMode.parse("greedy-1"),
                                     RoutingMode.parse("combined")),
                      params={"branching": 2})
     path = tmp_path / "sweep.cfg"
-    path.write_text(json.dumps(spec.to_dict()))
+    path.write_text(json.dumps({
+        "model": "two-directed-cycles", "sizes": [32, 64], "seeds": [1, 2],
+        "routes_per_size": 40, "routing_modes": ["greedy-1", "combined"],
+        "thinning": False, "params": {"branching": 2}}))
     loaded = load_experiment_config(path)
     assert loaded == spec
 
@@ -254,7 +277,11 @@ def test_export_csv_row_count_and_round_trip(tmp_path):
     text = path.read_text()
     assert len(text.splitlines()) == 1 + 4  # header + 2 sizes x 1 seed x 2 modes
     assert raw_path.read_text().splitlines()[0] == harness.RAW_HEADER
-    assert read_aggregate_csv(path) == result.rows
+    assert [line.split(",") for line in text.splitlines()[1:]] == [
+        [r.model, str(r.n), str(r.seed), r.mode, str(r.routes), str(r.successes),
+         repr(r.success_rate), repr(r.mean_len), repr(r.median_len),
+         repr(r.mean_outdeg), repr(r.wall_ms)]
+        for r in result.rows]
 
 
 def test_round_trip_preserves_missing_means(tmp_path):
@@ -263,7 +290,8 @@ def test_round_trip_preserves_missing_means(tmp_path):
                        None, None, 1.5, 2.25)
     path = tmp_path / "out.csv"
     export_csv(ExperimentResult(spec, [row], []), path)
-    assert read_aggregate_csv(path) == [row]
+    assert path.read_text() == (harness.AGGREGATE_HEADER + "\n"
+                                "two-directed-cycles,32,1,greedy-1,5,0,0.0,,,1.5,2.25\n")
 
 
 def test_csv_without_wall_ms_strips_only_last_column():

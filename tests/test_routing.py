@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navgraph import routing as rt
-from navgraph.construction import Assignment, NavGraph, build_double_clustering
+from navgraph.construction import (Assignment, NavGraph, Seed,
+                                   build_double_clustering, build_kleinberg,
+                                   thin_edges)
+from navgraph.harness import build_model
 from navgraph.routing import (MODE_LABELS, Failure, RouteOutcome, RoutingMode,
                               phase_index, resolved_plateau, route)
 from navgraph.spaces import (DirectedCycle, Euclidean, Grid, TreeLeaves,
@@ -23,6 +26,11 @@ def custom_graph(n, edges):
     for tail, head in edges:
         out[tail].append(head)
     return NavGraph(n, [sorted(h) for h in out])
+
+
+def ring(n):
+    """The base edges of an undirected n-cycle, n >= 3."""
+    return [(x, (x + step) % n) for x in range(n) for step in (1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +169,16 @@ def test_plateau_moves_rescue_tree_routing():
     assert len(set(saved.path)) == len(saved.path)
 
 
+def test_plateau_tie_in_a_cloud_is_exact():
+    # 0 = (0, 2/3) and 2 = (1/3, 1/3) lie at one distance from 1 = (2/3, 1):
+    # the plateau step 0 -> 2 is taken at every size, then 2 -> 1
+    a = Assignment.identity(Euclidean([[0, 2 / 3], [2 / 3, 1], [1 / 3, 1 / 3]]))
+    g = custom_graph(3, [(0, 2), (2, 1)])
+    out = route(g, a, RoutingMode("greedy", plateau=True), 0, 1)
+    assert out.success and out.path == [0, 2, 1]
+    assert route(g, a, RoutingMode("greedy"), 0, 1).failure is Failure.STUCK
+
+
 def test_plateau_paths_never_revisit():
     rng = np.random.default_rng(5)
     grid, tree = Grid((4, 8)), TreeLeaves(2, 5)
@@ -181,7 +199,7 @@ def test_plateau_paths_never_revisit():
 def test_half_greedy_takes_big_step_when_distance_more_than_halves():
     # d1(x, z) = 7 and a neighbor at 3: 7 > 6, so jump
     a = Assignment.identity(UndirectedCycle(15))
-    g = custom_graph(15, [(0, 4)])
+    g = custom_graph(15, [(0, 4)] + ring(15))
     out = route(g, a, RoutingMode("half-greedy"), 0, 7)
     assert out.path[1] == 4
     assert out.success
@@ -190,7 +208,7 @@ def test_half_greedy_takes_big_step_when_distance_more_than_halves():
 def test_half_greedy_strictness_forces_small_step():
     # d1(x, z) = 4 and best neighbor at 2: 4 > 4 is false, so walk the base
     a = Assignment.identity(UndirectedCycle(9))
-    g = custom_graph(9, [(0, 2)])
+    g = custom_graph(9, [(0, 2)] + ring(9))
     out = route(g, a, RoutingMode("half-greedy"), 0, 4)
     assert out.path[1] == 1
     assert out.success
@@ -230,6 +248,32 @@ def test_half_greedy_in_second_space():
         trace = [a.d2(v, tgt) for v in out.path]
         for before, after in zip(trace, trace[1:]):
             assert before > 2 * after or after == before - 1
+
+
+def test_half_greedy_2_stays_on_a_thinned_graph():
+    # thinning keeps the space-1 base edges only, so a space-2 small step
+    # must also be an out-edge
+    a, graph = build_model("two-undirected-cycles", {}, 256, Seed(1))
+    thinned = thin_edges(graph, a.space1, Seed(1))
+    edges = set(thinned.iter_edges())
+    rng = np.random.default_rng(1)
+    outcomes = []
+    for _ in range(100):
+        s, t = (int(v) for v in rng.choice(256, size=2, replace=False))
+        out = route(thinned, a, RoutingMode("half-greedy", space=2), s, t)
+        assert all(step in edges for step in zip(out.path, out.path[1:]))
+        assert out.success == (out.failure is Failure.NONE)
+        outcomes.append(out.failure)
+    assert Failure.NONE in outcomes and Failure.STUCK in outcomes
+
+
+def test_half_greedy_small_step_needs_an_out_edge():
+    # 1 is the base neighbor one closer to 3, but 0 has no edge to it
+    a = Assignment.identity(UndirectedCycle(8))
+    assert route(custom_graph(8, [(0, 7)]), a, RoutingMode("half-greedy"),
+                 0, 3).failure is Failure.STUCK
+    out = route(custom_graph(8, [(0, 1), (0, 7)]), a, RoutingMode("half-greedy"), 0, 3)
+    assert out.path[:2] == [0, 1]
 
 
 def test_half_greedy_needs_graph_kind_space():
@@ -288,7 +332,7 @@ def test_combined_succeeds_on_double_cycles():
 
 
 # ---------------------------------------------------------------------------
-# modes, determinism, dual evaluation paths
+# modes and determinism
 
 
 def test_mode_parse_and_label_round_trip():
@@ -326,32 +370,6 @@ def test_routing_is_deterministic():
         assert first == second
 
 
-def test_scalar_and_array_paths_agree():
-    rng = np.random.default_rng(11)
-    cases = []
-    n = 48
-    a1 = Assignment(UndirectedCycle(n), UndirectedCycle(n), rng.permutation(n))
-    cases.append((a1, build_double_clustering(a1)))
-    a2 = Assignment(Grid((4, 8)), TreeLeaves(2, 5), rng.permutation(32))
-    cases.append((a2, build_double_clustering(a2)))
-    a3 = double_cycle(40, rng.permutation(40))
-    cases.append((a3, build_double_clustering(a3)))
-    old = rt._ARRAY_THRESHOLD
-    try:
-        for a, g in cases:
-            for label in ("greedy-1", "greedy-2", "half-greedy-1", "combined"):
-                mode = RoutingMode.parse(label)
-                for _ in range(15):
-                    s, t = int(rng.integers(a.n)), int(rng.integers(a.n))
-                    rt._ARRAY_THRESHOLD = 0
-                    via_array = route(g, a, mode, s, t)
-                    rt._ARRAY_THRESHOLD = 1 << 30
-                    via_scalar = route(g, a, mode, s, t)
-                    assert via_array == via_scalar
-    finally:
-        rt._ARRAY_THRESHOLD = old
-
-
 def test_endpoint_validation():
     a = Assignment.identity(DirectedCycle(4))
     g = build_double_clustering(a)
@@ -367,10 +385,22 @@ def test_endpoint_validation():
 
 @st.composite
 def routing_instances(draw):
-    """Random small assignment of one family, tie-heavy ones included."""
+    """Random small assignment of one family, tie-heavy ones included, and
+    a graph over it: double clustering, thinned or not, or Kleinberg's
+    lattice augmentation."""
     family = draw(st.sampled_from(("directed-cycles", "undirected-cycles",
                                    "toric-grids", "clipped-grids",
-                                   "tree-leaves", "snapped-clouds")))
+                                   "tree-leaves", "snapped-clouds",
+                                   "kleinberg")))
+    seed = Seed(draw(st.integers(0, 2**16)))
+    if family == "kleinberg":
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+        space = draw(st.sampled_from((
+            Grid((rows, cols)), Grid((rows, cols), toric=True),
+            UndirectedCycle(rows * cols), DirectedCycle(rows * cols))))
+        graph = build_kleinberg(space, draw(st.sampled_from((0.0, 1.0, 2.0))),
+                                draw(st.integers(1, 2)), seed)
+        return Assignment.identity(space), graph
     if family == "directed-cycles":
         n = draw(st.integers(2, 24))
         s1, s2 = DirectedCycle(n), DirectedCycle(n)
@@ -395,7 +425,11 @@ def routing_instances(draw):
         s1 = Euclidean(np.array(draw(coords)) / cells)
         s2 = Euclidean(np.array(draw(coords)) / cells)
     pi = draw(st.permutations(range(s1.n)))
-    return Assignment(s1, s2, np.array(pi))
+    a = Assignment(s1, s2, np.array(pi))
+    graph = build_double_clustering(a)
+    if a.n >= 3 and draw(st.booleans()):
+        graph = thin_edges(graph, a.space1, seed)
+    return a, graph
 
 
 def admitted_modes(a):
@@ -418,30 +452,26 @@ def check_route_invariants(graph, a, mode, s, t, out):
     if out.failure is Failure.STEP_LIMIT:
         assert out.steps == max_steps
     if mode.kind == "greedy" and not resolved_plateau(mode, a):
-        dist = a.d1 if mode.space == 1 else a.d2
-        trace = [dist(v, t) for v in out.path]
+        # distances from the array kernels, not the router's scalar one
+        if mode.space == 1:
+            dist = a.space1.distances_to(t)
+        else:
+            dist = a.space2.distances_to(int(a.pi[t]))[a.pi]
+        trace = [dist[v] for v in out.path]
         assert all(after < before for before, after in zip(trace, trace[1:]))
 
 
 @given(routing_instances(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_routers_keep_invariants_on_random_instances(a, data):
-    graph = build_double_clustering(a)
+def test_routers_keep_invariants_on_random_instances(instance, data):
+    a, graph = instance
     pairs = data.draw(st.lists(st.tuples(st.integers(0, a.n - 1),
                                          st.integers(0, a.n - 1)),
                                min_size=1, max_size=3))
     max_steps = data.draw(st.none() | st.integers(1, 6))
-    old = rt._ARRAY_THRESHOLD
-    try:
-        for base in admitted_modes(a):
-            for plateau in (None, True, False):
-                mode = dataclasses.replace(base, plateau=plateau, max_steps=max_steps)
-                for s, t in pairs:
-                    rt._ARRAY_THRESHOLD = 0
-                    via_array = route(graph, a, mode, s, t)
-                    rt._ARRAY_THRESHOLD = 1 << 30
-                    via_scalar = route(graph, a, mode, s, t)
-                    assert via_array == via_scalar
-                    check_route_invariants(graph, a, mode, s, t, via_array)
-    finally:
-        rt._ARRAY_THRESHOLD = old
+    for base in admitted_modes(a):
+        for plateau in (None, True, False):
+            mode = dataclasses.replace(base, plateau=plateau, max_steps=max_steps)
+            for s, t in pairs:
+                out = route(graph, a, mode, s, t)
+                check_route_invariants(graph, a, mode, s, t, out)
