@@ -6,9 +6,9 @@ samples positions/permutation from dedicated seed streams, builds the
 graph once, routes a fixed number of uniformly sampled (source != target)
 pairs under every mode, and aggregates per (size, seed, mode).
 
-Identical spec + seeds reproduce identical CSV bytes (the wall_ms column
-excluded); trials are independent, so results do not depend on worker
-scheduling.
+Identical spec + seeds reproduce identical CSV bytes (the build_ms and
+wall_ms timing columns excluded); trials are independent, so results do
+not depend on worker scheduling.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
     "run_experiment",
     "fit_scaling",
     "export_csv",
-    "csv_without_wall_ms",
+    "csv_without_timing",
     "load_experiment_config",
     "experiment_spec_from_dict",
     "build_space",
@@ -63,7 +63,8 @@ DEFAULT_MAX_SIZE = 2**14
 LARGE_MAX_SIZE = 2**16
 
 AGGREGATE_HEADER = ("model,n,seed,mode,routes,successes,success_rate,"
-                    "mean_len,median_len,mean_outdeg,wall_ms")
+                    "mean_len,median_len,mean_outdeg,build_ms,wall_ms")
+TIMING_COLUMNS = ("build_ms", "wall_ms")
 RAW_HEADER = "n,seed,mode,source,target,steps,success,failure"
 
 
@@ -135,6 +136,10 @@ def load_experiment_config(path: str | Path) -> ExperimentSpec:
 
 @dataclass(frozen=True)
 class AggregateRow:
+    """One (size, seed, mode) aggregate.  ``build_ms`` times the trial's
+    build and thinning, repeated on each of its mode rows; ``wall_ms``
+    times this mode's routes alone."""
+
     model: str
     n: int
     seed: int
@@ -145,6 +150,7 @@ class AggregateRow:
     mean_len: float | None
     median_len: float | None
     mean_outdeg: float
+    build_ms: float
     wall_ms: float
 
 
@@ -190,6 +196,8 @@ def build_space(descriptor: dict, n: int) -> Space:
     plus dims/toric for grids and branching for trees.  Grid dims default
     to the most square factorization of n; tree height is derived from n.
     """
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"space descriptor must be an object, got {descriptor!r}")
     kind = descriptor.get("kind", "undirected-cycle")
     if kind == "directed-cycle":
         return DirectedCycle(n)
@@ -324,7 +332,7 @@ def _run_trial(spec: ExperimentSpec, n: int, master: int,
             success_rate=successes / len(pairs),
             mean_len=(sum(lengths) / len(lengths)) if lengths else None,
             median_len=float(statistics.median(lengths)) if lengths else None,
-            mean_outdeg=mean_outdeg, wall_ms=build_ms + mode_ms))
+            mean_outdeg=mean_outdeg, build_ms=build_ms, wall_ms=mode_ms))
     return rows, raw
 
 
@@ -431,7 +439,7 @@ def aggregate_csv_text(result: ExperimentResult) -> str:
         buf.write(",".join(_fmt(v) for v in (
             r.model, r.n, r.seed, r.mode, r.routes, r.successes,
             r.success_rate, r.mean_len, r.median_len, r.mean_outdeg,
-            r.wall_ms)) + "\n")
+            r.build_ms, r.wall_ms)) + "\n")
     return buf.getvalue()
 
 
@@ -453,6 +461,9 @@ def export_csv(result: ExperimentResult, path: str | Path,
         Path(raw_path).write_text(raw_csv_text(result))
 
 
-def csv_without_wall_ms(text: str) -> str:
-    """Drop the trailing wall_ms column (the only nondeterministic one)."""
-    return "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines()) + "\n"
+def csv_without_timing(text: str) -> str:
+    """Drop the timing columns, the only nondeterministic ones, by header
+    name."""
+    rows = [line.split(",") for line in text.splitlines()]
+    keep = [k for k, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
+    return "".join(",".join(row[k] for k in keep) + "\n" for row in rows)

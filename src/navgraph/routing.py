@@ -14,8 +14,12 @@ global space geometry:
 Greedy and half-greedy read each distance through the space's scalar
 kernel toward the target (:meth:`~navgraph.spaces.Space.distance_to`), so
 a route costs its path length times the out-degree, at every size.
-Combined routing counts the balls around the target, which enumerates the
-target's whole distance multiset, so it builds per-route distance arrays.
+Combined routing also counts balls around the target; it reads distances
+and ball sizes through each space's per-target preparation
+(:meth:`~navgraph.spaces.Space.prepare_target`).  On cycles, grids and
+tree leaves that is the scalar kernel plus a closed-form count, so the
+route cost follows the path there too; a point cloud enumerates and
+sorts the target's distances once per route.
 
 Plateau moves (equal-distance steps to vertices not already on the path)
 are allowed when enabled; they default on for tree-distance and combined
@@ -29,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .construction import Assignment, NavGraph
 from .spaces import TreeLeaves
@@ -155,12 +157,6 @@ def resolved_plateau(mode: RoutingMode, assignment: Assignment) -> bool:
 # distance-to-target accessors
 
 
-def _dist_array(a: Assignment, space_sel: int, target: int) -> np.ndarray:
-    if space_sel == 1:
-        return a.space1.distances_to(target)
-    return a.space2.distances_to(int(a.pi[target]))[a.pi]
-
-
 def _dist_getter(a: Assignment, space_sel: int, target: int):
     """``v -> distance(v, target)`` in the selected space."""
     if space_sel == 1:
@@ -168,6 +164,16 @@ def _dist_getter(a: Assignment, space_sel: int, target: int):
     pos = a.pi_list
     to_target = a.space2.distance_to(pos[target])
     return lambda v: to_target(pos[v])
+
+
+def _target_view(a: Assignment, space_sel: int, target: int):
+    """``(v -> distance(v, target), r -> ball size around target)`` in the
+    selected space."""
+    if space_sel == 1:
+        return a.space1.prepare_target(target)
+    pos = a.pi_list
+    to_target, count = a.space2.prepare_target(pos[target])
+    return (lambda v: to_target(pos[v])), count
 
 
 def _argmin_neighbor(nbrs, get):
@@ -275,11 +281,8 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
 
 
 def _combined(graph, a, plateau, max_steps, literal_m, source, target):
-    d1 = _dist_array(a, 1, target)
-    d2 = _dist_array(a, 2, target)
-    # ball sizes around the target, by exact enumeration of each point set
-    sorted1 = np.sort(a.space1.distances_from(target))
-    sorted2 = np.sort(a.space2.distances_from(int(a.pi[target])))
+    get1, count1 = _target_view(a, 1, target)
+    get2, count2 = _target_view(a, 2, target)
     path = [source]
     visited = {source}
     phase: dict[int | float, int] = {}
@@ -291,28 +294,26 @@ def _combined(graph, a, plateau, max_steps, literal_m, source, target):
             nbrs = [w for w in graph.out_edges[x] if w not in visited]
         else:
             nbrs = graph.out_edges[x]
-        d1x, d2x = d1[x], d2[x]
+        d1x, d2x = get1(x), get2(x)
         w = -1
         if nbrs:
-            w1, m1 = _argmin_neighbor(nbrs, d1.__getitem__)
-            w2, m2 = _argmin_neighbor(nbrs, d2.__getitem__)
+            w1, m1 = _argmin_neighbor(nbrs, get1)
+            w2, m2 = _argmin_neighbor(nbrs, get2)
             improving1 = m1 < d1x
             improving2 = m2 < d2x
             if improving1 and improving2:
                 if literal_m:
                     w = w2 if m2 < m1 else w1
                 else:
-                    n1 = int(np.searchsorted(sorted1, m1, side="right"))
-                    n2 = int(np.searchsorted(sorted2, m2, side="right"))
-                    w = w2 if n2 < n1 else w1
+                    w = w2 if count2(m2) < count1(m1) else w1
             elif improving1:
                 w = w1
             elif improving2:
                 w = w2
             elif plateau:
-                w = _plateau_pick(nbrs, d1.__getitem__, d1x, visited)
+                w = _plateau_pick(nbrs, get1, d1x, visited)
                 if w < 0:
-                    w = _plateau_pick(nbrs, d2.__getitem__, d2x, visited)
+                    w = _plateau_pick(nbrs, get2, d2x, visited)
         if w < 0:
             return _finish(source, target, path, phase, Failure.STUCK)
         _bump(phase, d1x)

@@ -22,10 +22,20 @@ at distance <= floor(r), and the closed form generates exactly those
 vertices rather than estimating a volume.  Point clouds have no such
 form; their balls are enumerated over the point set, so heterogeneous
 densities and coincident points are handled uniformly.
+
+Ball sizes around one center are counted by :meth:`Space.prepare_target`,
+which prepares a target once for combined routing: it returns the scalar
+kernel toward the target and a counter ``r -> |ball of radius r|`` around
+it.  The integer kinds count in closed form (an arc length, a subtree
+width, or the grid's per-axis offset counts convolved across axes), so a
+route pays nothing per vertex of the space; a point cloud enumerates the
+target's distance array once and sorts it, and reads its distances from
+that same array.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +61,11 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     owner = np.repeat(np.arange(len(counts)), counts)
     firsts = np.cumsum(counts) - counts
     return owner, np.arange(owner.size) - firsts[owner] + starts[owner]
+
+
+def _check_radius(r) -> None:
+    if not r >= 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
 
 
 def _row_norms(diff: np.ndarray) -> np.ndarray:
@@ -128,9 +143,31 @@ class Space:
         owner = np.repeat(np.arange(len(members)), [len(m) for m in members])
         return owner, np.concatenate([np.empty(0, dtype=np.int64)] + members)
 
-    def ball_count(self, center: int, radius) -> int:
-        """|{y : distance(center, y) <= radius}|."""
-        return len(self.ball_members([center], radius)[1])
+    def prepare_target(self, y: int):
+        """Distances toward ``y`` and ball sizes around it, prepared once.
+
+        Returns ``(dist, count)``: ``dist(v)`` equals ``distance_to(y)(v)``
+        bit for bit, and ``count(r)`` is ``|{u : distance(y, u) <= r}|``
+        for any ``r >= 0``, infinity included; a negative or NaN ``r``
+        raises ValueError.  This base version enumerates y's distances
+        once, reads ``dist`` from that array and sorts it for ``count``;
+        kinds with integer distances override it with the scalar kernel
+        and a closed-form count.
+        """
+        to_y = self.distances_to(y)
+        ranked = np.sort(to_y if self.is_symmetric else self.distances_from(y))
+        # memoryviews read Python scalars without copying the arrays
+        n, values, ranked = self.n, memoryview(to_y), memoryview(ranked)
+
+        def dist(v):
+            if not 0 <= v < n:
+                raise _out_of_range(v, n)
+            return values[v]
+
+        def count(r) -> int:
+            _check_radius(r)
+            return bisect.bisect_right(ranked, r)
+        return dist, count
 
     def diameter(self):
         """Maximum kernel distance between any ordered pair."""
@@ -154,6 +191,17 @@ class Space:
         if not np.all(radii >= 0):
             raise ValueError(f"radius must be >= 0, got {radii[~(radii >= 0)][0]}")
         return centers, radii
+
+    def _closed_form_target(self, y: int, size_at, last: int):
+        """:meth:`prepare_target` for integer distances: the scalar kernel,
+        and ``size_at(k)``, the ball size at integer radius k, for every k
+        up to ``last``, the largest distance from ``y``."""
+        dist = self.distance_to(y)
+
+        def count(r) -> int:
+            _check_radius(r)
+            return size_at(math.floor(min(r, last)))
+        return dist, count
 
     def _ball_steps(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
         """Centers and, for integer distances, the largest distance each
@@ -206,6 +254,10 @@ class DirectedCycle(Space):
         owner, ahead = _ranges(np.zeros_like(steps), steps + 1)
         return owner, (centers[owner] + ahead) % self.n
 
+    def prepare_target(self, y: int):
+        # the forward arc y, ..., y + k
+        return self._closed_form_target(y, lambda k: k + 1, self.diameter())
+
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
         return [] if self.n == 1 else [(x + 1) % self.n]
@@ -253,6 +305,12 @@ class UndirectedCycle(Space):
         centers, steps = self._ball_steps(centers, radii)
         owner, offset = _ranges(-steps, np.minimum(2 * steps + 1, self.n))
         return owner, (centers[owner] + offset) % self.n
+
+    def prepare_target(self, y: int):
+        # the arc y - k, ..., y + k
+        n = self.n
+        return self._closed_form_target(y, lambda k: min(2 * k + 1, n),
+                                        self.diameter())
 
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
@@ -353,6 +411,22 @@ class Grid(Space):
             budget = budget[entry] - np.abs(offset)
         return owner, member
 
+    def prepare_target(self, y: int):
+        # the L1 shells around y: per axis, the number of coordinates at
+        # each offset from y's (wrapped on a toric axis), convolved across
+        # the axes; their running sums are the ball sizes
+        self._check_vertex(y)
+        shells = np.ones(1, dtype=np.int64)
+        for c, length in zip(self._coord_rows[y], self.dims):
+            coord = np.arange(length)
+            if self.toric:
+                offset = np.minimum(coord, length - coord)
+            else:
+                offset = np.abs(coord - c)
+            shells = np.convolve(shells, np.bincount(offset))
+        sizes = np.cumsum(shells).tolist()
+        return self._closed_form_target(y, sizes.__getitem__, len(sizes) - 1)
+
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
         coord = self._coords[x].tolist()
@@ -452,6 +526,11 @@ class TreeLeaves(Space):
         centers, steps = self._ball_steps(centers, radii)
         width = self.branching ** steps
         return _ranges(centers // width * width, width)
+
+    def prepare_target(self, y: int):
+        # the leaves of y's subtree of height k
+        b = self.branching
+        return self._closed_form_target(y, lambda k: b**k, self.height)
 
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)

@@ -16,7 +16,7 @@ import pytest
 
 from navgraph.construction import Assignment, Seed, build_double_clustering
 from navgraph.harness import (ExperimentSpec, aggregate_csv_text,
-                              csv_without_wall_ms, fit_scaling, raw_csv_text,
+                              csv_without_timing, fit_scaling, raw_csv_text,
                               run_experiment)
 from navgraph.oracle import (find_divergent_permutation, marginal_edge_law,
                              monotonicity_check, random_disjoint_sets, tau_tail)
@@ -336,8 +336,8 @@ def test_criterion_11_determinism(exp_cycles, exp_dc_ordering, exp_ii_ordering,
     reruns.append(("exp_kleinberg alpha=2", r2, run_experiment(s2)))
     mismatches = []
     for name, first, second in reruns:
-        agg_same = (csv_without_wall_ms(aggregate_csv_text(first))
-                    == csv_without_wall_ms(aggregate_csv_text(second)))
+        agg_same = (csv_without_timing(aggregate_csv_text(first))
+                    == csv_without_timing(aggregate_csv_text(second)))
         raw_same = raw_csv_text(first) == raw_csv_text(second)
         if not (agg_same and raw_same):
             mismatches.append(name)
@@ -351,5 +351,5 @@ def test_criterion_11_determinism(exp_cycles, exp_dc_ordering, exp_ii_ordering,
     # would add about two minutes.
     names = ", ".join(name for name, _, _ in reruns)
     _report(11, ok, f"re-runs of {names} and tau reproduce byte-identical "
-                    f"CSV (wall_ms excluded; 128x128 kleinberg pair not "
+                    f"CSV (build_ms and wall_ms excluded; 128x128 kleinberg pair not "
                     f"re-run); mismatches: {mismatches or 'none'}")

@@ -255,6 +255,21 @@ def test_experiment_rejects_sizes_the_spaces_cannot_take(tmp_path, capsys):
     assert not (tmp_path / "edges").exists()
 
 
+@pytest.mark.parametrize("descriptor", ["grid", ["grid"], 3])
+def test_experiment_rejects_non_object_space_descriptor(tmp_path, capsys,
+                                                        descriptor):
+    cfg = tmp_path / "kleinberg.cfg"
+    cfg.write_text(json.dumps({"model": "kleinberg", "sizes": [16],
+                               "seeds": [1], "params": {"space": descriptor}}))
+    code = run_cli("experiment", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: space descriptor must be an object")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_experiment_missing_config_is_io_error(tmp_path, capsys):
     code = run_cli("experiment", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o.csv"))

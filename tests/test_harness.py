@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from navgraph import harness
 from navgraph.construction import Seed
 from navgraph.harness import (AggregateRow, ExperimentResult, ExperimentSpec,
                               aggregate_csv_text, build_model, build_space,
-                              csv_without_wall_ms, experiment_spec_from_dict,
+                              csv_without_timing, experiment_spec_from_dict,
                               export_csv, fit_scaling, load_experiment_config,
                               raw_csv_text, run_experiment)
 from navgraph.routing import RoutingMode
@@ -27,7 +28,7 @@ def synthetic_result(values_by_n, mode="greedy-1"):
     spec = make_spec(sizes=tuple(sorted(values_by_n)),
                      routing_modes=(RoutingMode.parse(mode),))
     rows = [AggregateRow("two-directed-cycles", n, 1, mode, 10, 10, 1.0,
-                         mean, mean, 2.0, 1.0)
+                         mean, mean, 2.0, 5.0, 1.0)
             for n, mean in sorted(values_by_n.items())]
     return ExperimentResult(spec, rows, [])
 
@@ -191,11 +192,11 @@ def test_determinism_and_worker_independence():
     r1 = run_experiment(spec)
     r2 = run_experiment(spec)
     r_par = run_experiment(spec, workers=2)
-    assert csv_without_wall_ms(aggregate_csv_text(r1)) == \
-        csv_without_wall_ms(aggregate_csv_text(r2))
+    assert csv_without_timing(aggregate_csv_text(r1)) == \
+        csv_without_timing(aggregate_csv_text(r2))
     assert raw_csv_text(r1) == raw_csv_text(r2) == raw_csv_text(r_par)
-    assert csv_without_wall_ms(aggregate_csv_text(r1)) == \
-        csv_without_wall_ms(aggregate_csv_text(r_par))
+    assert csv_without_timing(aggregate_csv_text(r1)) == \
+        csv_without_timing(aggregate_csv_text(r_par))
 
 
 def test_thinning_flag_reduces_edges():
@@ -280,20 +281,44 @@ def test_export_csv_row_count_and_round_trip(tmp_path):
     assert [line.split(",") for line in text.splitlines()[1:]] == [
         [r.model, str(r.n), str(r.seed), r.mode, str(r.routes), str(r.successes),
          repr(r.success_rate), repr(r.mean_len), repr(r.median_len),
-         repr(r.mean_outdeg), repr(r.wall_ms)]
+         repr(r.mean_outdeg), repr(r.build_ms), repr(r.wall_ms)]
         for r in result.rows]
 
 
 def test_round_trip_preserves_missing_means(tmp_path):
     spec = make_spec()
     row = AggregateRow("two-directed-cycles", 32, 1, "greedy-1", 5, 0, 0.0,
-                       None, None, 1.5, 2.25)
+                       None, None, 1.5, 7.0, 2.25)
     path = tmp_path / "out.csv"
     export_csv(ExperimentResult(spec, [row], []), path)
     assert path.read_text() == (harness.AGGREGATE_HEADER + "\n"
-                                "two-directed-cycles,32,1,greedy-1,5,0,0.0,,,1.5,2.25\n")
+                                "two-directed-cycles,32,1,greedy-1,5,0,0.0,,,1.5,7.0,2.25\n")
 
 
-def test_csv_without_wall_ms_strips_only_last_column():
-    text = "a,b,wall_ms\n1,2,3.5\n"
-    assert csv_without_wall_ms(text) == "a,b\n1,2\n"
+def test_build_time_is_reported_apart_from_each_mode(monkeypatch):
+    # a fake clock: every build takes 2 s and every route 1 ms
+    clock = [0.0]
+    monkeypatch.setattr(harness, "time",
+                        SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def advancing(fn, seconds):
+        def call(*args):
+            clock[0] += seconds
+            return fn(*args)
+        return call
+    monkeypatch.setattr(harness, "_build_trial", advancing(harness._build_trial, 2.0))
+    monkeypatch.setattr(harness, "route", advancing(harness.route, 0.001))
+    spec = make_spec(seeds=(1,), routes_per_size=10,
+                     routing_modes=(RoutingMode.parse("greedy-1"),
+                                    RoutingMode.parse("combined")))
+    rows = run_experiment(spec).rows
+    assert len(rows) == 4
+    for row in rows:
+        assert row.build_ms == pytest.approx(2000.0)
+        assert row.wall_ms == pytest.approx(10.0)
+
+
+def test_csv_without_timing_strips_timing_columns():
+    text = "a,build_ms,b,wall_ms\n1,40.5,2,3.5\n"
+    assert csv_without_timing(text) == "a,b\n1,2\n"
+    assert harness.AGGREGATE_HEADER.endswith(",build_ms,wall_ms")

@@ -10,8 +10,9 @@ from navgraph.construction import (Assignment, NavGraph, Seed,
                                    build_double_clustering, build_kleinberg,
                                    thin_edges)
 from navgraph.harness import build_model
-from navgraph.routing import (MODE_LABELS, Failure, RouteOutcome, RoutingMode,
-                              phase_index, resolved_plateau, route)
+from navgraph.routing import (MODE_LABELS, PHASE_AT_ZERO, Failure,
+                              RouteOutcome, RoutingMode, phase_index,
+                              resolved_plateau, route)
 from navgraph.spaces import (DirectedCycle, Euclidean, Grid, TreeLeaves,
                              UndirectedCycle)
 
@@ -475,3 +476,69 @@ def test_routers_keep_invariants_on_random_instances(instance, data):
             for s, t in pairs:
                 out = route(graph, a, mode, s, t)
                 check_route_invariants(graph, a, mode, s, t, out)
+
+
+def combined_oracle(graph, a, mode, source, target):
+    """Combined routing by its quantified definition, over whole arrays:
+    distances toward the target in each space, and ball sizes counted on
+    the sorted distance multiset around the target."""
+    if source == target:
+        return RouteOutcome(source, target, [source], 0, True)
+    plateau = resolved_plateau(mode, a)
+    max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
+    d1 = a.space1.distances_to(target)
+    d2 = a.space2.distances_to(int(a.pi[target]))[a.pi]
+    sorted1 = np.sort(a.space1.distances_from(target))
+    sorted2 = np.sort(a.space2.distances_from(int(a.pi[target])))
+    path, phase, failure = [source], {}, Failure.NONE
+    x = source
+    while x != target:
+        if len(path) - 1 >= max_steps:
+            failure = Failure.STEP_LIMIT
+            break
+        nbrs = [w for w in graph.out_edges[x] if not (plateau and w in path)]
+        w = -1
+        if nbrs:
+            m1, w1 = min((d1[v], v) for v in nbrs)
+            m2, w2 = min((d2[v], v) for v in nbrs)
+            if m1 < d1[x] and m2 < d2[x]:
+                if mode.literal_m:
+                    w = w2 if m2 < m1 else w1
+                else:
+                    n1 = np.searchsorted(sorted1, m1, side="right")
+                    n2 = np.searchsorted(sorted2, m2, side="right")
+                    w = w2 if n2 < n1 else w1
+            elif m1 < d1[x]:
+                w = w1
+            elif m2 < d2[x]:
+                w = w2
+            elif plateau:
+                level = ([v for v in nbrs if d1[v] == d1[x]]
+                         + [v for v in nbrs if d2[v] == d2[x]])
+                w = level[0] if level else -1
+        if w < 0:
+            failure = Failure.STUCK
+            break
+        key = phase_index(d1[x]) if d1[x] > 0 else PHASE_AT_ZERO
+        phase[key] = phase.get(key, 0) + 1
+        path.append(w)
+        x = w
+    return RouteOutcome(source, target, path, len(path) - 1,
+                        failure is Failure.NONE, failure, phase)
+
+
+@given(routing_instances(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_combined_matches_array_oracle(instance, data):
+    a, graph = instance
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, a.n - 1),
+                                         st.integers(0, a.n - 1)),
+                               min_size=1, max_size=3))
+    max_steps = data.draw(st.none() | st.integers(1, 6))
+    for literal_m in (False, True):
+        for plateau in (None, True, False):
+            mode = RoutingMode("combined", plateau=plateau,
+                               max_steps=max_steps, literal_m=literal_m)
+            for s, t in pairs:
+                assert route(graph, a, mode, s, t) == \
+                    combined_oracle(graph, a, mode, s, t)

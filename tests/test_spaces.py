@@ -26,6 +26,11 @@ def small_spaces(rng=None):
 space_strategy = st.sampled_from(small_spaces())
 
 
+def ball_count(space, center, radius):
+    """|{y : distance(center, y) <= radius}|, through the prepared target."""
+    return space.prepare_target(center)[1](radius)
+
+
 def space_id(space):
     if isinstance(space, Euclidean):
         return f"Euclidean(n={space.n})"
@@ -103,7 +108,9 @@ def test_vertex_range_errors():
     with pytest.raises(ValueError):
         s.distances_from(-1)
     with pytest.raises(ValueError):
-        s.ball_count(7, 1)
+        s.prepare_target(7)
+    with pytest.raises(ValueError):
+        s.prepare_target(0)[0](5)
 
 
 @given(space_strategy, st.data())
@@ -192,10 +199,12 @@ def test_distances_between_matches_distances_from(space):
 
 
 def test_ball_count_examples():
-    assert UndirectedCycle(8).ball_count(0, 2) == 5  # {6,7,0,1,2}
-    assert DirectedCycle(8).ball_count(0, 3) == 4    # forward only
+    assert ball_count(UndirectedCycle(8), 0, 2) == 5  # {6,7,0,1,2}
+    assert ball_count(DirectedCycle(8), 0, 3) == 4    # forward only
+    assert ball_count(Grid((3, 4)), 0, 1) == 3        # a corner
+    assert ball_count(TreeLeaves(2, 3), 5, 2.5) == 4  # the subtree {4..7}
     for space in small_spaces():
-        assert space.ball_count(0, 0) == 1
+        assert ball_count(space, 0, 0) == 1
 
 
 def test_ball_members():
@@ -223,7 +232,29 @@ def test_ball_members_matches_enumeration(space):
             got = member[owner == k]
             assert len(got) == len(set(got.tolist()))
             assert sorted(got.tolist()) == np.flatnonzero(d <= r).tolist()
-        assert space.ball_count(x, radii[0]) == np.count_nonzero(d <= radii[0])
+
+
+@pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
+def test_prepared_target_matches_enumeration(space):
+    # the prepared distances equal the array kernel toward the target bit
+    # for bit, and the counts equal the enumerated balls around it at 0,
+    # at every shell, between shells, at and beyond the diameter and at
+    # infinity
+    n = space.n
+    for x in range(n):
+        dist, count = space.prepare_target(x)
+        assert [dist(v) for v in range(n)] == space.distances_to(x).tolist()
+        d = space.distances_from(x)
+        shells = np.unique(d)
+        diameter = space.diameter()
+        for r in [0, *shells.tolist(), *(shells + 0.25).tolist(), diameter,
+                  diameter + 0.5, diameter + 3, math.inf]:
+            assert count(r) == np.count_nonzero(d <= r)
+            assert type(count(r)) is int
+        with pytest.raises(ValueError):
+            count(-0.5)
+        with pytest.raises(ValueError):
+            count(math.nan)
 
 
 def test_ball_members_rejects_bad_arguments():
@@ -238,8 +269,9 @@ def test_ball_members_rejects_bad_arguments():
 
 
 def test_ball_negative_radius_rejected():
-    with pytest.raises(ValueError):
-        UndirectedCycle(8).ball_count(0, -1)
+    for space in small_spaces():
+        with pytest.raises(ValueError):
+            ball_count(space, 0, -1)
 
 
 @given(space_strategy, st.data())
@@ -249,8 +281,8 @@ def test_ball_monotone_and_saturates(space, data):
     r1 = data.draw(st.floats(0, 10))
     r2 = data.draw(st.floats(0, 10))
     lo, hi = sorted((r1, r2))
-    assert space.ball_count(x, lo) <= space.ball_count(x, hi)
-    assert space.ball_count(x, space.diameter()) == space.n
+    assert ball_count(space, x, lo) <= ball_count(space, x, hi)
+    assert ball_count(space, x, space.diameter()) == space.n
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +335,7 @@ def test_base_neighbors_within_unit_ball_for_graph_kinds(space, data):
 
 def doubling_ratio(space, radii):
     """Max over centers u and radii r of |B_2r(u)| / |B_r(u)|."""
-    return max(space.ball_count(u, 2 * r) / space.ball_count(u, r)
+    return max(ball_count(space, u, 2 * r) / ball_count(space, u, r)
                for u in range(space.n) for r in radii)
 
 
