@@ -184,16 +184,13 @@ def _record_select_mask(sorted_key: np.ndarray, sorted_val: np.ndarray) -> np.nd
 def _prefix_plan(space: Space) -> tuple[float, int]:
     """Prefix radius and rows per block for the pruned builds.
 
-    The radius is the distance from a reference vertex to its
-    ceil(sqrt(n))-th nearest other vertex, so each prefix ball holds about
-    sqrt(n) candidates and bounds a second ball of about n / sqrt(n).  A
-    block holds as many rows as keep its candidate arrays near
-    ``_BLOCK_ENTRIES`` entries.
+    The radius is :attr:`Space.prefix_radius`, so each prefix ball holds
+    about sqrt(n) candidates and bounds a second ball of about
+    n / sqrt(n).  A block holds as many rows as keep its candidate arrays
+    near ``_BLOCK_ENTRIES`` entries.
     """
-    n = space.n
-    k = min(n - 1, math.isqrt(n - 1) + 1)
-    radius = np.partition(space.distances_from(n // 2), k)[k]
-    return radius, max(1, _BLOCK_ENTRIES // (2 * max(k, 1)))
+    k = math.isqrt(space.n - 1) + 1
+    return space.prefix_radius, max(1, _BLOCK_ENTRIES // (2 * k))
 
 
 def _prefix(space: Space, rows: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:

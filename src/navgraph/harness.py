@@ -55,10 +55,10 @@ __all__ = [
 MODELS = ("two-directed-cycles", "two-undirected-cycles", "grid-tree",
           "continuum", "independent-interest", "kleinberg")
 
-# Double-clustering builds scan about n^1.5 candidates on cycles, grids and
-# trees, but the kleinberg and independent-interest baselines still do O(n)
-# work per vertex, and point clouds enumerate O(n) distances per vertex, so
-# builds are still O(n^2) there and the ceiling stays.
+# Double-clustering builds read bounded balls on every space kind (closed
+# forms on cycles, grids and trees, a cell index on point clouds), but the
+# kleinberg and independent-interest baselines still do O(n) work per
+# vertex, so their builds are O(n^2) and the ceiling stays for them.
 DEFAULT_MAX_SIZE = 2**14
 LARGE_MAX_SIZE = 2**16
 
@@ -105,26 +105,59 @@ class ExperimentSpec:
         if not self.routing_modes:
             raise ValueError("routing_modes must be nonempty")
         # every size must fit the model's spaces before any trial runs
+        if self.model == "continuum":
+            _boxes(self.params)
         for n in self.sizes:
             for descriptor in _space_descriptors(self.model, self.params):
                 build_space(descriptor, n)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_value(data: dict, key: str, default, valid, expected: str):
+    value = data.get(key, default)
+    if not valid(value):
+        raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def experiment_spec_from_dict(data: dict) -> ExperimentSpec:
+    """The spec a JSON config describes; a value of the wrong JSON type is
+    refused, never coerced."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {data!r}")
     known = {"model", "sizes", "seeds", "routes_per_size", "routing_modes",
              "thinning", "params"}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    modes = tuple(RoutingMode.parse(m) for m in data.get("routing_modes", ["greedy-1"]))
+    missing = {"model", "sizes", "seeds"} - set(data)
+    if missing:
+        raise ValueError(f"missing config keys: {sorted(missing)}")
+
+    def int_list(value) -> bool:
+        return isinstance(value, list) and all(map(_is_int, value))
+
+    modes = _config_value(data, "routing_modes", ["greedy-1"],
+                          lambda v: isinstance(v, list)
+                          and all(isinstance(m, str) for m in v),
+                          "a list of mode labels")
     return ExperimentSpec(
-        model=data["model"],
-        sizes=tuple(data["sizes"]),
-        seeds=tuple(data["seeds"]),
-        routes_per_size=int(data.get("routes_per_size", 1000)),
-        routing_modes=modes,
-        thinning=bool(data.get("thinning", False)),
-        params=dict(data.get("params", {})),
+        model=_config_value(data, "model", None, lambda v: isinstance(v, str),
+                            "a string"),
+        sizes=tuple(_config_value(data, "sizes", None, int_list,
+                                  "a list of integers")),
+        seeds=tuple(_config_value(data, "seeds", None, int_list,
+                                  "a list of integers")),
+        routes_per_size=_config_value(data, "routes_per_size", 1000, _is_int,
+                                      "an integer"),
+        routing_modes=tuple(RoutingMode.parse(m) for m in modes),
+        thinning=_config_value(data, "thinning", False,
+                               lambda v: isinstance(v, bool), "true or false"),
+        params=dict(_config_value(data, "params", {},
+                                  lambda v: isinstance(v, dict), "an object")),
     )
 
 
@@ -231,6 +264,21 @@ def _space_descriptors(model: str, params: dict) -> list[dict]:
     return []
 
 
+def _boxes(params: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The continuum model's sampling boxes: each a nonempty list of
+    finite, positive extents, one per coordinate."""
+    boxes = []
+    for key, default in (("box1", (1.33, 1.0)), ("box2", (1.0, 1.0, 1.0))):
+        box = params.get(key, default)
+        if not (isinstance(box, (list, tuple)) and box
+                and all(isinstance(b, (int, float)) and not isinstance(b, bool)
+                        and 0 < b < math.inf for b in box)):
+            raise ValueError(f"{key} must be a nonempty list of finite, "
+                             f"positive numbers, got {box!r}")
+        boxes.append(tuple(float(b) for b in box))
+    return boxes[0], boxes[1]
+
+
 def build_model(model: str, params: dict, n: int, seed: Seed,
                 pi: np.ndarray | None = None) -> tuple[Assignment, NavGraph]:
     """Instantiate the model's spaces at size n and build its graph.
@@ -257,8 +305,7 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
         assignment = paired(*described)
         graph = build_double_clustering(assignment)
     elif model == "continuum":
-        box1 = tuple(params.get("box1", (1.33, 1.0)))
-        box2 = tuple(params.get("box2", (1.0, 1.0, 1.0)))
+        box1, box2 = _boxes(params)
         pts1 = seed.rng("points", 1).random((n, len(box1))) * np.asarray(box1)
         pts2 = seed.rng("points", 2).random((n, len(box2))) * np.asarray(box2)
         assignment = Assignment.identity(Euclidean(pts1, box1),
@@ -345,8 +392,8 @@ def _validate_budget(spec: ExperimentSpec, allow_large: bool) -> None:
         raise ValueError(f"sizes {too_big} exceed the hard n <= {limit} ceiling")
     raise ValueError(
         f"sizes {too_big} exceed the n <= {limit} budget (the kleinberg and "
-        f"independent-interest baselines and point-cloud builds still do "
-        f"O(n^2) work); pass allow_large to raise the ceiling to "
+        f"independent-interest baselines still do O(n^2) work); pass "
+        f"allow_large to raise the ceiling to "
         f"{LARGE_MAX_SIZE}")
 
 

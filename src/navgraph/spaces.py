@@ -20,8 +20,10 @@ and tree leaves (the leaves of one subtree) list them in closed form:
 their distances are integers, so a radius r reaches exactly the vertices
 at distance <= floor(r), and the closed form generates exactly those
 vertices rather than estimating a volume.  Point clouds have no such
-form; their balls are enumerated over the point set, so heterogeneous
-densities and coincident points are handled uniformly.
+form; their balls are read through a uniform cell index (Bentley, Stanat
+and Williams, 1977): the points bucketed into cubes whose side is half
+the cloud's prefix radius, so a ball reads only the cells its bounding box
+touches and decides membership on the exact distances of their points.
 
 Ball sizes around one center are counted by :meth:`Space.prepare_target`,
 which prepares a target once for combined routing: it returns the scalar
@@ -51,6 +53,10 @@ __all__ = [
 ]
 
 
+# points per call of the cell index when every point's nearest are found
+_NEAREST_BLOCK = 256
+
+
 def _out_of_range(x, n: int) -> ValueError:
     return ValueError(f"vertex id {x} out of range [0, {n})")
 
@@ -68,12 +74,13 @@ def _check_radius(r) -> None:
         raise ValueError(f"radius must be >= 0, got {r}")
 
 
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """L2 norm of each row, its squares summed in coordinate order: the
-    arithmetic of :meth:`Euclidean.distance_to`, at every dimension."""
-    total = np.zeros(len(diff))
-    for column in (diff * diff).T:
-        total += column
+def _norms(diffs) -> np.ndarray:
+    """L2 norms from one array of differences per coordinate, their squares
+    summed in coordinate order: the arithmetic of
+    :meth:`Euclidean.distance_to`, at every dimension."""
+    total = 0.0
+    for diff in diffs:
+        total = total + diff * diff
     return np.sqrt(total)
 
 
@@ -133,15 +140,17 @@ class Space:
         Returns ``(owner, member)`` arrays: ``member[t]`` lies in the ball
         around ``centers[owner[t]]``.  Owners ascend; the members of one
         owner come in no promised order.  ``radii`` broadcasts against
-        ``centers`` and may be infinite.  This base version enumerates
-        :meth:`distances_from` per center; kinds with integer distances
-        override it with a closed form.
+        ``centers`` and may be infinite.
         """
-        centers, radii = self._ball_args(centers, radii)
-        members = [np.flatnonzero(self.distances_from(int(c)) <= r)
-                   for c, r in zip(centers, radii)]
-        owner = np.repeat(np.arange(len(members)), [len(m) for m in members])
-        return owner, np.concatenate([np.empty(0, dtype=np.int64)] + members)
+        raise NotImplementedError
+
+    @cached_property
+    def prefix_radius(self):
+        """Distance from vertex n // 2 to its ceil(sqrt(n))-th nearest other
+        vertex, so that a ball of this radius holds about sqrt(n) vertices."""
+        n = self.n
+        k = min(n - 1, math.isqrt(n - 1) + 1)
+        return np.partition(self.distances_from(n // 2), k)[k]
 
     def prepare_target(self, y: int):
         """Distances toward ``y`` and ball sizes around it, prepared once.
@@ -564,6 +573,8 @@ class Euclidean(Space):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("points must be a nonempty (n, dim) array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("point coordinates must be finite")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -576,6 +587,74 @@ class Euclidean(Space):
     @cached_property
     def _rows(self) -> list[list[float]]:
         return self.points.tolist()
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        # one contiguous array per coordinate: gathers read them far faster
+        # than rows of ``points``
+        return self.points.T.copy()
+
+    @cached_property
+    def _cells(self):
+        """The uniform cell index: ``(scaled, side, shape, order, starts)``.
+
+        Cells are cubes of the given side: half the prefix radius, so that
+        a ball of that radius reads a box 2.5 radii wide rather than 3,
+        doubled until the grid has at most 2n cells (the side of one cell
+        when the radius is 0).  ``scaled`` is each point's offset from the
+        cloud's minimum corner in units of the side, and its floor is the
+        point's cell.  ``order`` lists the point ids by row-major cell id,
+        and ``order[starts[c]:starts[c + 1]]`` are the points of cell c.
+        """
+        pts = self.points
+        corner = pts.min(axis=0)
+        extent = pts.max(axis=0) - corner
+        side = float(self.prefix_radius) / 2 or float(extent.max()) or 1.0
+        while np.prod(np.floor(extent / side) + 1) > 2 * self.n:
+            side *= 2
+        scaled = (pts - corner) / side
+        cell = np.floor(scaled).astype(np.int64)
+        shape = cell.max(axis=0) + 1
+        ids = np.ravel_multi_index(cell.T, shape)
+        order = np.argsort(ids, kind="stable")
+        starts = np.append(0, np.cumsum(np.bincount(ids, minlength=shape.prod())))
+        return scaled, side, shape, order, starts
+
+    def _near(self, centers, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`ball_members` with each member's distance from its center.
+
+        Each ball reads the cells its bounding box touches.  The box is
+        widened by (dim + 8) ulps of the magnitudes involved, which covers
+        the rounding of the distance sum and of the cell arithmetic, so a
+        point at exactly the radius on a cell boundary is never cut off;
+        the exact distances then decide membership.
+        """
+        centers, radii = self._ball_args(centers, radii)
+        scaled, side, shape, order, starts = self._cells
+        t = scaled[centers]
+        reach = (radii / side)[:, None]
+        slack = (t.shape[1] + 8) * np.finfo(float).eps * (1 + np.abs(t) + reach)
+        first = np.clip(np.floor(t - reach - slack), 0, shape - 1).astype(np.int64)
+        last = np.clip(np.floor(t + reach + slack), 0, shape - 1).astype(np.int64)
+        # the box row by row: every cell of the leading axes, then along the
+        # last axis one run of cells, whose points are one run of ``order``
+        owner = np.arange(len(centers))
+        row = np.zeros(len(centers), dtype=np.int64)
+        for axis in range(len(shape) - 1):
+            entry, cell = _ranges(first[owner, axis],
+                                  last[owner, axis] - first[owner, axis] + 1)
+            owner = owner[entry]
+            row = (row[entry] + cell) * shape[axis + 1]
+        lo = starts[row + first[owner, -1]]
+        entry, pos = _ranges(lo, starts[row + last[owner, -1] + 1] - lo)
+        owner, member = owner[entry], order[pos]
+        d = self.distances_between(centers[owner], member)
+        inside = d <= radii[owner]
+        return owner[inside], member[inside], d[inside]
+
+    def ball_members(self, centers, radii):
+        owner, member, _ = self._near(centers, radii)
+        return owner, member
 
     def distance_to(self, y: int):
         self._check_vertex(y)
@@ -594,19 +673,43 @@ class Euclidean(Space):
 
     def distances_from(self, x: int) -> np.ndarray:
         self._check_vertex(x)
-        return _row_norms(self.points - self.points[x])
+        return _norms(column - column[x] for column in self._columns)
 
     def distances_between(self, xs, ys) -> np.ndarray:
-        pts = self.points
-        return _row_norms(pts[self._check_vertices(ys)] - pts[self._check_vertices(xs)])
+        xs, ys = self._check_vertices(xs), self._check_vertices(ys)
+        return _norms(column[ys] - column[xs] for column in self._columns)
+
+    @cached_property
+    def _nearest(self) -> list[list[int]]:
+        """Every point's nearest other points, found a block of points at a
+        time: balls of doubling radius around each point until one holds
+        another point, whose nearest are then the nearest of all."""
+        n = self.n
+        out: list[list[int]] = [[] for _ in range(n)]
+        todo, radius = np.arange(n if n > 1 else 0), self._cells[1]
+        while todo.size:
+            found = []
+            for start in range(0, todo.size, _NEAREST_BLOCK):
+                centers = todo[start:start + _NEAREST_BLOCK]
+                owner, member, d = self._near(centers, radius)
+                other = member != centers[owner]
+                owner, member, d = owner[other], member[other], d[other]
+                best = np.full(len(centers), np.inf)
+                np.minimum.at(best, owner, d)
+                nearest = d == best[owner]
+                pairs = np.sort(owner[nearest] * n + member[nearest])
+                ends = np.searchsorted(pairs, np.arange(len(centers) + 1) * n)
+                found.append(np.diff(ends) > 0)
+                ends, flat = ends.tolist(), (pairs % n).tolist()
+                for k, x in enumerate(centers.tolist()):
+                    out[x] = flat[ends[k]:ends[k + 1]]
+            todo = todo[~np.concatenate(found)]
+            radius *= 2
+        return out
 
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
-        if self.n == 1:
-            return []
-        d = self.distances_from(x)
-        d[x] = np.inf
-        return [int(v) for v in np.flatnonzero(d == d.min())]
+        return list(self._nearest[x])
 
     def diameter(self) -> float:
         return max(float(self.distances_from(x).max()) for x in range(self.n))

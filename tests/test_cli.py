@@ -270,6 +270,36 @@ def test_experiment_rejects_non_object_space_descriptor(tmp_path, capsys,
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("override", [
+    {"sizes": "48"}, {"seeds": "12"}, {"thinning": "false"}, {"seeds": [1.7]},
+    {"routes_per_size": 2.5}, {"model": "continuum", "params": {"box1": "ab"}},
+    {"model": "continuum", "params": {"box2": []}},
+])
+def test_experiment_rejects_config_values_of_the_wrong_type(tmp_path, capsys,
+                                                            override):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(json.dumps({"model": "two-directed-cycles", "sizes": [8],
+                               "seeds": [1], **override}))
+    code = run_cli("experiment", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_experiment_rejects_non_finite_continuum_box(tmp_path, capsys):
+    # NaN and Infinity are JSON extensions that json.loads reads as floats
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text('{"model": "continuum", "sizes": [8], "seeds": [1], '
+                   '"params": {"box1": [NaN, 1], "box2": [Infinity, 1]}}')
+    code = run_cli("experiment", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.csv"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: box1 must be")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_experiment_missing_config_is_io_error(tmp_path, capsys):
     code = run_cli("experiment", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o.csv"))

@@ -173,7 +173,7 @@ def snapped_cloud(rng, n, dim, cells):
 
 TIE_HEAVY_FAMILIES = ("toric-grids", "clipped-grids", "tree-first",
                       "tree-second", "directed-cycles", "undirected-cycles",
-                      "snapped-clouds")
+                      "snapped-clouds", "lattice-clouds")
 
 
 def tie_heavy_pair(family, large, rng):
@@ -197,8 +197,13 @@ def tie_heavy_pair(family, large, rng):
     if family == "undirected-cycles":
         n = 301 if large else 22
         return UndirectedCycle(n), UndirectedCycle(n)
-    n = 300 if large else 24
-    return snapped_cloud(rng, n, 2, 4), snapped_cloud(rng, n, 3, 3)
+    if family == "snapped-clouds":
+        n = 300 if large else 24
+        return snapped_cloud(rng, n, 2, 4), snapped_cloud(rng, n, 3, 3)
+    # lattice spacings 1/5 and 1/7, whose cell arithmetic rounds, over
+    # many cells of each cloud's cell index
+    n = 400 if large else 30
+    return snapped_cloud(rng, n, 2, 5), snapped_cloud(rng, n, 3, 7)
 
 
 def check_size_class(space, large):

@@ -109,6 +109,54 @@ def test_config_rejects_unknown_keys():
                                    "sizes": [8], "seeds": [1], "routez": 5})
 
 
+CONFIG = {"model": "two-directed-cycles", "sizes": [4, 8], "seeds": [1, 2]}
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"sizes": "48"}, "'sizes' must be a list of integers"),
+    ({"seeds": "12"}, "'seeds' must be a list of integers"),
+    ({"sizes": [4, 8.0]}, "'sizes' must be a list of integers"),
+    ({"seeds": [1.7]}, "'seeds' must be a list of integers"),
+    ({"seeds": [True]}, "'seeds' must be a list of integers"),
+    ({"thinning": "false"}, "'thinning' must be true or false"),
+    ({"thinning": 0}, "'thinning' must be true or false"),
+    ({"routes_per_size": 2.5}, "'routes_per_size' must be an integer"),
+    ({"routes_per_size": "10"}, "'routes_per_size' must be an integer"),
+    ({"routing_modes": "greedy-1"}, "'routing_modes' must be a list"),
+    ({"routing_modes": [1]}, "'routing_modes' must be a list"),
+    ({"model": ["grid-tree"]}, "'model' must be a string"),
+    ({"params": [1]}, "'params' must be an object"),
+])
+def test_config_refuses_values_of_the_wrong_type(override, message):
+    # never coerced: "48" is not sizes (4, 8), "false" is not True
+    with pytest.raises(ValueError, match=message):
+        experiment_spec_from_dict({**CONFIG, **override})
+
+
+def test_config_requires_model_sizes_and_seeds():
+    for key in ("model", "sizes", "seeds"):
+        data = {k: v for k, v in CONFIG.items() if k != key}
+        with pytest.raises(ValueError, match=f"missing config keys: \\['{key}'\\]"):
+            experiment_spec_from_dict(data)
+    with pytest.raises(ValueError, match="JSON object"):
+        experiment_spec_from_dict([CONFIG])
+    spec = experiment_spec_from_dict({**CONFIG, "thinning": True,
+                                      "routes_per_size": 7})
+    assert (spec.sizes, spec.seeds, spec.thinning, spec.routes_per_size) == \
+        ((4, 8), (1, 2), True, 7)
+
+
+@pytest.mark.parametrize("box", ["ab", [], [math.nan, 1], [math.inf, 1],
+                                 [1, 0], [1, -2], [True, 1], [[1], 1], 2.0])
+@pytest.mark.parametrize("key", ["box1", "box2"])
+def test_spec_rejects_bad_continuum_boxes(key, box):
+    # refused before any trial, not at the first build or as a 0% success
+    with pytest.raises(ValueError, match=f"{key} must be a nonempty list of "
+                                         "finite, positive numbers"):
+        make_spec(model="continuum", params={key: box})
+    assert make_spec(model="continuum", params={key: [2, 0.5]}).params[key] == [2, 0.5]
+
+
 # ---------------------------------------------------------------------------
 # spaces from descriptors / model instantiation
 

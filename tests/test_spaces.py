@@ -37,10 +37,39 @@ def space_id(space):
     return repr(space)
 
 
+def lattice_cloud(seed, n, dim, cells):
+    """n points floored to a lattice of spacing 1 / cells: many coincide,
+    and many lie at exactly the radius of another's ball."""
+    rng = np.random.default_rng(seed)
+    return Euclidean(np.floor(rng.random((n, dim)) * cells) / cells)
+
+
+def cell_index_clouds():
+    """Clouds whose balls span many cells of the cloud's cell index: the
+    2-D and 3-D lattices put points on cell boundaries or within an ulp of
+    them (the cell side, half the prefix radius, is a whole number of
+    lattice steps or half of one), and spacings 1/5 and 1/7 make the cell
+    arithmetic round; the 1-D lattice has a prefix radius of 0; a tight
+    cluster with one far point, whose prefix radius would cut the extent
+    into over 10^30 cells; then a cloud of coincident points, nine
+    coordinates, and a single point."""
+    cluster = np.random.default_rng(3).random((40, 2)) * 1e-9
+    return [
+        lattice_cloud(1, 150, 2, 5),
+        lattice_cloud(0, 150, 3, 7),
+        lattice_cloud(0, 150, 1, 7),
+        Euclidean(np.concatenate([cluster, [[1e6, 2e6]]])),
+        Euclidean(np.zeros((6, 2))),
+        Euclidean(np.random.default_rng(9).random((60, 9))),
+        Euclidean([[0.5, 0.25]]),
+    ]
+
+
 def tie_heavy_spaces():
-    """Every space kind, with the tie patterns that closed forms must get
-    right: even and odd cycles, even-sided toric and non-square clipped
-    grids, degenerate axes, and a point cloud with coincident points."""
+    """Every space kind, with the tie patterns that closed forms and the
+    cloud's cell index must get right: even and odd cycles, even-sided
+    toric and non-square clipped grids, degenerate axes, and point clouds
+    with coincident points."""
     rng = np.random.default_rng(54321)
     return small_spaces() + [
         DirectedCycle(1),
@@ -56,7 +85,7 @@ def tie_heavy_spaces():
         TreeLeaves(2, 0),
         TreeLeaves(4, 2),
         Euclidean(np.floor(rng.random((24, 2)) * 3) / 3),
-    ]
+    ] + cell_index_clouds()
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +246,58 @@ def test_ball_members():
     assert UndirectedCycle(8).ball_members([], 1)[1].size == 0
 
 
+def enumerated_ball(space, center, radius):
+    """The ball read verbatim from the array kernel: the test oracle."""
+    return np.flatnonzero(space.distances_from(center) <= radius).tolist()
+
+
 @pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
 def test_ball_members_matches_enumeration(space):
-    # every radius at which a ball changes, plus the values between them,
-    # beyond the diameter and infinity, several centers in one call
+    # radius 0, every radius at which a ball changes, the values between
+    # them, beyond the diameter and infinity, several centers in one call
     n = space.n
+    beyond = space.diameter() + 3
     for x in range(n):
         d = space.distances_from(x)
         shells = np.unique(d)
-        radii = np.concatenate([shells, shells + 0.5, [space.diameter() + 3, np.inf]])
+        radii = np.concatenate([[0], shells, (shells[1:] + shells[:-1]) / 2,
+                                shells + 0.5, [beyond, np.inf]])
         owner, member = space.ball_members(np.full(len(radii), x), radii)
         assert np.all(np.diff(owner) >= 0)
         for k, r in enumerate(radii):
             got = member[owner == k]
             assert len(got) == len(set(got.tolist()))
-            assert sorted(got.tolist()) == np.flatnonzero(d <= r).tolist()
+            assert sorted(got.tolist()) == enumerated_ball(space, x, r)
+
+
+@pytest.mark.parametrize("space", cell_index_clouds(), ids=space_id)
+def test_ball_members_of_many_centers_match_enumeration(space):
+    # every center at once, each at a radius of its own: one call
+    n = space.n
+    rng = np.random.default_rng(n)
+    centers = rng.permutation(np.repeat(np.arange(n), 2))
+    radii = np.array([rng.choice(space.distances_from(c)) for c in centers])
+    owner, member = space.ball_members(centers, radii)
+    assert np.all(np.diff(owner) >= 0)
+    for k, (c, r) in enumerate(zip(centers, radii)):
+        assert sorted(member[owner == k].tolist()) == enumerated_ball(space, c, r)
+
+
+@pytest.mark.parametrize("space", cell_index_clouds() + small_spaces()[-1:],
+                         ids=space_id)
+def test_cloud_base_neighbors_match_enumeration(space):
+    # the distance-minimal other points, ties all kept
+    for x in range(space.n):
+        d = space.distances_from(x)
+        d[x] = np.inf
+        expected = [] if space.n == 1 else np.flatnonzero(d == d.min()).tolist()
+        assert space.base_neighbors(x) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cloud_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Euclidean([[0.0, 0.0], [1.0, bad]])
 
 
 @pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
