@@ -16,6 +16,7 @@ stream label, vertex id), so edge sets do not depend on evaluation order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +48,8 @@ _MASK64 = (1 << 64) - 1
 # kernel at once, which beats pruning each row's candidates
 _PRUNED_BUILD_THRESHOLD = 64
 
-# candidate entries per block of rows in the pruned builds
+# candidate entries per block of rows in the pruned builds, and per chunk
+# of permutations in the all-pairs builds
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -115,13 +117,6 @@ class Assignment:
     def pi_list(self) -> list[int]:
         """``pi`` as a list, for reading one position at a time."""
         return self.pi.tolist()
-
-    def d1(self, x: int, y: int):
-        return self.space1.distance(x, y)
-
-    def d2(self, x: int, y: int):
-        """Second-space distance between the positions of vertices x, y."""
-        return self.space2.distance(self.pi_list[x], self.pi_list[y])
 
     def base_neighbors2(self, x: int) -> list[int]:
         """Vertices whose space-2 position neighbors x's space-2 position."""
@@ -258,6 +253,31 @@ def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return owner, member + (member >= owner)
 
 
+def _small_graphs(space1: Space, space2: Space, perms):
+    """The double-clustering graph of each permutation in ``perms``, in
+    order, from all n(n-1) candidate pairs per graph.
+
+    A chunk of about ``_BLOCK_ENTRIES`` candidates (many permutations at
+    small n) goes to the record kernel in one call, row ``p*n + i`` being
+    vertex i under permutation p; ``perms`` is read one chunk at a time,
+    so a caller that stops early pays only for the chunks it took.
+    """
+    n = space1.n
+    owner, member = _all_pairs(n)
+    d1 = space1.distances_between(owner, member)
+    per_chunk = max(1, _BLOCK_ENTRIES // max(1, len(owner)))
+    perms = iter(perms)
+    while chunk := list(itertools.islice(perms, per_chunk)):
+        pis = np.array(chunk, dtype=np.int64).reshape(len(chunk), n)
+        rows = (np.arange(len(chunk))[:, None] * n + owner).ravel()
+        out = _record_heads(len(chunk) * n, rows, np.tile(member, len(chunk)),
+                            np.tile(d1, len(chunk)),
+                            space2.distances_between(pis[:, owner].ravel(),
+                                                     pis[:, member].ravel()))
+        for p in range(len(chunk)):
+            yield NavGraph(n, out[p * n:(p + 1) * n], "double-clustering")
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -280,11 +300,7 @@ def build_double_clustering(assignment: Assignment) -> NavGraph:
     space1, space2 = assignment.space1, assignment.space2
     pi, pi_inv = assignment.pi, assignment.pi_inverse
     if n < _PRUNED_BUILD_THRESHOLD:
-        owner, member = _all_pairs(n)
-        out = _record_heads(n, owner, member,
-                            space1.distances_between(owner, member),
-                            space2.distances_between(pi[owner], pi[member]))
-        return NavGraph(n, out, "double-clustering")
+        return next(_small_graphs(space1, space2, [pi]))
     radius, block = _prefix_plan(space1)
     out = []
     for start in range(0, n, block):

@@ -107,6 +107,8 @@ class ExperimentSpec:
         # every size must fit the model's spaces before any trial runs
         if self.model == "continuum":
             _boxes(self.params)
+        if self.model == "kleinberg":
+            _kleinberg_args(self.params)
         for n in self.sizes:
             for descriptor in _space_descriptors(self.model, self.params):
                 build_space(descriptor, n)
@@ -116,10 +118,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _config_value(data: dict, key: str, default, valid, expected: str):
+def _config_value(data: dict, key: str, default, valid, expected: str,
+                  where: str = "config key"):
     value = data.get(key, default)
     if not valid(value):
-        raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+        raise ValueError(f"{where} {key!r} must be {expected}, got {value!r}")
     return value
 
 
@@ -237,12 +240,21 @@ def build_space(descriptor: dict, n: int) -> Space:
     if kind == "undirected-cycle":
         return UndirectedCycle(n)
     if kind == "grid":
-        dims = tuple(descriptor.get("dims") or _near_square_dims(n))
+        dims = _config_value(
+            descriptor, "dims", None,
+            lambda v: v is None or (isinstance(v, (list, tuple))
+                                    and all(map(_is_int, v))),
+            "a list of integers or null", "grid")
+        dims = tuple(dims or _near_square_dims(n))
         if math.prod(dims) != n:
             raise ValueError(f"grid dims {dims} do not multiply to n={n}")
-        return Grid(dims, toric=bool(descriptor.get("toric", False)))
+        return Grid(dims, toric=_config_value(
+            descriptor, "toric", False, lambda v: isinstance(v, bool),
+            "true or false", "grid"))
     if kind in ("tree", "tree-leaves"):
-        branching = int(descriptor.get("branching", 2))
+        branching = _config_value(descriptor, "branching", 2,
+                                  lambda v: _is_int(v) and v >= 2,
+                                  "an integer >= 2", "tree")
         height = round(math.log(n, branching))
         if branching**height != n:
             raise ValueError(f"n={n} is not a power of branching={branching}")
@@ -277,6 +289,18 @@ def _boxes(params: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
                              f"positive numbers, got {box!r}")
         boxes.append(tuple(float(b) for b in box))
     return boxes[0], boxes[1]
+
+
+def _kleinberg_args(params: dict) -> tuple[float, int]:
+    """The kleinberg model's ``alpha`` (a finite number >= 0) and ``links``
+    (an integer >= 1)."""
+    alpha = _config_value(
+        params, "alpha", 0.0,
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+        and 0 <= v < math.inf, "a finite number >= 0", "kleinberg")
+    links = _config_value(params, "links", 1, lambda v: _is_int(v) and v >= 1,
+                          "an integer >= 1", "kleinberg")
+    return float(alpha), links
 
 
 def build_model(model: str, params: dict, n: int, seed: Seed,
@@ -318,8 +342,7 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
     elif model == "kleinberg":
         space, = described
         assignment = Assignment.identity(space)
-        graph = build_kleinberg(space, float(params.get("alpha", 0.0)),
-                                int(params.get("links", 1)), seed)
+        graph = build_kleinberg(space, *_kleinberg_args(params), seed)
     else:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     return assignment, graph

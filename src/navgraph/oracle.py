@@ -4,7 +4,10 @@ These run the production builders and routers over exhaustively enumerated
 permutations (or seeded Monte Carlo samples) and compare the outcome
 against independently stated expectations, using exact integer/rational
 arithmetic wherever the claim is exact.  They are cheap enough to run
-before trusting any large-scale simulation.
+before trusting any large-scale simulation.  Enumerated graphs come from
+the all-pairs path of :func:`~navgraph.construction.build_double_clustering`,
+one record-kernel call per chunk of permutations; routes go through
+:func:`~navgraph.routing.route`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .construction import Assignment, NavGraph, Seed, build_double_clustering
+from .construction import Assignment, NavGraph, Seed, _small_graphs
 from .routing import RoutingMode, route
 from .spaces import DirectedCycle
 
@@ -107,10 +110,8 @@ def marginal_edge_law(n: int) -> MarginalLawReport:
     space = DirectedCycle(n)
     total = math.factorial(n - 1)
     counts = [0] * n
-    pi = np.zeros(n, dtype=np.int64)
-    for tail in itertools.permutations(range(1, n)):
-        pi[1:] = tail
-        graph = build_double_clustering(Assignment(space, space, pi))
+    perms = ((0,) + tail for tail in itertools.permutations(range(1, n)))
+    for graph in _small_graphs(space, space, perms):
         for head in graph.out_edges[0]:
             counts[head] += 1
     rows = [MarginalLawRow(head=y, distance=y, count=counts[y], total=total,
@@ -161,6 +162,13 @@ def _is_strictly_decreasing(values) -> bool:
     return all(b < a for a, b in zip(values, values[1:]))
 
 
+def _enumerated_graphs(space, n: int):
+    """(pi, graph) of the double cycle over ``space`` for every permutation
+    of range(n), lexicographically, built lazily chunk by chunk."""
+    mine, built = itertools.tee(itertools.permutations(range(n)))
+    return zip(mine, _small_graphs(space, space, built))
+
+
 def monotonicity_check(n: int) -> MonotonicityReport:
     """Walk every greedy path of every permutation of the double cycle and
     count violations of strict descent in the *other* cycle's distance
@@ -169,22 +177,25 @@ def monotonicity_check(n: int) -> MonotonicityReport:
         raise ValueError(
             f"exhaustive enumeration supports 2 <= n <= {_MAX_MONOTONE_N}, got {n}")
     space = DirectedCycle(n)
+    # the kernel toward each position, for both cycles: d(v, t) = to[t](v)
+    to = [space.distance_to(t) for t in range(n)]
     mode1 = RoutingMode("greedy", space=1)
     mode2 = RoutingMode("greedy", space=2)
     perms = paths = violations = 0
     examples: list[MonotonicityViolation] = []
-    for pi_tuple in itertools.permutations(range(n)):
+    for pi_tuple, graph in _enumerated_graphs(space, n):
         perms += 1
         a = Assignment(space, space, np.array(pi_tuple, dtype=np.int64))
-        graph = build_double_clustering(a)
         for source in range(n):
             for target in range(n):
                 if source == target:
                     continue
-                for mode, other_d in ((mode1, a.d2), (mode2, a.d1)):
+                to1, to2 = to[target], to[pi_tuple[target]]
+                for mode, other_d in ((mode1, lambda v: to2(pi_tuple[v])),
+                                      (mode2, to1)):
                     outcome = route(graph, a, mode, source, target)
                     paths += 1
-                    trace = [other_d(v, target) for v in outcome.path]
+                    trace = [other_d(v) for v in outcome.path]
                     if not (outcome.success and _is_strictly_decreasing(trace)):
                         violations += 1
                         if len(examples) < 100:
@@ -233,9 +244,8 @@ def find_divergent_permutation(n_max: int) -> DivergenceWitness | None:
     mode2 = RoutingMode("greedy", space=2)
     for n in range(2, n_max + 1):
         space = DirectedCycle(n)
-        for pi_tuple in itertools.permutations(range(n)):
+        for pi_tuple, graph in _enumerated_graphs(space, n):
             a = Assignment(space, space, np.array(pi_tuple, dtype=np.int64))
-            graph = build_double_clustering(a)
             for source in range(n):
                 for target in range(n):
                     if source == target:

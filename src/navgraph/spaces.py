@@ -575,6 +575,13 @@ class Euclidean(Space):
             raise ValueError("points must be a nonempty (n, dim) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point coordinates must be finite")
+        # the cell index divides per-axis offsets, and every distance sums
+        # squared differences: both must stay finite across the whole cloud
+        with np.errstate(over="ignore"):
+            diagonal = _norms(pts.max(axis=0) - pts.min(axis=0))
+        if not np.isfinite(diagonal):
+            raise ValueError("point coordinates must span a finite box "
+                             "whose diagonal is finite")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -274,6 +274,11 @@ def test_experiment_rejects_non_object_space_descriptor(tmp_path, capsys,
     {"sizes": "48"}, {"seeds": "12"}, {"thinning": "false"}, {"seeds": [1.7]},
     {"routes_per_size": 2.5}, {"model": "continuum", "params": {"box1": "ab"}},
     {"model": "continuum", "params": {"box2": []}},
+    {"model": "kleinberg", "sizes": [16], "params": {"links": 1.5}},
+    {"model": "kleinberg", "sizes": [16], "params": {"alpha": "2"}},
+    {"model": "grid-tree", "sizes": [16], "params": {"branching": 2.0}},
+    {"model": "grid-tree", "sizes": [16], "params": {"toric": 0}},
+    {"model": "grid-tree", "sizes": [16], "params": {"grid_dims": [4, 4.0]}},
 ])
 def test_experiment_rejects_config_values_of_the_wrong_type(tmp_path, capsys,
                                                             override):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -90,7 +91,7 @@ def test_nearest_shell_always_fully_linked():
         a = random_assignment(rng)
         g = build_double_clustering(a)
         for x in range(a.n):
-            d1 = [(a.d1(x, j), j) for j in range(a.n) if j != x]
+            d1 = [(a.space1.distance(x, j), j) for j in range(a.n) if j != x]
             lo = min(d1)[0]
             nearest = {j for d, j in d1 if d == lo}
             assert nearest <= set(g.out_edges[x])
@@ -102,7 +103,7 @@ def test_second_space_minimum_always_receives_edge():
         a = random_assignment(rng)
         g = build_double_clustering(a)
         for x in range(a.n):
-            d2 = [(a.d2(x, j), j) for j in range(a.n) if j != x]
+            d2 = [(a.space2.distance(a.pi_list[x], a.pi_list[j]), j) for j in range(a.n) if j != x]
             lo = min(d2)[0]
             for d, j in d2:
                 if d == lo:
@@ -226,6 +227,44 @@ def test_double_clustering_matches_rule_on_tie_heavy_families(family, large):
     for _ in range(1 if large else 3):
         a = Assignment(space1, space2, rng.permutation(space1.n))
         assert build_double_clustering(a).out_edges == rule_double_clustering(a)
+
+
+@pytest.mark.parametrize("family", TIE_HEAVY_FAMILIES)
+def test_chunked_small_graphs_match_single_builds(family):
+    # many permutations per record-kernel call: two whole chunks and a
+    # ragged third, each graph equal to its own build and to the rule
+    rng = np.random.default_rng(TIE_HEAVY_FAMILIES.index(family))
+    space1, space2 = tie_heavy_pair(family, False, rng)
+    n = space1.n
+    per_chunk = cons._BLOCK_ENTRIES // (n * (n - 1))
+    assert per_chunk > 1
+    perms = [rng.permutation(n) for _ in range(2 * per_chunk + 3)]
+    graphs = list(cons._small_graphs(space1, space2, iter(perms)))
+    assert len(graphs) == len(perms)
+    for pi, graph in zip(perms, graphs):
+        a = Assignment(space1, space2, pi)
+        assert graph.kind == "double-clustering"
+        assert graph.out_edges == build_double_clustering(a).out_edges
+        assert graph.out_edges == rule_double_clustering(a)
+
+
+def test_small_graphs_read_permutations_one_chunk_at_a_time():
+    # the divergence scan stops at its first witness without building the
+    # graphs of every later permutation
+    space = DirectedCycle(8)
+    taken = []
+
+    def enumerated():
+        for pi in itertools.permutations(range(8)):
+            taken.append(pi)
+            yield pi
+
+    graphs = cons._small_graphs(space, space, enumerated())
+    first = next(graphs)
+    per_chunk = cons._BLOCK_ENTRIES // (8 * 7)
+    assert len(taken) == per_chunk < math.factorial(8)
+    assert first.out_edges == build_double_clustering(
+        Assignment.identity(space)).out_edges
 
 
 @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])

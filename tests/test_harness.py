@@ -146,6 +146,52 @@ def test_config_requires_model_sizes_and_seeds():
         ((4, 8), (1, 2), True, 7)
 
 
+@pytest.mark.parametrize("model,params,message", [
+    ("kleinberg", {"links": 1.5}, "'links' must be an integer >= 1"),
+    ("kleinberg", {"links": "1"}, "'links' must be an integer >= 1"),
+    ("kleinberg", {"links": True}, "'links' must be an integer >= 1"),
+    ("kleinberg", {"links": 0}, "'links' must be an integer >= 1"),
+    ("kleinberg", {"alpha": "2"}, "'alpha' must be a finite number >= 0"),
+    ("kleinberg", {"alpha": True}, "'alpha' must be a finite number >= 0"),
+    ("kleinberg", {"alpha": math.nan}, "'alpha' must be a finite number >= 0"),
+    ("kleinberg", {"alpha": math.inf}, "'alpha' must be a finite number >= 0"),
+    ("kleinberg", {"alpha": -1}, "'alpha' must be a finite number >= 0"),
+    ("grid-tree", {"branching": 2.0}, "'branching' must be an integer"),
+    ("grid-tree", {"branching": "2"}, "'branching' must be an integer"),
+    ("grid-tree", {"branching": 1}, "'branching' must be an integer >= 2"),
+    ("grid-tree", {"branching": 0}, "'branching' must be an integer >= 2"),
+    ("grid-tree", {"toric": 0}, "'toric' must be true or false"),
+    ("grid-tree", {"toric": "true"}, "'toric' must be true or false"),
+    ("grid-tree", {"grid_dims": [4.0, 4]}, "'dims' must be a list of integers or null"),
+    ("grid-tree", {"grid_dims": "4,4"}, "'dims' must be a list of integers or null"),
+    ("kleinberg", {"space": {"kind": "grid", "dims": [4, True]}},
+     "'dims' must be a list of integers or null"),
+    ("kleinberg", {"space": {"kind": "grid", "toric": 1}},
+     "'toric' must be true or false"),
+    ("independent-interest", {"space": {"kind": "tree", "branching": 2.0}},
+     "'branching' must be an integer"),
+])
+def test_model_params_of_the_wrong_type_are_refused(model, params, message):
+    # refused before any trial, never coerced: links 1.5 is not 1, "2" is
+    # not alpha 2.0, toric 0 is not false
+    with pytest.raises(ValueError, match=message):
+        make_spec(model=model, params=params, sizes=(16,))
+    with pytest.raises(ValueError, match=message):
+        build_model(model, params, 16, Seed(1))
+
+
+def test_model_params_of_the_right_type_are_accepted():
+    spec = make_spec(model="kleinberg", sizes=(16,),
+                     params={"alpha": 2, "links": 2,
+                             "space": {"kind": "grid", "dims": [2, 8],
+                                       "toric": True}})
+    _, graph = build_model(spec.model, spec.params, 16, Seed(1))
+    assert graph.kind == "kleinberg(alpha=2,links=2)"
+    spec = make_spec(model="grid-tree", sizes=(16,),
+                     params={"grid_dims": None, "toric": False, "branching": 4})
+    assert build_model(spec.model, spec.params, 16, Seed(1))[0].space2.n == 16
+
+
 @pytest.mark.parametrize("box", ["ab", [], [math.nan, 1], [math.inf, 1],
                                  [1, 0], [1, -2], [True, 1], [[1], 1], 2.0])
 @pytest.mark.parametrize("key", ["box1", "box2"])

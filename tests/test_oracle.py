@@ -5,7 +5,7 @@ import pytest
 
 from navgraph.construction import Assignment, Seed, build_double_clustering
 from navgraph.harness import build_model
-from navgraph.oracle import (degree_statistics, find_divergent_permutation,
+from navgraph.oracle import (DivergenceWitness, degree_statistics, find_divergent_permutation,
                              marginal_edge_law, monotonicity_check,
                              random_disjoint_sets, tau_tail)
 from navgraph.routing import RoutingMode, route
@@ -63,6 +63,12 @@ def test_monotonicity_n5_exhaustive():
     assert monotonicity_check(5).violations == 0
 
 
+def test_monotonicity_n6_exhaustive_counts():
+    report = monotonicity_check(6)
+    assert (report.permutations, report.paths_checked, report.violations) == \
+        (720, 43200, 0)
+
+
 def test_monotonicity_identity_permutation_follows_cycle():
     a = Assignment.identity(DirectedCycle(6))
     g = build_double_clustering(a)
@@ -81,6 +87,13 @@ def test_monotonicity_refuses_large_n():
 
 def test_no_divergence_at_n3():
     assert find_divergent_permutation(3) is None
+
+
+def test_divergence_witness_is_the_first_in_lexicographic_order():
+    # the first witness scanning n upward and permutations in order
+    assert find_divergent_permutation(8) == DivergenceWitness(
+        n=4, pi=(0, 1, 3, 2), source=1, target=0,
+        path_d=(1, 3, 0), path_dpi=(1, 2, 0))
 
 
 def test_divergence_witness_found_and_replays():

@@ -122,7 +122,8 @@ def test_greedy_monotone_in_routing_distance():
             for space in (1, 2):
                 out = route(g, a, RoutingMode("greedy", space=space), s, t)
                 assert out.success
-                dist = a.d1 if space == 1 else a.d2
+                dist = (a.space1.distance if space == 1 else lambda x, y:
+                        a.space2.distance(a.pi_list[x], a.pi_list[y]))
                 trace = [dist(v, t) for v in out.path]
                 assert all(b < x for x, b in zip(trace, trace[1:]))
 
@@ -229,10 +230,10 @@ def test_half_greedy_steps_halve_or_decrement():
                 continue
             out = route(g, a, RoutingMode("half-greedy"), src, tgt)
             assert out.success
-            trace = [a.d1(v, tgt) for v in out.path]
+            trace = [a.space1.distance(v, tgt) for v in out.path]
             for before, after in zip(trace, trace[1:]):
                 assert before > 2 * after or after == before - 1
-            assert out.steps <= 2 * a.d1(src, tgt)
+            assert out.steps <= 2 * a.space1.distance(src, tgt)
 
 
 def test_half_greedy_in_second_space():
@@ -246,7 +247,7 @@ def test_half_greedy_in_second_space():
             continue
         out = route(g, a, RoutingMode("half-greedy", space=2), src, tgt)
         assert out.success
-        trace = [a.d2(v, tgt) for v in out.path]
+        trace = [a.space2.distance(a.pi_list[v], a.pi_list[tgt]) for v in out.path]
         for before, after in zip(trace, trace[1:]):
             assert before > 2 * after or after == before - 1
 

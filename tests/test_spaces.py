@@ -300,6 +300,20 @@ def test_cloud_rejects_non_finite_coordinates(bad):
         Euclidean([[0.0, 0.0], [1.0, bad]])
 
 
+@pytest.mark.parametrize("points", [
+    [[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]],   # the span overflows
+    [[1e154, 1e154], [-1e154, -1e154]],          # the diagonal overflows
+])
+def test_cloud_rejects_coordinates_whose_differences_overflow(points):
+    with pytest.raises(ValueError, match="finite box"):
+        Euclidean(points)
+
+
+def test_cloud_with_a_wide_finite_box_is_accepted():
+    cloud = Euclidean([[1e153, 1e153], [-1e153, -1e153], [0.0, 0.0]])
+    assert cloud.ball_members(2, 1.0)[1].tolist() == [2]
+
+
 @pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
 def test_prepared_target_matches_enumeration(space):
     # the prepared distances equal the array kernel toward the target bit
