@@ -52,10 +52,15 @@ def _echo(argv: list[str], seed: int | None) -> None:
 
 def _model_params(args) -> dict:
     params: dict = {}
-    if getattr(args, "branching", None):
+    # a falsy value such as 0 or "" is for the typed checks to refuse
+    if getattr(args, "branching", None) is not None:
         params["branching"] = args.branching
-    if getattr(args, "grid_dims", None):
-        params["grid_dims"] = [int(d) for d in args.grid_dims.split(",")]
+    if getattr(args, "grid_dims", None) is not None:
+        try:
+            params["grid_dims"] = [int(d) for d in args.grid_dims.split(",")]
+        except ValueError:
+            raise _UsageError("--grid-dims must be comma-separated integers, "
+                              f"got {args.grid_dims!r}") from None
     if getattr(args, "toric", False):
         params["toric"] = True
     if getattr(args, "alpha", None) is not None:
@@ -66,11 +71,11 @@ def _model_params(args) -> dict:
         # baseline models take their base space as a descriptor
         space: dict = {"kind": args.space_kind}
         if args.space_kind == "grid":
-            if params.get("grid_dims"):
+            if "grid_dims" in params:
                 space["dims"] = params["grid_dims"]
             if params.get("toric"):
                 space["toric"] = True
-        elif args.space_kind == "tree" and params.get("branching"):
+        elif args.space_kind == "tree" and "branching" in params:
             space["branching"] = params["branching"]
         params["space"] = space
     return params
@@ -186,6 +191,10 @@ def _cmd_oracle(args, argv) -> int:
                          f"nonincreasing={report.tail_nonincreasing}")
         return EXIT_OK
     if args.oracle_cmd == "degree":
+        if args.n < 2:
+            raise _UsageError(f"--n must be >= 2, got {args.n}")
+        if args.seeds < 1:
+            raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
         seed = _resolve_seed(args.seed)
         _echo(argv, seed)
         expected = sum(1.0 / k for k in range(1, args.n))  # harmonic oracle first

@@ -5,9 +5,10 @@ close in the second space as all candidates strictly closer in the first
 space.  Ties in the first space form one unordered shell: members of a
 shell never constrain each other, and the running second-space minimum is
 updated only after the whole shell has been scanned.  One kernel,
-``_record_heads``, applies the rule for every builder and size; what
-changes with the size is only which candidates it is given (all n(n-1)
-pairs for small graphs, each row's pruned prefix and bounded balls above).
+``_record_heads``, applies the rule for every builder and size, to one
+candidate set: each row's space-1 prefix ball and the second ball that the
+prefix bounds.  Rows go to the kernel in blocks; the exhaustive oracles'
+enumerations put the rows of many permutations in one block.
 
 All builders are pure functions of their parameters and a :class:`Seed`;
 randomness is drawn from per-vertex streams derived from (master seed,
@@ -44,12 +45,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# below this size a build passes all n(n-1) candidate pairs to the record
-# kernel at once, which beats pruning each row's candidates
-_PRUNED_BUILD_THRESHOLD = 64
-
-# candidate entries per block of rows in the pruned builds, and per chunk
-# of permutations in the all-pairs builds
+# candidate entries per block of rows, whichever permutations they belong to
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -177,7 +173,7 @@ def _record_select_mask(sorted_key: np.ndarray, sorted_val: np.ndarray) -> np.nd
 
 
 def _prefix_plan(space: Space) -> tuple[float, int]:
-    """Prefix radius and rows per block for the pruned builds.
+    """Prefix radius and rows per block for the builds.
 
     The radius is :attr:`Space.prefix_radius`, so each prefix ball holds
     about sqrt(n) candidates and bounds a second ball of about
@@ -247,33 +243,38 @@ def _record_heads(rows: int, owner: np.ndarray, member: np.ndarray,
     return [flat[ends[k]:ends[k + 1]] for k in range(rows)]
 
 
-def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, member) arrays of every pair of distinct vertices, by row."""
-    owner, member = np.divmod(np.arange(n * (n - 1)), n - 1)
-    return owner, member + (member >= owner)
-
-
-def _small_graphs(space1: Space, space2: Space, perms):
+def _graphs(space1: Space, space2: Space, perms):
     """The double-clustering graph of each permutation in ``perms``, in
-    order, from all n(n-1) candidate pairs per graph.
+    order, from the pruned candidates of :func:`build_double_clustering`.
 
-    A chunk of about ``_BLOCK_ENTRIES`` candidates (many permutations at
-    small n) goes to the record kernel in one call, row ``p*n + i`` being
-    vertex i under permutation p; ``perms`` is read one chunk at a time,
-    so a caller that stops early pays only for the chunks it took.
+    Row ``p*n + i`` is vertex i under permutation p; each block of rows
+    from :func:`_prefix_plan` is one record-kernel call, however many
+    permutations it spans.  ``perms`` is read a block's worth of whole
+    permutations at a time, so a caller that stops early pays only for
+    the chunks it took.
     """
     n = space1.n
-    owner, member = _all_pairs(n)
-    d1 = space1.distances_between(owner, member)
-    per_chunk = max(1, _BLOCK_ENTRIES // max(1, len(owner)))
+    radius, block = _prefix_plan(space1)
     perms = iter(perms)
-    while chunk := list(itertools.islice(perms, per_chunk)):
+    while chunk := list(itertools.islice(perms, max(1, block // n))):
         pis = np.array(chunk, dtype=np.int64).reshape(len(chunk), n)
-        rows = (np.arange(len(chunk))[:, None] * n + owner).ravel()
-        out = _record_heads(len(chunk) * n, rows, np.tile(member, len(chunk)),
-                            np.tile(d1, len(chunk)),
-                            space2.distances_between(pis[:, owner].ravel(),
-                                                     pis[:, member].ravel()))
+        # a vertex's space-2 position, and a position's vertex (the inverse)
+        pos, vertex = pis.ravel(), np.argsort(pis, axis=1).ravel()
+        out = []
+        for start in range(0, pis.size, block):
+            rows = np.arange(start, min(pis.size, start + block))
+            verts = rows % n
+            base = rows - verts  # row of each permutation's vertex 0
+            owner1, member1 = _prefix(space1, verts, radius)
+            value1 = space2.distances_between(pos[rows[owner1]],
+                                              pos[base[owner1] + member1])
+            bound = np.full(len(rows), np.inf)
+            # (float values: ufunc.at scatters them far faster than int64)
+            np.minimum.at(bound, owner1, value1.astype(np.float64))
+            owner2, pos2 = space2.ball_members(pos[rows], bound)
+            value2 = space2.distances_between(pos[rows[owner2]], pos2)
+            out += _block_heads(space1, verts, radius, (owner1, member1, value1),
+                                (owner2, vertex[base[owner2] + pos2], value2))
         for p in range(len(chunk)):
             yield NavGraph(n, out[p * n:(p + 1) * n], "double-clustering")
 
@@ -296,25 +297,7 @@ def build_double_clustering(assignment: Assignment) -> NavGraph:
     applied to P and that ball therefore gives the same heads as applied
     to all n vertices.
     """
-    n = assignment.n
-    space1, space2 = assignment.space1, assignment.space2
-    pi, pi_inv = assignment.pi, assignment.pi_inverse
-    if n < _PRUNED_BUILD_THRESHOLD:
-        return next(_small_graphs(space1, space2, [pi]))
-    radius, block = _prefix_plan(space1)
-    out = []
-    for start in range(0, n, block):
-        rows = np.arange(start, min(n, start + block))
-        owner1, member1 = _prefix(space1, rows, radius)
-        value1 = space2.distances_between(pi[rows[owner1]], pi[member1])
-        bound = np.full(len(rows), np.inf)
-        # (float values: ufunc.at scatters them far faster than int64)
-        np.minimum.at(bound, owner1, value1.astype(np.float64))
-        owner2, pos2 = space2.ball_members(pi[rows], bound)
-        value2 = space2.distances_between(pi[rows[owner2]], pos2)
-        out += _block_heads(space1, rows, radius, (owner1, member1, value1),
-                            (owner2, pi_inv[pos2], value2))
-    return NavGraph(n, out, "double-clustering")
+    return next(_graphs(assignment.space1, assignment.space2, [assignment.pi]))
 
 
 def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
@@ -328,14 +311,6 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
     largest.
     """
     n = space.n
-    if n < _PRUNED_BUILD_THRESHOLD:
-        # keep iff value >= running max  <=>  -value <= running min
-        values = np.array([seed.rng("ii", i).random(n) for i in range(n)])
-        owner, member = _all_pairs(n)
-        out = _record_heads(n, owner, member,
-                            space.distances_between(owner, member),
-                            -values[owner, member])
-        return NavGraph(n, out, "independent-interest")
     radius, block = _prefix_plan(space)
     out = []
     for start in range(0, n, block):
@@ -345,6 +320,7 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
         value1 = np.empty(len(member1))
         owner2, member2, value2 = [], [], []
         for k, i in enumerate(rows.tolist()):
+            # keep iff interest >= running max  <=>  -interest <= running min
             values = -seed.rng("ii", i).random(n)
             prefix = slice(firsts[k], firsts[k + 1])
             value1[prefix] = values[member1[prefix]]

@@ -110,8 +110,17 @@ class ExperimentSpec:
         if self.model == "kleinberg":
             _kleinberg_args(self.params)
         for n in self.sizes:
-            for descriptor in _space_descriptors(self.model, self.params):
-                build_space(descriptor, n)
+            spaces = [build_space(d, n)
+                      for d in _space_descriptors(self.model, self.params)]
+        # half-greedy steps along a base graph, which tree leaves and point
+        # clouds lack; a baseline routes in its one space as both, and the
+        # models without descriptors route on cycles or, for continuum, clouds
+        graph_kind = ([s.is_graph_kind for s in spaces]
+                      or [self.model != "continuum"]) * 2
+        for mode in self.routing_modes:
+            if mode.kind == "half-greedy" and not graph_kind[mode.space - 1]:
+                raise ValueError(f"{mode.label} needs a graph-kind space {mode.space}; "
+                                 f"model {self.model!r} has no base graph there")
 
 
 def _is_int(value) -> bool:

@@ -5,8 +5,8 @@ permutations (or seeded Monte Carlo samples) and compare the outcome
 against independently stated expectations, using exact integer/rational
 arithmetic wherever the claim is exact.  They are cheap enough to run
 before trusting any large-scale simulation.  Enumerated graphs come from
-the all-pairs path of :func:`~navgraph.construction.build_double_clustering`,
-one record-kernel call per chunk of permutations; routes go through
+the one build path of :func:`~navgraph.construction.build_double_clustering`,
+the rows of many permutations per record-kernel call; routes go through
 :func:`~navgraph.routing.route`.
 """
 
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .construction import Assignment, NavGraph, Seed, _small_graphs
+from .construction import Assignment, NavGraph, Seed, _graphs
 from .routing import RoutingMode, route
 from .spaces import DirectedCycle
 
@@ -111,7 +111,7 @@ def marginal_edge_law(n: int) -> MarginalLawReport:
     total = math.factorial(n - 1)
     counts = [0] * n
     perms = ((0,) + tail for tail in itertools.permutations(range(1, n)))
-    for graph in _small_graphs(space, space, perms):
+    for graph in _graphs(space, space, perms):
         for head in graph.out_edges[0]:
             counts[head] += 1
     rows = [MarginalLawRow(head=y, distance=y, count=counts[y], total=total,
@@ -166,7 +166,7 @@ def _enumerated_graphs(space, n: int):
     """(pi, graph) of the double cycle over ``space`` for every permutation
     of range(n), lexicographically, built lazily chunk by chunk."""
     mine, built = itertools.tee(itertools.permutations(range(n)))
-    return zip(mine, _small_graphs(space, space, built))
+    return zip(mine, _graphs(space, space, built))
 
 
 def monotonicity_check(n: int) -> MonotonicityReport:

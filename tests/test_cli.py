@@ -80,6 +80,26 @@ def test_generate_usage_error(capsys):
 # route
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--model", "grid-tree", "--branching", "0"),
+     "tree 'branching' must be an integer >= 2, got 0"),
+    (("--model", "grid-tree", "--grid-dims", ""),
+     "--grid-dims must be comma-separated integers, got ''"),
+    (("--model", "kleinberg", "--space-kind", "tree", "--branching", "0"),
+     "tree 'branching' must be an integer >= 2, got 0"),
+    (("--model", "kleinberg", "--space-kind", "grid", "--grid-dims", ""),
+     "--grid-dims must be comma-separated integers, got ''"),
+], ids=["branching-0", "grid-dims-empty", "space-branching-0",
+        "space-grid-dims-empty"])
+def test_generate_refuses_falsy_model_flags(tmp_path, capsys, flags, message):
+    # a falsy flag value is refused, never dropped for the default
+    out = tmp_path / "g.edges"
+    code = run_cli("generate", "--n", "16", "--out", str(out), *flags)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_route_source_equals_target(capsys):
     code = run_cli("route", "--model", "two-directed-cycles", "--n", "16",
                    "--seed", "2", "--source", "3", "--target", "3")
@@ -202,6 +222,19 @@ def test_oracle_degree_fails_with_impossible_tolerance(capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--n", "1"), "--n must be >= 2"),
+    (("--seeds", "0"), "--seeds must be >= 1"),
+    (("--seeds", "-3"), "--seeds must be >= 1"),
+], ids=["n-1", "seeds-0", "seeds-negative"])
+def test_oracle_degree_refuses_empty_studies(capsys, flags, message):
+    # no harmonic value at n = 1 and no mean over zero seeds: usage errors
+    code = run_cli("oracle", "degree", *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}, got {flags[1]}"]
+
+
 # ---------------------------------------------------------------------------
 # experiment
 
@@ -251,6 +284,28 @@ def test_experiment_rejects_sizes_the_spaces_cannot_take(tmp_path, capsys):
     assert code == 1
     assert "n=6 is not a power of branching=2" in capsys.readouterr().err
     # refused before any work: not even the n = 4 trial ran
+    assert not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "edges").exists()
+
+
+@pytest.mark.parametrize("model,params,modes", [
+    ("continuum", {}, ["greedy-1", "half-greedy-1"]),
+    ("grid-tree", {}, ["greedy-1", "half-greedy-2"]),
+    ("independent-interest", {"space": {"kind": "tree"}}, ["half-greedy-1"]),
+])
+def test_experiment_rejects_half_greedy_without_a_base_graph(
+        tmp_path, capsys, model, params, modes):
+    cfg = tmp_path / "half-greedy.cfg"
+    cfg.write_text(json.dumps({"model": model, "sizes": [64, 128],
+                               "seeds": [1], "routing_modes": modes,
+                               "params": params}))
+    code = run_cli("experiment", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.csv"),
+                   "--dump-edges", str(tmp_path / "edges"))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: half-greedy-")
+    # refused before the first trial builds or dumps anything
     assert not (tmp_path / "o.csv").exists()
     assert not (tmp_path / "edges").exists()
 

@@ -152,17 +152,15 @@ def rule_double_clustering(a):
 
 
 def test_builder_small_and_large_paths_agree():
-    # random assignments on both sides of the pruning threshold: all
-    # candidate pairs below it, pruned balls from it
+    # random assignments from a single vertex to a hundred, each against
+    # the rule read verbatim
     rng = np.random.default_rng(10)
-    threshold = cons._PRUNED_BUILD_THRESHOLD
     cases = [random_assignment(rng) for _ in range(10)]
-    for n in (threshold, threshold + 37):
+    for n in (1, 2, 3, 64, 101):
         for s1, s2 in ((DirectedCycle(n), DirectedCycle(n)),
                        (UndirectedCycle(n), UndirectedCycle(n)),
                        (Euclidean(rng.random((n, 2))), Euclidean(rng.random((n, 3))))):
             cases.append(Assignment(s1, s2, rng.permutation(n)))
-    assert min(a.n for a in cases) < threshold <= max(a.n for a in cases)
     for a in cases:
         assert build_double_clustering(a).out_edges == rule_double_clustering(a)
 
@@ -178,8 +176,8 @@ TIE_HEAVY_FAMILIES = ("toric-grids", "clipped-grids", "tree-first",
 
 
 def tie_heavy_pair(family, large, rng):
-    """(space1, space2) of one family, below the pruning threshold or well
-    above it."""
+    """(space1, space2) of one family, small enough for one block of rows
+    or large enough for several."""
     if family == "toric-grids":  # even sides: antipodal ties on each axis
         return ((Grid((16, 20), toric=True), Grid((10, 32), toric=True)) if large
                 else (Grid((4, 6), toric=True), Grid((2, 12), toric=True)))
@@ -209,13 +207,13 @@ def tie_heavy_pair(family, large, rng):
 
 def check_size_class(space, large):
     n = space.n
+    _, block = cons._prefix_plan(space)
     if large:
-        # pruned candidates, over several blocks of rows with a ragged last one
-        _, block = cons._prefix_plan(space)
-        assert n >= cons._PRUNED_BUILD_THRESHOLD and block < n and n % block
+        # several blocks of rows with a ragged last one
+        assert block < n and n % block
     else:
-        # all n(n-1) candidate pairs in one call
-        assert n < cons._PRUNED_BUILD_THRESHOLD
+        # every row in one block, so one record-kernel call
+        assert n <= block
 
 
 @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
@@ -236,16 +234,30 @@ def test_chunked_small_graphs_match_single_builds(family):
     rng = np.random.default_rng(TIE_HEAVY_FAMILIES.index(family))
     space1, space2 = tie_heavy_pair(family, False, rng)
     n = space1.n
-    per_chunk = cons._BLOCK_ENTRIES // (n * (n - 1))
+    per_chunk = cons._prefix_plan(space1)[1] // n
     assert per_chunk > 1
     perms = [rng.permutation(n) for _ in range(2 * per_chunk + 3)]
-    graphs = list(cons._small_graphs(space1, space2, iter(perms)))
+    graphs = list(cons._graphs(space1, space2, iter(perms)))
     assert len(graphs) == len(perms)
     for pi, graph in zip(perms, graphs):
         a = Assignment(space1, space2, pi)
         assert graph.kind == "double-clustering"
         assert graph.out_edges == build_double_clustering(a).out_edges
         assert graph.out_edges == rule_double_clustering(a)
+
+
+def test_large_graphs_take_one_permutation_per_chunk():
+    # past one block of rows, each permutation is a chunk of its own,
+    # spread over several blocks
+    rng = np.random.default_rng(11)
+    space1, space2 = tie_heavy_pair("snapped-clouds", True, rng)
+    check_size_class(space1, True)
+    perms = [rng.permutation(space1.n) for _ in range(3)]
+    graphs = list(cons._graphs(space1, space2, perms))
+    assert len(graphs) == len(perms)
+    for pi, graph in zip(perms, graphs):
+        assert graph.out_edges == rule_double_clustering(
+            Assignment(space1, space2, pi))
 
 
 def test_small_graphs_read_permutations_one_chunk_at_a_time():
@@ -259,9 +271,9 @@ def test_small_graphs_read_permutations_one_chunk_at_a_time():
             taken.append(pi)
             yield pi
 
-    graphs = cons._small_graphs(space, space, enumerated())
+    graphs = cons._graphs(space, space, enumerated())
     first = next(graphs)
-    per_chunk = cons._BLOCK_ENTRIES // (8 * 7)
+    per_chunk = cons._prefix_plan(space)[1] // 8
     assert len(taken) == per_chunk < math.factorial(8)
     assert first.out_edges == build_double_clustering(
         Assignment.identity(space)).out_edges
@@ -339,9 +351,9 @@ def test_interest_expected_degree_record_law():
 
 
 def test_interest_paths_agree():
-    # undirected cycles on both sides of the pruning threshold
+    # undirected cycles from a single vertex to a hundred
     seed = Seed(5)
-    for n in (40, cons._PRUNED_BUILD_THRESHOLD + 40):
+    for n in (1, 2, 3, 40, 104):
         s = UndirectedCycle(n)
         expected = rule_heads(n, s.distances_from,
                               lambda i: -seed.rng("ii", i).random(n))

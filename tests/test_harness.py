@@ -90,6 +90,27 @@ def test_spec_rejects_sizes_the_spaces_cannot_take(model, params, sizes, message
                      sizes=(9, 27)).sizes == (9, 27)
 
 
+@pytest.mark.parametrize("model,params,label", [
+    ("continuum", {}, "half-greedy-1"),
+    ("continuum", {}, "half-greedy-2"),
+    ("grid-tree", {}, "half-greedy-2"),
+    ("independent-interest", {"space": {"kind": "tree"}}, "half-greedy-1"),
+    ("independent-interest", {"space": {"kind": "tree"}}, "half-greedy-2"),
+])
+def test_spec_rejects_half_greedy_without_a_base_graph(model, params, label):
+    # half-greedy takes base-graph steps, which point clouds and tree
+    # leaves lack: refused before any build, not at the first route
+    with pytest.raises(ValueError, match=f"{label} needs a graph-kind space"):
+        make_spec(model=model, params=params, sizes=(64, 128),
+                  routing_modes=(RoutingMode.parse("greedy-1"),
+                                 RoutingMode.parse(label)))
+    # the space routed in decides, not the model
+    if model == "grid-tree":
+        make_spec(model=model, routing_modes=(RoutingMode.parse("half-greedy-1"),))
+    if model == "independent-interest":
+        make_spec(model=model, routing_modes=(RoutingMode.parse(label),))
+
+
 def test_config_round_trip(tmp_path):
     spec = make_spec(routing_modes=(RoutingMode.parse("greedy-1"),
                                     RoutingMode.parse("combined")),
