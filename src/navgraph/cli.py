@@ -195,6 +195,8 @@ def _cmd_oracle(args, argv) -> int:
             raise _UsageError(f"--n must be >= 2, got {args.n}")
         if args.seeds < 1:
             raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
+        if not args.tolerance >= 0:  # NaN too: it would pass any deviation
+            raise _UsageError(f"--tolerance must be >= 0, got {args.tolerance}")
         seed = _resolve_seed(args.seed)
         _echo(argv, seed)
         expected = sum(1.0 / k for k in range(1, args.n))  # harmonic oracle first

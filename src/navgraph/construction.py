@@ -13,6 +13,11 @@ enumerations put the rows of many permutations in one block.
 All builders are pure functions of their parameters and a :class:`Seed`;
 randomness is drawn from per-vertex streams derived from (master seed,
 stream label, vertex id), so edge sets do not depend on evaluation order.
+The baselines and thinning read those streams unchanged, one generator
+per vertex, but do the rest of their work as array passes over blocks of
+vertices: Kleinberg's d^-alpha law and its draws, the interest values and
+their bounds, and the base and kept edges of thinning.  The Kleinberg and
+independent-interest baselines still do O(n) work per vertex.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "read_edge_list",
 ]
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 # candidate entries per block of rows, whichever permutations they belong to
@@ -61,13 +67,22 @@ class Seed:
     master: int
 
     def rng(self, *labels: int | str) -> np.random.Generator:
-        entropy: list[int] = [self.master & _MASK64]
-        for label in labels:
+        # The entropy is the master, each string label read as a
+        # little-endian integer, and each integer label, all masked to 64
+        # bits.  SeedSequence splits every int into little-endian uint32
+        # words (0 is one word); handing it those words as an array gives
+        # the same pool, and the same stream, without its per-int coercion.
+        words: list[int] = []
+        for label in (self.master, *labels):
             if isinstance(label, str):
-                entropy.append(int.from_bytes(label.encode("utf-8"), "little"))
+                value = int.from_bytes(label.encode("utf-8"), "little")
             else:
-                entropy.append(int(label) & _MASK64)
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+                value = int(label) & _MASK64
+            words.append(value & _MASK32)
+            while value := value >> 32:
+                words.append(value & _MASK32)
+        return np.random.default_rng(
+            np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
     def permutation(self, n: int) -> np.ndarray:
         """The permutation stream used by all double-clustering models."""
@@ -236,10 +251,14 @@ def _record_heads(rows: int, owner: np.ndarray, member: np.ndarray,
     shifted = value[order] - owner[order] * (int(value.max()) + 1)
     keep = order[_record_select_mask(shell[order], shifted)]
     span = int(member.max()) + 1
-    heads = np.sort(owner[keep] * span + member[keep])
+    return _split_rows(np.sort(owner[keep] * span + member[keep]), rows, span)
+
+
+def _split_rows(codes: np.ndarray, rows: int, span: int) -> list[list[int]]:
+    """The lists of ``rows`` rows from ascending codes ``row * span + head``."""
     # row bounds and heads as Python ints once, then a list slice per row
-    ends = np.searchsorted(heads, np.arange(rows + 1) * span).tolist()
-    flat = (heads % span).tolist()
+    ends = np.searchsorted(codes, np.arange(rows + 1) * span).tolist()
+    flat = (codes % span).tolist()
     return [flat[ends[k]:ends[k + 1]] for k in range(rows)]
 
 
@@ -308,48 +327,79 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
     vertex draws its n values from its own stream ("ii", x).  Candidates
     are pruned as in :func:`build_double_clustering`, with the space-2 ball
     replaced by the vertices whose interest is at least the prefix's
-    largest.
+    largest.  The values of a few rows are held at once, as many as keep
+    them near ``_BLOCK_ENTRIES``; the record kernel takes the candidates
+    of a whole block from :func:`_prefix_plan`.
     """
     n = space.n
     radius, block = _prefix_plan(space)
+    fill = max(1, _BLOCK_ENTRIES // n)
     out = []
     for start in range(0, n, block):
         rows = np.arange(start, min(n, start + block))
         owner1, member1 = _prefix(space, rows, radius)
-        firsts = np.searchsorted(owner1, np.arange(len(rows) + 1))
         value1 = np.empty(len(member1))
-        owner2, member2, value2 = [], [], []
-        for k, i in enumerate(rows.tolist()):
+        bound = np.zeros(len(rows))
+        bounded = []
+        for first in range(0, len(rows), fill):
+            part = rows[first:first + fill]
+            values = np.empty((len(part), n))
+            for k, i in enumerate(part.tolist()):
+                seed.rng("ii", i).random(out=values[k])
             # keep iff interest >= running max  <=>  -interest <= running min
-            values = -seed.rng("ii", i).random(n)
-            prefix = slice(firsts[k], firsts[k + 1])
-            value1[prefix] = values[member1[prefix]]
-            members = np.flatnonzero(values <= value1[prefix].min(initial=0.0))
-            owner2.append(np.full(len(members), k))
-            member2.append(members)
-            value2.append(values[members])
+            np.negative(values, out=values)
+            lo, hi = np.searchsorted(owner1, (first, first + len(part)))
+            value1[lo:hi] = values[owner1[lo:hi] - first, member1[lo:hi]]
+            np.minimum.at(bound, owner1[lo:hi], value1[lo:hi])
+            kept = np.flatnonzero(values <= bound[first:first + len(part), None])
+            bounded.append((kept // n + first, kept % n, values.ravel()[kept]))
         out += _block_heads(space, rows, radius, (owner1, member1, value1),
-                            tuple(map(np.concatenate, (owner2, member2, value2))))
+                            tuple(map(np.concatenate, zip(*bounded))))
     return NavGraph(n, out, "independent-interest")
+
+
+def _candidate_distances(space: Space, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), n - 1) array: each row's distances to every y != x in
+    ascending order of y, for the row's vertex x."""
+    n = space.n
+    everyone = np.arange(n)
+    others = everyone != rows[:, None]
+    return space.distances_between(rows[:, None], everyone)[others].reshape(-1, n - 1)
+
+
+def _link_probabilities(d: np.ndarray, alpha: float) -> np.ndarray:
+    """Rows of d^-alpha, each normalized by its exact sum."""
+    weights = d.astype(np.float64)
+    weights **= -alpha
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
 
 
 def long_range_distribution(space: Space, x: int, alpha: float):
     """Candidates y != x and their link probabilities ~ d(x, y)^-alpha,
     normalized by exact summation.  Returns (None, None) when n == 1.
+
+    This is one row of the law that :func:`build_kleinberg` samples a
+    block of rows at a time.
     """
     n = space.n
     if n == 1:
         return None, None
-    d = space.distances_from(x).astype(np.float64)
     cand = np.flatnonzero(np.arange(n) != x)
-    weights = d[cand] ** (-alpha) if alpha != 0 else np.ones(len(cand))
-    return cand, weights / weights.sum()
+    return cand, _link_probabilities(_candidate_distances(space, np.array([x])), alpha)[0]
 
 
 def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGraph:
     """Base-graph edges plus `links` long-range heads per vertex, sampled
     independently with probability proportional to distance^-alpha.
     Duplicate draws collapse.
+
+    Vertex x's draws are ``Generator.choice(cand, size=links, p=probs)``
+    on its stream ("kleinberg", x) with the law of
+    :func:`long_range_distribution`.  A block of rows, as many as keep
+    their candidates near ``_BLOCK_ENTRIES``, computes them as ``choice``
+    does: the running sums of the probabilities divided by their last,
+    and each uniform's candidate the number of those sums at most it.
     """
     if not space.is_graph_kind:
         raise ValueError("lattice augmentation needs a graph-kind space")
@@ -358,16 +408,27 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
     if links < 1:
         raise ValueError("links must be >= 1")
     n = space.n
+    kind = f"kleinberg(alpha={float(alpha):g},links={links})"
+    if n == 1:
+        return NavGraph(n, [[]], kind)
+    base_tails, base_heads = space.base_edges()
+    block = max(1, _BLOCK_ENTRIES // n)
     out: list[list[int]] = []
-    for x in range(n):
-        heads = set(space.base_neighbors(x))
-        cand, probs = long_range_distribution(space, x, alpha)
-        if cand is not None:
-            draws = seed.rng("kleinberg", x).choice(cand, size=links, p=probs)
-            heads.update(int(y) for y in np.atleast_1d(draws))
-        heads.discard(x)
-        out.append(sorted(heads))
-    return NavGraph(n, out, f"kleinberg(alpha={float(alpha):g},links={links})")
+    for start in range(0, n, block):
+        rows = np.arange(start, min(n, start + block))
+        cdf = _link_probabilities(_candidate_distances(space, rows), alpha).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.empty((len(rows), links))
+        for k, x in enumerate(rows.tolist()):
+            seed.rng("kleinberg", x).random(out=u[k])
+        # searchsorted(cdf, u, side="right") per row, then candidate -> id
+        draws = (cdf[:, None, :] <= u[:, :, None]).sum(axis=2)
+        draws += draws >= rows[:, None]
+        lo, hi = np.searchsorted(base_tails, (start, start + len(rows)))
+        codes = np.concatenate((base_tails[lo:hi] * n + base_heads[lo:hi],
+                                (rows[:, None] * n + draws).ravel()))
+        out += _split_rows(np.unique(codes) - start * n, len(rows), n)
+    return NavGraph(n, out, kind)
 
 
 def edge_keep_probability(n) -> float:
@@ -382,6 +443,9 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
 
     Base-neighbor edges are always kept: thinning is meant to bound degree,
     and removing base edges would break greedy termination guarantees.
+    Vertex x draws one uniform from its stream ("thin", x) per non-base
+    head, in the order of its list, and keeps the heads whose uniform is
+    below the keep probability.
     """
     n = graph.n
     if n <= 2:
@@ -389,16 +453,22 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
     if base_space.n != n:
         raise ValueError("base space size does not match graph")
     keep_p = edge_keep_probability(n)
-    out: list[list[int]] = []
+    degrees = np.fromiter(map(len, graph.out_edges), dtype=np.int64, count=n)
+    heads = np.fromiter(itertools.chain.from_iterable(graph.out_edges),
+                        dtype=np.int64, count=int(degrees.sum()))
+    tails = np.repeat(np.arange(n), degrees)
+    codes = tails * n + heads
+    base_tails, base_heads = base_space.base_edges()
+    keep = np.isin(codes, base_tails * n + base_heads)
+    extras = np.flatnonzero(~keep)
+    u = np.empty(len(extras))
+    ends = np.searchsorted(tails[extras], np.arange(n + 1)).tolist()
     for x in range(n):
-        base = set(base_space.base_neighbors(x))
-        extras = [h for h in graph.out_edges[x] if h not in base]
-        kept = set(h for h in graph.out_edges[x] if h in base)
-        if extras:
-            u = seed.rng("thin", x).random(len(extras))
-            kept.update(h for h, uh in zip(extras, u) if uh < keep_p)
-        out.append(sorted(kept))
-    return NavGraph(n, out, f"thinned({graph.kind})")
+        if ends[x] < ends[x + 1]:
+            seed.rng("thin", x).random(out=u[ends[x]:ends[x + 1]])
+    keep[extras[u < keep_p]] = True
+    return NavGraph(n, _split_rows(np.unique(codes[keep]), n, n),
+                    f"thinned({graph.kind})")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ array forms (:meth:`Space.distances_from`, :meth:`Space.distances_to`,
 form, :meth:`Space.distance_to`, which prepares a target once and then
 reads one distance per call, for routers that visit a few vertices per
 step.  :meth:`Space.distance` is the scalar form for a single pair.
+Base adjacency has two forms in the same way: :meth:`Space.base_neighbors`
+for one vertex, and :meth:`Space.base_edges` for every vertex at once.
 
 Balls are listed by :meth:`Space.ball_members`, exactly in every kind.
 The cycles (an arc), the grid (an L1 diamond, wrapped or clipped per axis)
@@ -122,8 +124,9 @@ class Space:
         raise NotImplementedError
 
     def distances_between(self, xs, ys) -> np.ndarray:
-        """Vector of ``distance(xs[k], ys[k])`` for every k, each entry
-        equal, bit for bit, to the matching entry of :meth:`distances_from`."""
+        """Array of ``distance(xs[k], ys[k])`` for every k, each entry
+        equal, bit for bit, to the matching entry of :meth:`distances_from`;
+        ``xs`` and ``ys`` broadcast against each other."""
         raise NotImplementedError
 
     # -- adjacency and balls ----------------------------------------------
@@ -133,6 +136,20 @@ class Space:
         1 for graph kinds, the distance-minimal other vertices otherwise.
         """
         raise NotImplementedError
+
+    def base_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every base-graph edge at once: ``(tail, head)`` arrays listing
+        :meth:`base_neighbors` of every vertex in turn, tails ascending.
+
+        This version serves the kinds with integer distances, whose base
+        neighbors are the other vertices at distance 1: the ball of
+        radius 1 without its center.
+        """
+        n = self.n
+        owner, member = self.ball_members(np.arange(n), 1)
+        codes = np.sort(owner * n + member)
+        codes = codes[codes // n != codes % n]
+        return codes // n, codes % n
 
     def ball_members(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
         """Every y with ``distance(centers[k], y) <= radii[k]``, for every k.
@@ -352,10 +369,12 @@ class Grid(Space):
         return math.prod(self.dims)
 
     @cached_property
-    def _coords(self) -> np.ndarray:
-        # row-major: vertex id = np.ravel_multi_index(coord, dims)
-        idx = np.unravel_index(np.arange(self.n), self.dims)
-        return np.stack(idx, axis=1).astype(np.int64)
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        # one array of coordinates per axis, row-major: vertex id =
+        # np.ravel_multi_index(coord, dims); gathers read these far faster
+        # than rows of an (n, dims) array
+        return tuple(c.astype(np.int64)
+                     for c in np.unravel_index(np.arange(self.n), self.dims))
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:
@@ -364,7 +383,19 @@ class Grid(Space):
 
     @cached_property
     def _coord_rows(self) -> list[list[int]]:
-        return self._coords.tolist()
+        return np.column_stack(self._columns).tolist()
+
+    def _l1(self, diffs) -> np.ndarray:
+        """L1 distances from one new array of coordinate differences per
+        axis, each taken the short way round a toric axis; the arrays are
+        overwritten."""
+        total = None
+        for diff, length in zip(diffs, self.dims):
+            np.abs(diff, out=diff)
+            if self.toric:
+                np.minimum(diff, length - diff, out=diff)
+            total = diff if total is None else np.add(total, diff, out=total)
+        return total
 
     def distance_to(self, y: int):
         self._check_vertex(y)
@@ -386,17 +417,11 @@ class Grid(Space):
 
     def distances_from(self, x: int) -> np.ndarray:
         self._check_vertex(x)
-        diff = np.abs(self._coords - self._coords[x])
-        if self.toric:
-            diff = np.minimum(diff, np.asarray(self.dims) - diff)
-        return diff.sum(axis=1)
+        return self._l1(column - column[x] for column in self._columns)
 
     def distances_between(self, xs, ys) -> np.ndarray:
-        coords = self._coords
-        diff = np.abs(coords[self._check_vertices(ys)] - coords[self._check_vertices(xs)])
-        if self.toric:
-            diff = np.minimum(diff, np.asarray(self.dims) - diff)
-        return diff.sum(axis=1)
+        xs, ys = self._check_vertices(xs), self._check_vertices(ys)
+        return self._l1(column[ys] - column[xs] for column in self._columns)
 
     def ball_members(self, centers, radii):
         # the L1 diamond, one axis at a time: each partial member spends
@@ -405,7 +430,7 @@ class Grid(Space):
         owner = np.arange(len(centers))
         member = np.zeros(len(centers), dtype=np.int64)
         for axis, (length, stride) in enumerate(zip(self.dims, self._strides)):
-            c = self._coords[centers[owner], axis]
+            c = self._columns[axis][centers[owner]]
             if self.toric:
                 # an arc of the axis cycle, as on UndirectedCycle
                 reach = np.minimum(budget, length // 2)
@@ -438,7 +463,7 @@ class Grid(Space):
 
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
-        coord = self._coords[x].tolist()
+        coord = self._coord_rows[x]
         out: set[int] = set()
         for axis, (length, stride) in enumerate(zip(self.dims, self._strides)):
             if length == 1:
@@ -524,7 +549,7 @@ class TreeLeaves(Space):
 
     def distances_between(self, xs, ys) -> np.ndarray:
         xs, ys = self._check_vertices(xs), self._check_vertices(ys)
-        d = np.zeros(xs.shape, dtype=np.int64)
+        d = np.zeros(np.broadcast_shapes(xs.shape, ys.shape), dtype=np.int64)
         for _ in range(self.height):
             d += xs != ys
             xs, ys = xs // self.branching, ys // self.branching
@@ -687,12 +712,13 @@ class Euclidean(Space):
         return _norms(column[ys] - column[xs] for column in self._columns)
 
     @cached_property
-    def _nearest(self) -> list[list[int]]:
-        """Every point's nearest other points, found a block of points at a
-        time: balls of doubling radius around each point until one holds
-        another point, whose nearest are then the nearest of all."""
+    def _nearest(self) -> np.ndarray:
+        """Every point's nearest other points, as ascending codes
+        ``x * n + y``, found a block of points at a time: balls of doubling
+        radius around each point until one holds another point, whose
+        nearest are then the nearest of all."""
         n = self.n
-        out: list[list[int]] = [[] for _ in range(n)]
+        codes = [np.zeros(0, dtype=np.int64)]
         todo, radius = np.arange(n if n > 1 else 0), self._cells[1]
         while todo.size:
             found = []
@@ -704,19 +730,20 @@ class Euclidean(Space):
                 best = np.full(len(centers), np.inf)
                 np.minimum.at(best, owner, d)
                 nearest = d == best[owner]
-                pairs = np.sort(owner[nearest] * n + member[nearest])
-                ends = np.searchsorted(pairs, np.arange(len(centers) + 1) * n)
-                found.append(np.diff(ends) > 0)
-                ends, flat = ends.tolist(), (pairs % n).tolist()
-                for k, x in enumerate(centers.tolist()):
-                    out[x] = flat[ends[k]:ends[k + 1]]
+                codes.append(centers[owner[nearest]] * n + member[nearest])
+                found.append(np.isfinite(best))
             todo = todo[~np.concatenate(found)]
             radius *= 2
-        return out
+        return np.sort(np.concatenate(codes))
 
     def base_neighbors(self, x: int) -> list[int]:
         self._check_vertex(x)
-        return list(self._nearest[x])
+        n, codes = self.n, self._nearest
+        lo, hi = np.searchsorted(codes, (x * n, (x + 1) * n))
+        return (codes[lo:hi] % n).tolist()
+
+    def base_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._nearest // self.n, self._nearest % self.n
 
     def diameter(self) -> float:
         return max(float(self.distances_from(x).max()) for x in range(self.n))

@@ -235,6 +235,27 @@ def test_oracle_degree_refuses_empty_studies(capsys, flags, message):
     assert err.splitlines() == [f"error: {message}, got {flags[1]}"]
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "-0.01", "nan"])
+def test_oracle_degree_refuses_negative_or_nan_tolerance(capsys, tolerance):
+    # a negative tolerance fails every study and NaN passes every one:
+    # both are usage errors, reported before any graph is built
+    code = run_cli("oracle", "degree", "--n", "8", "--seeds", "1",
+                   "--tolerance", tolerance)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: --tolerance must be >= 0, got {float(tolerance)}"]
+
+
+def test_oracle_degree_accepts_zero_tolerance(capsys):
+    # zero demands the exact harmonic mean: a legal check that fails
+    code = run_cli("oracle", "degree", "--n", "8", "--seeds", "1",
+                   "--seed", "1", "--tolerance", "0")
+    assert code == 2
+    assert "FAILED" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # experiment
 

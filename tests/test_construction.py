@@ -68,6 +68,29 @@ def test_seed_streams_are_stable_and_distinct():
     assert np.array_equal(seed.permutation(10), seed.permutation(10))
 
 
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1])
+def test_seed_streams_match_plain_int_entropy(master):
+    # Seed.rng hands SeedSequence its entropy as uint32 words; the stream
+    # must stay the one that the plain list of masked ints gives, with
+    # string labels read as little-endian ints
+    def plain(*labels):
+        entropy = [master & (2**64 - 1)]
+        for label in labels:
+            entropy.append(int.from_bytes(label.encode("utf-8"), "little")
+                           if isinstance(label, str) else label & (2**64 - 1))
+        return np.random.default_rng(np.random.SeedSequence(entropy))
+
+    seed = Seed(master)
+    for label in ("a", "thin", "ii\x00\x00x", "kleinberg", "twelve-bytes"):
+        for vertex in (0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, -1):
+            assert np.array_equal(seed.rng(label, vertex).random(3),
+                                  plain(label, vertex).random(3))
+    assert len("twelve-bytes".encode()) == 12
+    assert np.array_equal(seed.rng().random(3), plain().random(3))
+    assert np.array_equal(seed.rng("pi").permutation(20), plain("pi").permutation(20))
+    assert np.array_equal(seed.permutation(20), plain("pi").permutation(20))
+
+
 # ---------------------------------------------------------------------------
 # double clustering
 
@@ -406,6 +429,107 @@ def test_long_range_distribution_examples():
             assert by_vertex[y] == pytest.approx(weight / 437)
 
 
+def long_range_row(space, x, alpha):
+    """One vertex's law written out from its distance row: d^-alpha over
+    every y != x in ascending order, normalized by its exact sum."""
+    n = space.n
+    d = space.distances_from(x).astype(np.float64)
+    cand = np.flatnonzero(np.arange(n) != x)
+    weights = d[cand] ** (-alpha) if alpha != 0 else np.ones(len(cand))
+    return cand, weights / weights.sum()
+
+
+def kleinberg_per_vertex(space, alpha, links, seed):
+    """build_kleinberg as a loop over vertices: each vertex's base
+    neighbors, and Generator.choice from its stream ("kleinberg", x) on
+    the law of long_range_distribution."""
+    out = []
+    for x in range(space.n):
+        heads = set(space.base_neighbors(x))
+        cand, probs = long_range_distribution(space, x, alpha)
+        if cand is not None:
+            draws = seed.rng("kleinberg", x).choice(cand, size=links, p=probs)
+            heads.update(int(y) for y in np.atleast_1d(draws))
+        heads.discard(x)
+        out.append(sorted(heads))
+    return out
+
+
+def lattice_shapes():
+    """Clipped and toric grids of one to three axes, with axes of length
+    1 and 2, and cycles of one to three vertices; the last grid and cycles
+    of each kind end in a ragged block of rows."""
+    dims = [(1,), (2,), (7,), (1, 1), (1, 5), (2, 2), (2, 7), (3, 1, 4),
+            (2, 2, 2), (9, 11)]
+    spaces = [Grid(d, toric=t) for t in (False, True) for d in dims]
+    for n in (1, 2, 3, 100):
+        spaces += [DirectedCycle(n), UndirectedCycle(n)]
+    return spaces
+
+
+@pytest.mark.parametrize("space", lattice_shapes(), ids=repr)
+def test_long_range_law_equals_its_rows_written_out(space):
+    # long_range_distribution, and every row of one block of all vertices,
+    # each row normalized by its own sum
+    n = space.n
+    if n == 1:
+        assert long_range_distribution(space, 0, 2.0) == (None, None)
+        return
+    for alpha in (0.0, 1.0, 1.5, 2.0, 50.0):
+        block = cons._link_probabilities(
+            cons._candidate_distances(space, np.arange(n)), alpha)
+        for x in range(n):
+            want_cand, want_probs = long_range_row(space, x, alpha)
+            cand, probs = long_range_distribution(space, x, alpha)
+            assert np.array_equal(cand, want_cand)
+            assert np.array_equal(probs, want_probs)
+            assert np.array_equal(block[x], want_probs)
+
+
+@pytest.mark.parametrize("space", lattice_shapes(), ids=repr)
+def test_kleinberg_matches_per_vertex_choice(space):
+    n = space.n
+    if n == 100:
+        block = cons._BLOCK_ENTRIES // n
+        assert 1 < block < n and n % block  # several blocks, a ragged last
+    for alpha in (0.0, 1.5, 2.0, 50.0):
+        for links in (1, 2, 3, 4):
+            seed = Seed(int(10 * alpha) + links)
+            graph = build_kleinberg(space, alpha, links, seed)
+            assert graph.out_edges == kleinberg_per_vertex(space, alpha, links, seed)
+
+
+@pytest.mark.parametrize("space", [Grid((91, 91)), UndirectedCycle(8193)], ids=repr)
+def test_kleinberg_rows_longer_than_a_block_match_per_vertex_choice(space):
+    # one row per block, each longer than numpy's summation blocks: the
+    # sampled vertices' heads equal the per-vertex loop's
+    n = space.n
+    assert cons._BLOCK_ENTRIES // n == 0
+    seed = Seed(4)
+    graph = build_kleinberg(space, 2.0, 2, seed)
+    picked = np.random.default_rng(0).choice(n, 40, replace=False)
+    for x in sorted({0, n - 1, *picked.tolist()}):
+        heads = set(space.base_neighbors(x))
+        cand, probs = long_range_row(space, x, 2.0)
+        heads.update(seed.rng("kleinberg", x).choice(cand, size=2, p=probs).tolist())
+        assert graph.out_edges[x] == sorted(heads)
+
+
+@pytest.mark.parametrize("entries", [1, 40, 300])
+def test_baselines_do_not_depend_on_block_size(monkeypatch, entries):
+    # one row per block, and blocks of a few rows with a ragged last one:
+    # the heads of each row never depend on the rows it is batched with
+    spaces = (UndirectedCycle(57), Grid((5, 7), toric=True), TreeLeaves(3, 3))
+    expected = [(build_independent_interest(s, Seed(6)).out_edges,
+                 build_kleinberg(s, 2.0, 2, Seed(6)).out_edges
+                 if s.is_graph_kind else None) for s in spaces]
+    monkeypatch.setattr(cons, "_BLOCK_ENTRIES", entries)
+    for s, (interest, kleinberg) in zip(spaces, expected):
+        assert build_independent_interest(s, Seed(6)).out_edges == interest
+        if s.is_graph_kind:
+            assert build_kleinberg(s, 2.0, 2, Seed(6)).out_edges == kleinberg
+
+
 def test_kleinberg_builder_basics():
     g = build_kleinberg(Grid((4, 4)), alpha=2.0, links=1, seed=Seed(3))
     grid = Grid((4, 4))
@@ -465,6 +589,48 @@ def test_thinned_mean_nonbase_degree():
         thinned = thin_edges(build_double_clustering(a), space, Seed(master))
         total += sum(len(h) - 1 for h in thinned.out_edges)  # base edge always kept
     assert total / (seeds * n) == pytest.approx(expected, rel=0.10)
+
+
+def thin_per_vertex(graph, base_space, seed):
+    """thin_edges as a loop over vertices: each vertex draws one uniform
+    per non-base head, in list order, from its stream ("thin", x)."""
+    keep_p = edge_keep_probability(graph.n)
+    out = []
+    for x in range(graph.n):
+        base = set(base_space.base_neighbors(x))
+        extras = [h for h in graph.out_edges[x] if h not in base]
+        kept = set(h for h in graph.out_edges[x] if h in base)
+        if extras:
+            u = seed.rng("thin", x).random(len(extras))
+            kept.update(h for h, uh in zip(extras, u) if uh < keep_p)
+        out.append(sorted(kept))
+    return out
+
+
+def thinning_bases():
+    rng = np.random.default_rng(17)
+    return [DirectedCycle(3), DirectedCycle(64), UndirectedCycle(4),
+            UndirectedCycle(301), Grid((3, 1, 4)), Grid((12, 9)),
+            Grid((2, 7), toric=True), Grid((10, 10), toric=True),
+            TreeLeaves(2, 2), TreeLeaves(3, 4), snapped_cloud(rng, 24, 2, 3),
+            snapped_cloud(rng, 300, 2, 4)]
+
+
+@pytest.mark.parametrize("base", thinning_bases(), ids=lambda s: repr(s)[:40])
+def test_thinning_matches_per_vertex_loop(base):
+    n = base.n
+    graphs = [build_independent_interest(base, Seed(2))]
+    for master in (0, 1):
+        graphs.append(build_double_clustering(
+            Assignment(base, base, Seed(master).permutation(n))))
+    if base.is_graph_kind:
+        graphs.append(build_kleinberg(base, 1.5, 3, Seed(3)))
+    # lists in reverse order: the draws follow each list's order
+    graphs.append(cons.NavGraph(n, [heads[::-1] for heads in graphs[0].out_edges]))
+    for master, graph in enumerate(graphs):
+        thinned = thin_edges(graph, base, Seed(master))
+        assert thinned.out_edges == thin_per_vertex(graph, base, Seed(master))
+        assert thinned.kind == f"thinned({graph.kind})"
 
 
 def test_thinning_deterministic():

@@ -223,6 +223,48 @@ def test_distances_between_matches_distances_from(space):
         space.distances_between([0], [n])
 
 
+@pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
+def test_distances_between_broadcasts(space):
+    # a column of sources against a row of targets: every row's distances
+    n = space.n
+    ids = np.arange(n)
+    rows = np.stack([space.distances_from(x) for x in range(n)])
+    assert np.array_equal(space.distances_between(ids[:, None], ids), rows)
+    assert np.array_equal(space.distances_between(ids[:, None], ids[::-1]),
+                          rows[:, ::-1])
+
+
+def grid_shapes():
+    """Clipped and toric grids of one to three axes, with axes of length
+    1 and 2 and of odd and even length."""
+    dims = [(1,), (2,), (7,), (8,), (1, 1), (1, 5), (2, 2), (2, 7), (6, 4),
+            (3, 1, 4), (2, 2, 2), (3, 4, 5)]
+    return [Grid(d, toric=t) for t in (False, True) for d in dims]
+
+
+@pytest.mark.parametrize("grid", grid_shapes(), ids=repr)
+def test_grid_kernels_equal_the_coordinate_row_form(grid):
+    # the distances that the (n, dims) coordinate array gave, one row per
+    # vertex summed across its axes, against the per-axis column kernels
+    n = grid.n
+    coords = np.stack(np.unravel_index(np.arange(n), grid.dims), axis=1)
+    xs = np.repeat(np.arange(n), n)
+    ys = np.tile(np.arange(n), n)
+    diff = np.abs(coords[ys] - coords[xs])
+    if grid.toric:
+        diff = np.minimum(diff, np.asarray(grid.dims) - diff)
+    expected = diff.sum(axis=1)
+    between = grid.distances_between(xs, ys)
+    assert between.dtype == np.int64
+    assert np.array_equal(between, expected)
+    rows = expected.reshape(n, n)
+    for x in range(n):
+        assert np.array_equal(grid.distances_from(x), rows[x])
+        to_x = grid.distance_to(x)
+        assert [to_x(v) for v in range(n)] == rows[:, x].tolist()
+    assert grid._coord_rows == coords.tolist()
+
+
 # ---------------------------------------------------------------------------
 # balls
 
@@ -395,6 +437,13 @@ def test_base_neighbors_euclidean_minimal_set():
     pts = np.array([[0.0], [1.0], [3.0], [1.0]])
     s = Euclidean(pts)
     assert s.base_neighbors(0) == [1, 3]  # equidistant tie kept
+
+
+@pytest.mark.parametrize("space", tie_heavy_spaces() + grid_shapes(), ids=space_id)
+def test_base_edges_list_every_base_neighbor(space):
+    tails, heads = space.base_edges()
+    expected = [(x, y) for x in range(space.n) for y in space.base_neighbors(x)]
+    assert list(zip(tails.tolist(), heads.tolist())) == expected
 
 
 @given(space_strategy, st.data())
