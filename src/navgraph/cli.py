@@ -115,17 +115,20 @@ def _cmd_generate(args, argv) -> int:
 
 
 def _cmd_route(args, argv) -> int:
+    # the mode, the endpoints and the model's spaces are checked before the
+    # build, which can take seconds
+    mode = dataclasses.replace(
+        RoutingMode.parse(args.mode), max_steps=args.max_steps,
+        plateau=None if args.plateau == "auto" else args.plateau == "on")
+    for v in (args.source, args.target):
+        if not 0 <= v < args.n:
+            raise _UsageError(f"vertex {v} out of range [0, {args.n})")
+    harness.check_routing_modes(args.model, _model_params(args), args.n, (mode,))
     seed = _resolve_seed(args.seed)
     _echo(argv, seed)
     assignment, graph = _build_from_args(args, seed)
     if args.edges:
         graph = read_edge_list(args.edges, n=args.n)
-    for v in (args.source, args.target):
-        if not 0 <= v < graph.n:
-            raise _UsageError(f"vertex {v} out of range [0, {graph.n})")
-    mode = dataclasses.replace(
-        RoutingMode.parse(args.mode), max_steps=args.max_steps,
-        plateau=None if args.plateau == "auto" else args.plateau == "on")
     outcome = route(graph, assignment, mode, args.source, args.target)
     print(f"mode: {mode.label}")
     print("path: " + " -> ".join(str(v) for v in outcome.path))

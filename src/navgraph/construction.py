@@ -362,9 +362,8 @@ def _candidate_distances(space: Space, rows: np.ndarray) -> np.ndarray:
     """(len(rows), n - 1) array: each row's distances to every y != x in
     ascending order of y, for the row's vertex x."""
     n = space.n
-    everyone = np.arange(n)
-    others = everyone != rows[:, None]
-    return space.distances_between(rows[:, None], everyone)[others].reshape(-1, n - 1)
+    others = np.arange(n) != rows[:, None]
+    return space.distances_from(rows)[others].reshape(-1, n - 1)
 
 
 def _link_probabilities(d: np.ndarray, alpha: float) -> np.ndarray:

@@ -43,9 +43,9 @@ __all__ = [
     "run_experiment",
     "fit_scaling",
     "export_csv",
-    "csv_without_timing",
     "load_experiment_config",
     "experiment_spec_from_dict",
+    "check_routing_modes",
     "build_space",
     "build_model",
     "AGGREGATE_HEADER",
@@ -64,7 +64,6 @@ LARGE_MAX_SIZE = 2**16
 
 AGGREGATE_HEADER = ("model,n,seed,mode,routes,successes,success_rate,"
                     "mean_len,median_len,mean_outdeg,build_ms,wall_ms")
-TIMING_COLUMNS = ("build_ms", "wall_ms")
 RAW_HEADER = "n,seed,mode,source,target,steps,success,failure"
 
 
@@ -110,17 +109,22 @@ class ExperimentSpec:
         if self.model == "kleinberg":
             _kleinberg_args(self.params)
         for n in self.sizes:
-            spaces = [build_space(d, n)
-                      for d in _space_descriptors(self.model, self.params)]
-        # half-greedy steps along a base graph, which tree leaves and point
-        # clouds lack; a baseline routes in its one space as both, and the
-        # models without descriptors route on cycles or, for continuum, clouds
-        graph_kind = ([s.is_graph_kind for s in spaces]
-                      or [self.model != "continuum"]) * 2
-        for mode in self.routing_modes:
-            if mode.kind == "half-greedy" and not graph_kind[mode.space - 1]:
-                raise ValueError(f"{mode.label} needs a graph-kind space {mode.space}; "
-                                 f"model {self.model!r} has no base graph there")
+            check_routing_modes(self.model, self.params, n, self.routing_modes)
+
+
+def check_routing_modes(model: str, params: dict, n: int, modes) -> None:
+    """Refuse, before any build, the spaces of ``model`` at size ``n`` that
+    ``params`` does not describe, and a half-greedy mode in a space
+    without a base graph."""
+    spaces = [build_space(d, n) for d in _space_descriptors(model, params)]
+    # half-greedy steps along a base graph, which tree leaves and point
+    # clouds lack; a baseline routes in its one space as both, and the
+    # models without descriptors route on cycles or, for continuum, clouds
+    graph_kind = ([s.is_graph_kind for s in spaces] or [model != "continuum"]) * 2
+    for mode in modes:
+        if mode.kind == "half-greedy" and not graph_kind[mode.space - 1]:
+            raise ValueError(f"{mode.label} needs a graph-kind space {mode.space}; "
+                             f"model {model!r} has no base graph there")
 
 
 def _is_int(value) -> bool:
@@ -539,10 +543,3 @@ def export_csv(result: ExperimentResult, path: str | Path,
     if raw_path is not None:
         Path(raw_path).write_text(raw_csv_text(result))
 
-
-def csv_without_timing(text: str) -> str:
-    """Drop the timing columns, the only nondeterministic ones, by header
-    name."""
-    rows = [line.split(",") for line in text.splitlines()]
-    keep = [k for k, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
-    return "".join(",".join(row[k] for k in keep) + "\n" for row in rows)

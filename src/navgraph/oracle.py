@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 from pathlib import Path
 
 import numpy as np
@@ -158,10 +159,6 @@ class MonotonicityReport:
                      self.violations]])
 
 
-def _is_strictly_decreasing(values) -> bool:
-    return all(b < a for a, b in zip(values, values[1:]))
-
-
 def _enumerated_graphs(space, n: int):
     """(pi, graph) of the double cycle over ``space`` for every permutation
     of range(n), lexicographically, built lazily chunk by chunk."""
@@ -186,17 +183,21 @@ def monotonicity_check(n: int) -> MonotonicityReport:
     for pi_tuple, graph in _enumerated_graphs(space, n):
         perms += 1
         a = Assignment(space, space, np.array(pi_tuple, dtype=np.int64))
+        place = pi_tuple.__getitem__
         for source in range(n):
             for target in range(n):
                 if source == target:
                     continue
-                to1, to2 = to[target], to[pi_tuple[target]]
-                for mode, other_d in ((mode1, lambda v: to2(pi_tuple[v])),
-                                      (mode2, to1)):
+                for mode in (mode1, mode2):
                     outcome = route(graph, a, mode, source, target)
                     paths += 1
-                    trace = [other_d(v) for v in outcome.path]
-                    if not (outcome.success and _is_strictly_decreasing(trace)):
+                    # the distances toward the target in the other cycle
+                    if mode is mode1:
+                        trace = list(map(to[pi_tuple[target]],
+                                         map(place, outcome.path)))
+                    else:
+                        trace = list(map(to[target], outcome.path))
+                    if not (outcome.success and all(map(gt, trace, trace[1:]))):
                         violations += 1
                         if len(examples) < 100:
                             examples.append(MonotonicityViolation(

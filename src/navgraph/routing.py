@@ -13,7 +13,11 @@ global space geometry:
 
 Greedy and half-greedy read each distance through the space's scalar
 kernel toward the target (:meth:`~navgraph.spaces.Space.distance_to`), so
-a route costs its path length times the out-degree, at every size.
+a route costs its path length times the out-degree, at every size.  A step
+makes one kernel read per out-neighbor (combined routing one per space)
+and nothing else: the distance of the vertex a route stands on comes from
+the step that chose it, and phases are counted once per route, from the
+distances of the vertices its steps left.
 Combined routing also counts balls around the target; it reads distances
 and ball sizes through each space's per-target preparation
 (:meth:`~navgraph.spaces.Space.prepare_target`).  On cycles, grids and
@@ -136,12 +140,19 @@ PHASE_AT_ZERO = -math.inf
 
 def phase_index(d) -> int:
     """Smallest integer i with d <= 2^i (phase_index(1) == 0)."""
-    d = float(d)
-    if d <= 0:
+    if not d > 0:
         raise ValueError(f"phase is defined for d > 0, got {d}")
-    if d.is_integer():
-        return (int(d) - 1).bit_length()
-    return math.ceil(math.log2(d))
+    return _phase(d)
+
+
+def _phase(d) -> int | float:
+    """:func:`phase_index` of a distance d > 0, and PHASE_AT_ZERO at 0."""
+    if type(d) is not int:
+        d = float(d)
+        if not d.is_integer():
+            return math.ceil(math.log2(d))
+        d = int(d)
+    return (d - 1).bit_length() if d else PHASE_AT_ZERO
 
 
 def resolved_plateau(mode: RoutingMode, assignment: Assignment) -> bool:
@@ -166,84 +177,55 @@ def _dist_getter(a: Assignment, space_sel: int, target: int):
     return lambda v: to_target(pos[v])
 
 
-def _target_view(a: Assignment, space_sel: int, target: int):
-    """``(v -> distance(v, target), r -> ball size around target)`` in the
-    selected space."""
-    if space_sel == 1:
-        return a.space1.prepare_target(target)
-    pos = a.pi_list
-    to_target, count = a.space2.prepare_target(pos[target])
-    return (lambda v: to_target(pos[v])), count
-
-
-def _argmin_neighbor(nbrs, get):
-    """(neighbor, distance) minimizing distance, smallest id on ties."""
-    best_w = -1
-    best_d = None
-    for w in nbrs:
-        dw = get(w)
-        if best_d is None or dw < best_d:
-            best_w, best_d = w, dw
-    return best_w, best_d
-
-
-def _plateau_pick(nbrs, get, level, visited):
-    for w in nbrs:  # ascending ids: first hit is the tie-break winner
-        if w not in visited and get(w) == level:
-            return w
-    return -1
-
-
 # ---------------------------------------------------------------------------
 # algorithms
+#
+# Each router carries the distance of the vertex it stands on from the step
+# that chose it, and reads each out-neighbor's distance once per step.  The
+# minimum over a step's neighbors is the first strict one in list order,
+# which is the smallest id on ties since out-neighbor lists ascend.
 
 
-def _check_endpoints(graph: NavGraph, a: Assignment, source: int, target: int):
-    if graph.n != a.n:
-        raise ValueError("graph and assignment sizes differ")
-    for v in (source, target):
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex id {v} out of range [0, {graph.n})")
-
-
-def _finish(source, target, path, phase, failure):
-    steps = len(path) - 1
-    return RouteOutcome(source, target, path, steps,
+def _finish(source, target, path, trace, failure):
+    """The outcome of a route whose i-th step left a vertex at primary
+    distance ``trace[i]``."""
+    phase: dict[int | float, int] = {}
+    for i in map(_phase, trace):
+        phase[i] = phase.get(i, 0) + 1
+    return RouteOutcome(source, target, path, len(trace),
                         success=(path[-1] == target and failure is Failure.NONE),
                         failure=failure, phase_steps=phase)
 
 
-def _bump(phase: dict[int | float, int], d) -> None:
-    i = phase_index(d) if d > 0 else PHASE_AT_ZERO
-    phase[i] = phase.get(i, 0) + 1
-
-
 def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
     get = _dist_getter(a, space_sel, target)
-    path = [source]
+    out = graph.out_edges
+    path, trace = [source], []
     visited = {source} if plateau else None
-    phase: dict[int | float, int] = {}
-    x = source
-    dx = get(x)
+    x, dx = source, get(source)
     while x != target:
-        if len(path) - 1 >= max_steps:
-            return _finish(source, target, path, phase, Failure.STEP_LIMIT)
-        nbrs = graph.out_edges[x]
-        w, dw = _argmin_neighbor(nbrs, get)
-        if w < 0 or not dw < dx:
-            if plateau:
-                w = _plateau_pick(nbrs, get, dx, visited)
-                dw = dx
-            else:
-                w = -1
+        if len(trace) >= max_steps:
+            return _finish(source, target, path, trace, Failure.STEP_LIMIT)
+        # the closest neighbor if it improves, else the first unvisited one
+        # level with x; every visited vertex is at least as far as x, so
+        # only a plateau move could revisit one
+        w, dw, level = -1, dx, -1
+        for v in out[x]:
+            dv = get(v)
+            if dv < dw:
+                w, dw = v, dv
+            elif plateau and dv == dx and level < 0 and v not in visited:
+                level = v
+        if w < 0:
+            w = level
             if w < 0:
-                return _finish(source, target, path, phase, Failure.STUCK)
-        _bump(phase, dx)
+                return _finish(source, target, path, trace, Failure.STUCK)
+        trace.append(dx)
         path.append(w)
-        if visited is not None:
+        if plateau:
             visited.add(w)
         x, dx = w, dw
-    return _finish(source, target, path, phase, Failure.NONE)
+    return _finish(source, target, path, trace, Failure.NONE)
 
 
 def _half_greedy(graph, a, space_sel, max_steps, source, target):
@@ -253,74 +235,80 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
             "half-greedy routing needs a graph-kind space (no base neighbors "
             f"on {space.kind})")
     get = _dist_getter(a, space_sel, target)
-    if space_sel == 1:
-        base_of = space.base_neighbors
-    else:
-        base_of = a.base_neighbors2
-    path = [source]
-    phase: dict[int | float, int] = {}
-    x = source
+    base_of = space.base_neighbors if space_sel == 1 else a.base_neighbors2
+    out = graph.out_edges
+    path, trace = [source], []
+    x, dx = source, get(source)
     while x != target:
-        if len(path) - 1 >= max_steps:
-            return _finish(source, target, path, phase, Failure.STEP_LIMIT)
-        dx = get(x)
-        nbrs = graph.out_edges[x]
-        # very big step: the closest out-neighbor, if dx > 2 d(w)
-        w, dw = _argmin_neighbor(nbrs, get)
-        if w < 0 or not dx > 2 * dw:
-            # small step: the smallest-id base neighbor exactly one closer
-            # that is an out-neighbor too (thinning keeps only space-1 base
-            # edges)
-            w = next((b for b in base_of(x) if b in nbrs and get(b) == dx - 1), -1)
-        if w < 0:
-            return _finish(source, target, path, phase, Failure.STUCK)
-        _bump(phase, dx)
+        if len(trace) >= max_steps:
+            return _finish(source, target, path, trace, Failure.STEP_LIMIT)
+        # the closest neighbor, and the neighbors exactly one closer
+        w, dw, one_closer = -1, dx, []
+        for v in out[x]:
+            dv = get(v)
+            if dv < dw:
+                w, dw = v, dv
+            if dv == dx - 1:
+                one_closer.append(v)
+        # very big step to the closest neighbor if dx > 2 d(w); otherwise a
+        # small step to the smallest-id base neighbor exactly one closer
+        # that is an out-neighbor too (thinning keeps only space-1 base
+        # edges)
+        if not dx > 2 * dw:
+            dw = dx - 1
+            w = next((b for b in base_of(x) if b in one_closer), -1)
+            if w < 0:
+                return _finish(source, target, path, trace, Failure.STUCK)
+        trace.append(dx)
         path.append(w)
-        x = w
-    return _finish(source, target, path, phase, Failure.NONE)
+        x, dx = w, dw
+    return _finish(source, target, path, trace, Failure.NONE)
 
 
 def _combined(graph, a, plateau, max_steps, literal_m, source, target):
-    get1, count1 = _target_view(a, 1, target)
-    get2, count2 = _target_view(a, 2, target)
-    path = [source]
+    pos = a.pi_list
+    to1, count1 = a.space1.prepare_target(target)
+    to2, count2 = a.space2.prepare_target(pos[target])
+    out = graph.out_edges
+    path, trace = [source], []
     visited = {source}
-    phase: dict[int | float, int] = {}
-    x = source
+    x, d1x, d2x = source, to1(source), to2(pos[source])
     while x != target:
-        if len(path) - 1 >= max_steps:
-            return _finish(source, target, path, phase, Failure.STEP_LIMIT)
-        if plateau:
-            nbrs = [w for w in graph.out_edges[x] if w not in visited]
+        if len(trace) >= max_steps:
+            return _finish(source, target, path, trace, Failure.STEP_LIMIT)
+        # one pass: the first strict minimum in each space, and the other
+        # space's distance there
+        w1 = w2 = -1
+        for v in out[x]:
+            if plateau and v in visited:
+                continue
+            e1, e2 = to1(v), to2(pos[v])
+            if w1 < 0 or e1 < m1:
+                w1, m1, o1 = v, e1, e2
+            if w2 < 0 or e2 < m2:
+                w2, m2, o2 = v, e2, e1
+        if w1 < 0:
+            return _finish(source, target, path, trace, Failure.STUCK)
+        improving1, improving2 = m1 < d1x, m2 < d2x
+        if improving1 and improving2:
+            take2 = m2 < m1 if literal_m else count2(m2) < count1(m1)
+        elif improving1 or improving2:
+            take2 = improving2
+        elif plateau and (m1 == d1x or m2 == d2x):
+            # a plateau move, to the first neighbor level with x in space 1,
+            # else in space 2: neither minimum improves, so the first
+            # neighbor level with x is the one that attains it
+            take2 = m1 != d1x
         else:
-            nbrs = graph.out_edges[x]
-        d1x, d2x = get1(x), get2(x)
-        w = -1
-        if nbrs:
-            w1, m1 = _argmin_neighbor(nbrs, get1)
-            w2, m2 = _argmin_neighbor(nbrs, get2)
-            improving1 = m1 < d1x
-            improving2 = m2 < d2x
-            if improving1 and improving2:
-                if literal_m:
-                    w = w2 if m2 < m1 else w1
-                else:
-                    w = w2 if count2(m2) < count1(m1) else w1
-            elif improving1:
-                w = w1
-            elif improving2:
-                w = w2
-            elif plateau:
-                w = _plateau_pick(nbrs, get1, d1x, visited)
-                if w < 0:
-                    w = _plateau_pick(nbrs, get2, d2x, visited)
-        if w < 0:
-            return _finish(source, target, path, phase, Failure.STUCK)
-        _bump(phase, d1x)
-        path.append(w)
-        visited.add(w)
-        x = w
-    return _finish(source, target, path, phase, Failure.NONE)
+            return _finish(source, target, path, trace, Failure.STUCK)
+        trace.append(d1x)
+        if take2:
+            x, d1x, d2x = w2, o2, m2
+        else:
+            x, d1x, d2x = w1, m1, o1
+        path.append(x)
+        visited.add(x)
+    return _finish(source, target, path, trace, Failure.NONE)
 
 
 def route(graph: NavGraph, assignment: Assignment, mode: RoutingMode,
@@ -331,11 +319,16 @@ def route(graph: NavGraph, assignment: Assignment, mode: RoutingMode,
     smallest vertex id.  Success requires reaching the target vertex
     identity; routing source == target succeeds with zero steps.
     """
-    _check_endpoints(graph, assignment, source, target)
+    n = graph.n
+    if n != assignment.n:
+        raise ValueError("graph and assignment sizes differ")
+    for v in (source, target):
+        if not 0 <= v < n:
+            raise ValueError(f"vertex id {v} out of range [0, {n})")
     if source == target:
         return RouteOutcome(source, target, [source], 0, True)
     plateau = resolved_plateau(mode, assignment)
-    max_steps = mode.max_steps if mode.max_steps is not None else 10 * graph.n
+    max_steps = mode.max_steps if mode.max_steps is not None else 10 * n
     if mode.kind == "greedy":
         return _greedy(graph, assignment, mode.space, plateau, max_steps,
                        source, target)

@@ -12,7 +12,10 @@ array forms (:meth:`Space.distances_from`, :meth:`Space.distances_to`,
 :meth:`Space.distances_between`) for builders and balls, and one scalar
 form, :meth:`Space.distance_to`, which prepares a target once and then
 reads one distance per call, for routers that visit a few vertices per
-step.  :meth:`Space.distance` is the scalar form for a single pair.
+step.  :meth:`Space.distances_from` also takes a 1-D array of sources and
+returns one row per source, the same formula broadcast, so that builders
+read a block of rows in one call.  :meth:`Space.distance` is the scalar
+form for a single pair.
 Base adjacency has two forms in the same way: :meth:`Space.base_neighbors`
 for one vertex, and :meth:`Space.base_edges` for every vertex at once.
 
@@ -110,8 +113,9 @@ class Space:
         """Kernel distance from ``x`` to ``y`` (int for graph kinds)."""
         return self.distance_to(y)(x)
 
-    def distances_from(self, x: int) -> np.ndarray:
-        """Vector of ``distance(x, y)`` for every ``y``."""
+    def distances_from(self, x) -> np.ndarray:
+        """Vector of ``distance(x, y)`` for every ``y``; for a 1-D array of
+        sources, one such row per source."""
         raise NotImplementedError
 
     def distances_to(self, x: int) -> np.ndarray:
@@ -205,6 +209,14 @@ class Space:
         if not 0 <= x < self.n:
             raise _out_of_range(x, self.n)
 
+    def _sources(self, x):
+        """``x`` checked: an id as it is, or a 1-D array of ids as a
+        column, against which a row of every id broadcasts."""
+        if np.ndim(x) == 0:
+            self._check_vertex(x)
+            return x
+        return self._check_vertices(x)[:, None]
+
     def _check_vertices(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
         if xs.size and not (0 <= xs.min() and xs.max() < self.n):
@@ -263,8 +275,8 @@ class DirectedCycle(Space):
             return (y - v) % n
         return d
 
-    def distances_from(self, x: int) -> np.ndarray:
-        self._check_vertex(x)
+    def distances_from(self, x) -> np.ndarray:
+        x = self._sources(x)
         return (np.arange(self.n, dtype=np.int64) - x) % self.n
 
     def distances_to(self, x: int) -> np.ndarray:
@@ -317,8 +329,8 @@ class UndirectedCycle(Space):
             return a if a <= half else n - a
         return d
 
-    def distances_from(self, x: int) -> np.ndarray:
-        self._check_vertex(x)
+    def distances_from(self, x) -> np.ndarray:
+        x = self._sources(x)
         a = np.abs(np.arange(self.n, dtype=np.int64) - x)
         return np.minimum(a, self.n - a)
 
@@ -415,8 +427,8 @@ class Grid(Space):
             return total
         return d
 
-    def distances_from(self, x: int) -> np.ndarray:
-        self._check_vertex(x)
+    def distances_from(self, x) -> np.ndarray:
+        x = self._sources(x)
         return self._l1(column - column[x] for column in self._columns)
 
     def distances_between(self, xs, ys) -> np.ndarray:
@@ -538,13 +550,13 @@ class TreeLeaves(Space):
             return level
         return d
 
-    def distances_from(self, x: int) -> np.ndarray:
-        self._check_vertex(x)
-        d = np.full(self.n, self.height, dtype=np.int64)
+    def distances_from(self, x) -> np.ndarray:
+        x = self._sources(x)
+        d = np.full(np.broadcast_shapes(np.shape(x), (self.n,)), self.height,
+                    dtype=np.int64)
         codes = self._level_codes
-        for level in range(self.height - 1, 0, -1):
+        for level in range(self.height - 1, -1, -1):
             d[codes[level] == (x // self.branching**level)] = level
-        d[x] = 0
         return d
 
     def distances_between(self, xs, ys) -> np.ndarray:
@@ -692,6 +704,28 @@ class Euclidean(Space):
         self._check_vertex(y)
         n, rows = self.n, self._rows
         py = rows[y]
+        # the squares summed left to right, as _norms sums them; 0.0 + s
+        # is s for any square s, so the unpacked sums start at the first
+        if len(py) == 2:
+            y0, y1 = py
+
+            def d(v: int) -> float:
+                if not 0 <= v < n:
+                    raise _out_of_range(v, n)
+                v0, v1 = rows[v]
+                d0, d1 = v0 - y0, v1 - y1
+                return math.sqrt(d0 * d0 + d1 * d1)
+            return d
+        if len(py) == 3:
+            y0, y1, y2 = py
+
+            def d(v: int) -> float:
+                if not 0 <= v < n:
+                    raise _out_of_range(v, n)
+                v0, v1, v2 = rows[v]
+                d0, d1, d2 = v0 - y0, v1 - y1, v2 - y2
+                return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+            return d
 
         def d(v: int) -> float:
             if not 0 <= v < n:
@@ -703,8 +737,8 @@ class Euclidean(Space):
             return math.sqrt(total)
         return d
 
-    def distances_from(self, x: int) -> np.ndarray:
-        self._check_vertex(x)
+    def distances_from(self, x) -> np.ndarray:
+        x = self._sources(x)
         return _norms(column - column[x] for column in self._columns)
 
     def distances_between(self, xs, ys) -> np.ndarray:

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from navgraph.construction import Assignment, Seed, build_double_clustering
-from navgraph.harness import (ExperimentSpec, aggregate_csv_text,
-                              csv_without_timing, fit_scaling, raw_csv_text,
-                              run_experiment)
+from navgraph.harness import (ExperimentSpec, aggregate_csv_text, fit_scaling,
+                              raw_csv_text, run_experiment)
 from navgraph.oracle import (find_divergent_permutation, marginal_edge_law,
                              monotonicity_check, random_disjoint_sets, tau_tail)
 from navgraph.routing import RoutingMode, route
 from navgraph.spaces import DirectedCycle
+from test_harness import csv_without_timing
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

@@ -148,6 +148,26 @@ def test_route_unknown_vertex(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--model", "kleinberg", "--max-steps", "0"), "max_steps must be >= 1"),
+    (("--model", "kleinberg", "--source", "4096"), "vertex 4096 out of range"),
+    (("--model", "kleinberg", "--target", "-1"), "vertex -1 out of range"),
+    (("--model", "continuum", "--mode", "half-greedy-1"), "graph-kind space 1"),
+], ids=["max-steps-0", "source-out-of-range", "target-out-of-range",
+        "half-greedy-on-continuum"])
+def test_route_refuses_bad_arguments_before_building(monkeypatch, capsys,
+                                                      flags, message):
+    def build_model(*args, **kwargs):
+        raise AssertionError("the graph was built")
+    monkeypatch.setattr(cli.harness, "build_model", build_model)
+    # a repeated option takes its last value
+    code = run_cli("route", "--n", "4096", "--seed", "0", "--source", "0",
+                   "--target", "1", *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_route_divergence_witness_replay(tmp_path, capsys):
     witness = find_divergent_permutation(8)
     pi_file = tmp_path / "pi.txt"

@@ -9,11 +9,21 @@ from navgraph import harness
 from navgraph.construction import Seed
 from navgraph.harness import (AggregateRow, ExperimentResult, ExperimentSpec,
                               aggregate_csv_text, build_model, build_space,
-                              csv_without_timing, experiment_spec_from_dict,
-                              export_csv, fit_scaling, load_experiment_config,
+                              experiment_spec_from_dict, export_csv,
+                              fit_scaling, load_experiment_config,
                               raw_csv_text, run_experiment)
 from navgraph.routing import RoutingMode
 from navgraph.spaces import DirectedCycle, Grid, TreeLeaves, UndirectedCycle
+
+# the aggregate CSV's timing columns, its only nondeterministic ones
+TIMING_COLUMNS = ("build_ms", "wall_ms")
+
+
+def csv_without_timing(text: str) -> str:
+    """Drop the timing columns by header name."""
+    rows = [line.split(",") for line in text.splitlines()]
+    keep = [k for k, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
+    return "".join(",".join(row[k] for k in keep) + "\n" for row in rows)
 
 
 def make_spec(**overrides):

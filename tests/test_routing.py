@@ -479,6 +479,109 @@ def test_routers_keep_invariants_on_random_instances(instance, data):
                 check_route_invariants(graph, a, mode, s, t, out)
 
 
+def target_distances(a, space, target):
+    """Every vertex's distance toward the target in the selected space,
+    from the array kernels."""
+    if space == 1:
+        return a.space1.distances_to(target)
+    return a.space2.distances_to(int(a.pi[target]))[a.pi]
+
+
+def oracle_outcome(source, target, path, d, failure):
+    """The outcome of an oracle's path: one phase per step, by the primary
+    distance d of the vertex it left."""
+    phase = {}
+    for v in path[:-1]:
+        key = phase_index(d[v]) if d[v] > 0 else PHASE_AT_ZERO
+        phase[key] = phase.get(key, 0) + 1
+    return RouteOutcome(source, target, path, len(path) - 1,
+                        failure is Failure.NONE, failure, phase)
+
+
+def greedy_oracle(graph, a, mode, source, target):
+    """Greedy routing by its definition, over whole arrays: the closest
+    out-neighbor if it is strictly closer, smallest id on ties; otherwise,
+    with plateau moves, the smallest-id unvisited out-neighbor at x's own
+    distance."""
+    if source == target:
+        return RouteOutcome(source, target, [source], 0, True)
+    plateau = resolved_plateau(mode, a)
+    max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
+    d = target_distances(a, mode.space, target)
+    path, failure = [source], Failure.NONE
+    x = source
+    while x != target:
+        if len(path) - 1 >= max_steps:
+            failure = Failure.STEP_LIMIT
+            break
+        nbrs = graph.out_edges[x]
+        closer = [v for v in nbrs if d[v] < d[x]]
+        level = [v for v in nbrs if d[v] == d[x] and v not in path]
+        if closer:
+            x = min(closer, key=lambda v: (d[v], v))
+        elif plateau and level:
+            x = min(level)
+        else:
+            failure = Failure.STUCK
+            break
+        path.append(x)
+    return oracle_outcome(source, target, path, d, failure)
+
+
+def half_greedy_oracle(graph, a, mode, source, target):
+    """Half-greedy routing by its definition, over whole arrays: the
+    closest out-neighbor if it is less than half as far, smallest id on
+    ties; otherwise the smallest-id out-neighbor that is a base neighbor
+    (at distance 1 in the routing space) and exactly one closer."""
+    if source == target:
+        return RouteOutcome(source, target, [source], 0, True)
+    max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
+    d = target_distances(a, mode.space, target)
+    path, failure = [source], Failure.NONE
+    x = source
+    while x != target:
+        if len(path) - 1 >= max_steps:
+            failure = Failure.STEP_LIMIT
+            break
+        if mode.space == 1:
+            step = a.space1.distances_from(x)
+        else:
+            step = a.space2.distances_from(int(a.pi[x]))[a.pi]
+        nbrs = graph.out_edges[x]
+        best = min(nbrs, key=lambda v: (d[v], v), default=None)
+        small = [v for v in nbrs if step[v] == 1 and d[v] == d[x] - 1]
+        if best is not None and d[x] > 2 * d[best]:
+            x = best
+        elif small:
+            x = min(small)
+        else:
+            failure = Failure.STUCK
+            break
+        path.append(x)
+    return oracle_outcome(source, target, path, d, failure)
+
+
+@given(routing_instances(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_greedy_and_half_greedy_match_array_oracles(instance, data):
+    a, graph = instance
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, a.n - 1),
+                                         st.integers(0, a.n - 1)),
+                               min_size=1, max_size=3))
+    max_steps = data.draw(st.none() | st.integers(1, 6))
+    for base in admitted_modes(a):
+        if base.kind == "greedy":
+            oracle, plateaus = greedy_oracle, (None, True, False)
+        elif base.kind == "half-greedy":
+            oracle, plateaus = half_greedy_oracle, (None,)
+        else:
+            continue
+        for plateau in plateaus:
+            mode = dataclasses.replace(base, plateau=plateau, max_steps=max_steps)
+            for s, t in pairs:
+                assert route(graph, a, mode, s, t) == oracle(graph, a, mode, s, t)
+
+
 def combined_oracle(graph, a, mode, source, target):
     """Combined routing by its quantified definition, over whole arrays:
     distances toward the target in each space, and ball sizes counted on

@@ -219,8 +219,15 @@ def test_distances_between_matches_distances_from(space):
     ys = np.tile(np.arange(n), n)
     rows = np.concatenate([space.distances_from(x) for x in range(n)])
     assert np.array_equal(space.distances_between(xs, ys), rows)
+    # the array form: one row per source, in the order given
+    sources = np.arange(n)[::-1]
+    assert np.array_equal(space.distances_from(sources).ravel(),
+                          space.distances_between(sources.repeat(n), ys))
+    assert space.distances_from(sources[:0]).shape == (0, n)
     with pytest.raises(ValueError):
         space.distances_between([0], [n])
+    with pytest.raises(ValueError):
+        space.distances_from(np.array([0, n]))
 
 
 @pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
