@@ -229,6 +229,8 @@ def _cmd_oracle(args, argv) -> int:
 
 
 def _cmd_experiment(args, argv) -> int:
+    if args.workers < 0:
+        raise _UsageError(f"--workers must be >= 0, got {args.workers}")
     _echo(argv, None)
     spec = harness.load_experiment_config(args.config)
     workers = args.workers if args.workers else (os.cpu_count() or 1)
@@ -315,7 +317,7 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--out", required=True)
     p_exp.add_argument("--raw-out")
     p_exp.add_argument("--workers", type=int, default=0,
-                       help="parallel trials (default: all cores)")
+                       help="parallel trials (0, the default: all cores)")
     p_exp.add_argument("--allow-large", action="store_true",
                        help="raise the size ceiling to 2^16")
     p_exp.add_argument("--dump-edges", help="directory for per-trial edge lists")

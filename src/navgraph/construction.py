@@ -13,11 +13,13 @@ enumerations put the rows of many permutations in one block.
 All builders are pure functions of their parameters and a :class:`Seed`;
 randomness is drawn from per-vertex streams derived from (master seed,
 stream label, vertex id), so edge sets do not depend on evaluation order.
-The baselines and thinning read those streams unchanged, one generator
-per vertex, but do the rest of their work as array passes over blocks of
-vertices: Kleinberg's d^-alpha law and its draws, the interest values and
-their bounds, and the base and kept edges of thinning.  The Kleinberg and
-independent-interest baselines still do O(n) work per vertex.
+The baselines and thinning seed all the streams of their label at once,
+in one array pass of :meth:`Seed.streams` that gives each vertex exactly
+the draws of ``Seed.rng(label, v)``, and do the rest of their work as
+array passes over blocks of vertices: Kleinberg's d^-alpha law and its
+draws, the interest values and their bounds, and the base and kept edges
+of thinning.  The Kleinberg and independent-interest baselines still do
+O(n) work per vertex.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .spaces import Space
 
 __all__ = [
     "Seed",
+    "Streams",
     "Assignment",
     "NavGraph",
     "build_double_clustering",
@@ -51,8 +54,33 @@ __all__ = [
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
+# numpy's SeedSequence (pool size and hash constants) and PCG64 (its
+# 128-bit LCG multiplier), which Seed.streams reproduces word for word
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 # candidate entries per block of rows, whichever permutations they belong to
 _BLOCK_ENTRIES = 1 << 13
+
+
+def _entropy_words(labels) -> list[int]:
+    """The uint32 entropy words of a stream: each string label read as a
+    little-endian integer and each integer label masked to 64 bits, each
+    split into little-endian uint32 words (0 is one word), as SeedSequence
+    splits the plain list of those ints."""
+    words: list[int] = []
+    for label in labels:
+        if isinstance(label, str):
+            value = int.from_bytes(label.encode("utf-8"), "little")
+        else:
+            value = int(label) & _MASK64
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    return words
 
 
 @dataclass(frozen=True)
@@ -61,32 +89,133 @@ class Seed:
 
     Identical (master, labels) always yield the same generator, so any
     computation keyed on per-vertex streams is reproducible regardless of
-    scheduling.
+    scheduling.  :meth:`rng` gives one stream; :meth:`streams` seeds the
+    streams (label, v) of many vertices in one array pass, with the same
+    draws.
     """
 
     master: int
 
     def rng(self, *labels: int | str) -> np.random.Generator:
-        # The entropy is the master, each string label read as a
-        # little-endian integer, and each integer label, all masked to 64
-        # bits.  SeedSequence splits every int into little-endian uint32
-        # words (0 is one word); handing it those words as an array gives
-        # the same pool, and the same stream, without its per-int coercion.
-        words: list[int] = []
-        for label in (self.master, *labels):
-            if isinstance(label, str):
-                value = int.from_bytes(label.encode("utf-8"), "little")
-            else:
-                value = int(label) & _MASK64
-            words.append(value & _MASK32)
-            while value := value >> 32:
-                words.append(value & _MASK32)
+        # handing SeedSequence the words as an array gives the same pool,
+        # and the same stream, without its per-int coercion
+        words = _entropy_words((self.master, *labels))
         return np.random.default_rng(
             np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+
+    def streams(self, label: int | str, ids) -> "Streams":
+        """The streams ``rng(label, v)`` of every vertex id v in ``ids``.
+
+        Ids must lie in [0, 2^32), so each is one entropy word.
+        """
+        ids = np.ravel(ids)
+        if ids.size and not (0 <= ids.min() and ids.max() <= _MASK32):
+            raise ValueError("stream ids must lie in [0, 2^32)")
+        return Streams(*_pcg64_seeds(_entropy_words((self.master, label)),
+                                     ids.astype(np.uint32)))
 
     def permutation(self, n: int) -> np.ndarray:
         """The permutation stream used by all double-clustering models."""
         return self.rng("pi").permutation(n)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``a * b``, from 32-bit
+    halves."""
+    low = np.uint64(_MASK32)
+    a0, a1 = a & low, a >> np.uint64(32)
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & low) + (p10 & low)
+    return (a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
+            + (mid >> np.uint64(32)))
+
+
+def _pcg64_seeds(prefix: list[int], ids: np.ndarray) -> tuple[list[int], list[int]]:
+    """The PCG64 (state, inc) that ``SeedSequence(prefix + [id])`` seeds,
+    for each uint32 ``id`` in ``ids``.
+
+    Every step is fixed uint32 or uint128 arithmetic, so it runs over all
+    ids at once: SeedSequence's pool mixing, including the loop for the
+    entropy words past the pool, then ``generate_state(4, uint64)``, then
+    PCG64's two seeding LCG steps.  Words that do not depend on the id are
+    1-element arrays and broadcast.
+    """
+    entropy = [np.array([w], dtype=np.uint32) for w in prefix] + [ids]
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(entropy)):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    # generate_state(4, uint64): eight uint32 words, read in little-endian
+    # pairs as the 128-bit seed (high word first) and sequence
+    hash_b, state = _INIT_B, []
+    for i in range(8):
+        word = pool[i % _POOL] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        word = word * np.uint32(hash_b)
+        word ^= word >> np.uint32(16)
+        state.append(np.broadcast_to(word, ids.shape).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2))
+    # inc = 2 * seq + 1; state = 0 * mult + inc, then + seed, then one
+    # more step: (inc + seed) * mult + inc, all mod 2^128
+    one = np.uint64(1)
+    inc_hi = seq_hi << one | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << one | one
+    sum_lo = inc_lo + seed_lo
+    sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
+    mult_hi, mult_lo = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+    prod_lo = sum_lo * np.uint64(mult_lo)
+    prod_hi = (sum_hi * np.uint64(mult_lo) + sum_lo * np.uint64(mult_hi)
+               + _mulhi64(sum_lo, mult_lo))
+    state_lo = prod_lo + inc_lo
+    state_hi = prod_hi + inc_hi + (state_lo < prod_lo)
+
+    def ints(hi, lo):
+        return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+    return ints(state_hi, state_lo), ints(inc_hi, inc_lo)
+
+
+class Streams:
+    """Per-vertex streams of one label, seeded together by
+    :meth:`Seed.streams`.
+
+    ``random(k, out)`` fills ``out`` with the first uniforms of the k-th
+    stream, exactly as ``Seed.rng(label, ids[k]).random(out=out)`` would:
+    one PCG64, owned by this object, is set to that stream's start.
+    """
+
+    def __init__(self, states: list[int], incs: list[int]):
+        self._states, self._incs = states, incs
+        self._bits = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bits)
+
+    def random(self, k: int, out: np.ndarray) -> np.ndarray:
+        self._bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": self._states[k], "inc": self._incs[k]},
+            "has_uint32": 0, "uinteger": 0}
+        return self._generator.random(out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,6 +463,7 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
     n = space.n
     radius, block = _prefix_plan(space)
     fill = max(1, _BLOCK_ENTRIES // n)
+    streams = seed.streams("ii", np.arange(n))
     out = []
     for start in range(0, n, block):
         rows = np.arange(start, min(n, start + block))
@@ -345,7 +475,7 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
             part = rows[first:first + fill]
             values = np.empty((len(part), n))
             for k, i in enumerate(part.tolist()):
-                seed.rng("ii", i).random(out=values[k])
+                streams.random(i, values[k])
             # keep iff interest >= running max  <=>  -interest <= running min
             np.negative(values, out=values)
             lo, hi = np.searchsorted(owner1, (first, first + len(part)))
@@ -412,6 +542,7 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
         return NavGraph(n, [[]], kind)
     base_tails, base_heads = space.base_edges()
     block = max(1, _BLOCK_ENTRIES // n)
+    streams = seed.streams("kleinberg", np.arange(n))
     out: list[list[int]] = []
     for start in range(0, n, block):
         rows = np.arange(start, min(n, start + block))
@@ -419,7 +550,7 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
         cdf /= cdf[:, -1:]
         u = np.empty((len(rows), links))
         for k, x in enumerate(rows.tolist()):
-            seed.rng("kleinberg", x).random(out=u[k])
+            streams.random(x, u[k])
         # searchsorted(cdf, u, side="right") per row, then candidate -> id
         draws = (cdf[:, None, :] <= u[:, :, None]).sum(axis=2)
         draws += draws >= rows[:, None]
@@ -461,10 +592,12 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
     keep = np.isin(codes, base_tails * n + base_heads)
     extras = np.flatnonzero(~keep)
     u = np.empty(len(extras))
-    ends = np.searchsorted(tails[extras], np.arange(n + 1)).tolist()
-    for x in range(n):
-        if ends[x] < ends[x + 1]:
-            seed.rng("thin", x).random(out=u[ends[x]:ends[x + 1]])
+    ends = np.searchsorted(tails[extras], np.arange(n + 1))
+    drawing = np.flatnonzero(np.diff(ends))
+    streams = seed.streams("thin", drawing)
+    ends = ends.tolist()
+    for k, x in enumerate(drawing.tolist()):
+        streams.random(k, u[ends[x]:ends[x + 1]])
     keep[extras[u < keep_p]] = True
     return NavGraph(n, _split_rows(np.unique(codes[keep]), n, n),
                     f"thinned({graph.kind})")

@@ -6,9 +6,9 @@ samples positions/permutation from dedicated seed streams, builds the
 graph once, routes a fixed number of uniformly sampled (source != target)
 pairs under every mode, and aggregates per (size, seed, mode).
 
-Identical spec + seeds reproduce identical CSV bytes (the build_ms and
-wall_ms timing columns excluded); trials are independent, so results do
-not depend on worker scheduling.
+Identical spec + seeds reproduce identical CSV bytes (the thin_ms,
+build_ms and wall_ms timing columns excluded); trials are independent,
+so results do not depend on worker scheduling.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ DEFAULT_MAX_SIZE = 2**14
 LARGE_MAX_SIZE = 2**16
 
 AGGREGATE_HEADER = ("model,n,seed,mode,routes,successes,success_rate,"
-                    "mean_len,median_len,mean_outdeg,build_ms,wall_ms")
+                    "mean_len,median_len,mean_outdeg,thin_ms,build_ms,wall_ms")
 RAW_HEADER = "n,seed,mode,source,target,steps,success,failure"
 
 
@@ -186,8 +186,9 @@ def load_experiment_config(path: str | Path) -> ExperimentSpec:
 @dataclass(frozen=True)
 class AggregateRow:
     """One (size, seed, mode) aggregate.  ``build_ms`` times the trial's
-    build and thinning, repeated on each of its mode rows; ``wall_ms``
-    times this mode's routes alone."""
+    build and thinning, and ``thin_ms`` the thinning alone (None without
+    thinning), both repeated on each of its mode rows; ``wall_ms`` times
+    this mode's routes alone."""
 
     model: str
     n: int
@@ -199,6 +200,7 @@ class AggregateRow:
     mean_len: float | None
     median_len: float | None
     mean_outdeg: float
+    thin_ms: float | None
     build_ms: float
     wall_ms: float
 
@@ -361,32 +363,35 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
     return assignment, graph
 
 
-def _build_trial(spec: ExperimentSpec, n: int, seed: Seed) -> tuple[Assignment, NavGraph]:
+def _build_trial(spec: ExperimentSpec, n: int, seed: Seed
+                 ) -> tuple[Assignment, NavGraph, float | None]:
+    """The trial's assignment and graph, and the thinning's milliseconds
+    (None without thinning)."""
     assignment, graph = build_model(spec.model, spec.params, n, seed)
-    if spec.thinning:
-        graph = thin_edges(graph, assignment.space1, seed)
-    return assignment, graph
+    if not spec.thinning:
+        return assignment, graph, None
+    t0 = time.perf_counter()
+    graph = thin_edges(graph, assignment.space1, seed)
+    return assignment, graph, (time.perf_counter() - t0) * 1000.0
 
 
 def _sample_route_pairs(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """``count`` distinct (source != target) pairs, capped at n(n-1), in
+    the order of first draw: each round draws one (source, target) per
+    missing pair and drops self-pairs and repeats."""
     count = min(count, n * (n - 1))
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
+    pairs: dict[tuple[int, int], None] = {}
     while len(pairs) < count:
-        s = int(rng.integers(n))
-        t = int(rng.integers(n))
-        if s == t or (s, t) in seen:
-            continue
-        seen.add((s, t))
-        pairs.append((s, t))
-    return pairs
+        draws = rng.integers(n, size=(count - len(pairs), 2)).tolist()
+        pairs.update(((s, t), None) for s, t in draws if s != t)
+    return list(pairs)
 
 
 def _run_trial(spec: ExperimentSpec, n: int, master: int,
                dump_edges_dir: str | None = None) -> tuple[list[AggregateRow], list[RouteRecord]]:
     seed = Seed(master)
     t0 = time.perf_counter()
-    assignment, graph = _build_trial(spec, n, seed)
+    assignment, graph, thin_ms = _build_trial(spec, n, seed)
     build_ms = (time.perf_counter() - t0) * 1000.0
     if dump_edges_dir is not None:
         out = Path(dump_edges_dir)
@@ -415,7 +420,8 @@ def _run_trial(spec: ExperimentSpec, n: int, master: int,
             success_rate=successes / len(pairs),
             mean_len=(sum(lengths) / len(lengths)) if lengths else None,
             median_len=float(statistics.median(lengths)) if lengths else None,
-            mean_outdeg=mean_outdeg, build_ms=build_ms, wall_ms=mode_ms))
+            mean_outdeg=mean_outdeg, thin_ms=thin_ms, build_ms=build_ms,
+            wall_ms=mode_ms))
     return rows, raw
 
 
@@ -441,8 +447,10 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     Failed routes are excluded from length means but counted in the
     success rate.  Trials are independent; with workers > 1 they fan out
     across processes and are reduced in (size, seed) order, so the result
-    is identical for any worker count.
+    is identical for any worker count.  ``workers`` must be >= 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _validate_budget(spec, allow_large)
     tasks = [(n, master) for n in spec.sizes for master in spec.seeds]
     rows: list[AggregateRow] = []
@@ -522,7 +530,7 @@ def aggregate_csv_text(result: ExperimentResult) -> str:
         buf.write(",".join(_fmt(v) for v in (
             r.model, r.n, r.seed, r.mode, r.routes, r.successes,
             r.success_rate, r.mean_len, r.median_len, r.mean_outdeg,
-            r.build_ms, r.wall_ms)) + "\n")
+            r.thin_ms, r.build_ms, r.wall_ms)) + "\n")
     return buf.getvalue()
 
 

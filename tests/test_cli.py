@@ -401,6 +401,22 @@ def test_experiment_rejects_non_finite_continuum_box(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("workers", ["-1", "-3"])
+def test_experiment_rejects_negative_workers(tmp_path, capsys, monkeypatch,
+                                             workers):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a graph")
+    monkeypatch.setattr(cli.harness, "build_model", no_build)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(json.dumps({"model": "two-directed-cycles", "sizes": [8],
+                               "seeds": [1]}))
+    code = run_cli("experiment", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.csv"), "--workers", workers)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --workers must be >= 0, got {workers}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_experiment_missing_config_is_io_error(tmp_path, capsys):
     code = run_cli("experiment", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o.csv"))

@@ -91,6 +91,86 @@ def test_seed_streams_match_plain_int_entropy(master):
     assert np.array_equal(seed.permutation(20), plain("pi").permutation(20))
 
 
+def stream_draws(seed, label, ids, counts):
+    """The first counts[k] uniforms of stream ids[k] for every k, in one
+    array, from Seed.streams."""
+    streams = seed.streams(label, ids)
+    return np.concatenate([streams.random(k, np.empty(c))
+                           for k, c in enumerate(counts)] + [np.empty(0)])
+
+
+def rng_draws(seed, label, ids, counts):
+    """The same uniforms, one Seed.rng generator per stream."""
+    return np.concatenate([seed.rng(label, v).random(c)
+                           for v, c in zip(ids, counts)] + [np.empty(0)])
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1,
+                                    2**70 + 5])
+@pytest.mark.parametrize("label", ["ii", "thin", "kleinberg", "thirteen-byte",
+                                   12345])
+def test_streams_equal_one_generator_per_vertex(master, label):
+    # Seed.rng is the oracle: every word count of master and label, so
+    # vertex ids fall inside the pool and past it
+    assert len("thirteen-byte".encode()) == 13
+    seed = Seed(master)
+    n = 9
+    ids = [5, 0, 3, 3, 2**32 - 1, 8, 1, 5]  # unsorted, repeated, the largest
+    counts = [0, 1, n, 1, 3, 0, n, 2]
+    assert np.array_equal(stream_draws(seed, label, ids, counts),
+                          rng_draws(seed, label, ids, counts))
+    assert np.array_equal(stream_draws(seed, label, np.arange(n), [n] * n),
+                          rng_draws(seed, label, range(n), [n] * n))
+    assert stream_draws(seed, label, [], []).size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=st.integers(-2**70, 2**70),
+       label=st.one_of(st.text(max_size=20), st.integers(-2**66, 2**66)),
+       drawn=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 6)),
+                      max_size=8))
+def test_streams_property(master, label, drawn):
+    seed = Seed(master)
+    ids, counts = [v for v, _ in drawn], [c for _, c in drawn]
+    assert np.array_equal(stream_draws(seed, label, ids, counts),
+                          rng_draws(seed, label, ids, counts))
+
+
+def test_streams_refuse_ids_outside_one_word():
+    seed = Seed(3)
+    for ids in ([2**32], [0, 2**32 + 5], [-1], [2**64]):
+        with pytest.raises(ValueError, match="stream ids"):
+            seed.streams("thin", ids)
+
+
+def test_streams_own_their_generator():
+    # two stream sets read in turn each give their own draws: no generator
+    # is shared between them
+    seed = Seed(11)
+    ii, thin = seed.streams("ii", [4, 2]), seed.streams("thin", [4, 2])
+    draws = [ii.random(0, np.empty(3)), thin.random(0, np.empty(3)),
+             ii.random(1, np.empty(2)), thin.random(1, np.empty(2))]
+    assert all(np.array_equal(got, want) for got, want in zip(draws, [
+        seed.rng("ii", 4).random(3), seed.rng("thin", 4).random(3),
+        seed.rng("ii", 2).random(2), seed.rng("thin", 2).random(2)]))
+
+
+def test_builders_seed_their_streams_once(monkeypatch):
+    calls = []
+    original = Seed.streams
+
+    def counting(self, label, ids):
+        calls.append(label)
+        return original(self, label, ids)
+    monkeypatch.setattr(Seed, "streams", counting)
+    seed = Seed(2)
+    build_kleinberg(Grid((40, 40)), 2.0, 1, seed)
+    build_independent_interest(UndirectedCycle(600), seed)
+    assignment = Assignment.random(UndirectedCycle(600), UndirectedCycle(600), seed)
+    thin_edges(build_double_clustering(assignment), assignment.space1, seed)
+    assert calls == ["kleinberg", "ii", "thin"]
+
+
 # ---------------------------------------------------------------------------
 # double clustering
 

@@ -16,7 +16,7 @@ from navgraph.routing import RoutingMode
 from navgraph.spaces import DirectedCycle, Grid, TreeLeaves, UndirectedCycle
 
 # the aggregate CSV's timing columns, its only nondeterministic ones
-TIMING_COLUMNS = ("build_ms", "wall_ms")
+TIMING_COLUMNS = ("thin_ms", "build_ms", "wall_ms")
 
 
 def csv_without_timing(text: str) -> str:
@@ -38,7 +38,7 @@ def synthetic_result(values_by_n, mode="greedy-1"):
     spec = make_spec(sizes=tuple(sorted(values_by_n)),
                      routing_modes=(RoutingMode.parse(mode),))
     rows = [AggregateRow("two-directed-cycles", n, 1, mode, 10, 10, 1.0,
-                         mean, mean, 2.0, 5.0, 1.0)
+                         mean, mean, 2.0, None, 5.0, 1.0)
             for n, mean in sorted(values_by_n.items())]
     return ExperimentResult(spec, rows, [])
 
@@ -302,6 +302,41 @@ def test_route_endpoints_unique_and_valid():
     assert all(s != t for s, t in records)
 
 
+def scalar_route_pairs(n, count, rng):
+    """Route pairs drawn the way the sampler once drew them: two scalar
+    draws per pair, self-pairs and repeats skipped."""
+    count = min(count, n * (n - 1))
+    seen, pairs = set(), []
+    while len(pairs) < count:
+        s, t = int(rng.integers(n)), int(rng.integers(n))
+        if s != t and (s, t) not in seen:
+            seen.add((s, t))
+            pairs.append((s, t))
+    return pairs
+
+
+@pytest.mark.parametrize("n,counts", [
+    (2, [1, 2, 5]),
+    (3, [1, 4, 6, 9]),
+    (7, [1, 10, 41, 42, 100]),
+    (1024, [1, 1000, 5000]),
+])
+def test_route_pairs_match_scalar_draws(n, counts):
+    # one vector draw per round gives the pairs, in order, that two scalar
+    # draws per pair gave, also where rejection saturates at n(n-1)
+    for master in (0, 5, 2**40):
+        for count in counts:
+            got = harness._sample_route_pairs(n, count, Seed(master).rng("routes"))
+            assert got == scalar_route_pairs(n, count, Seed(master).rng("routes"))
+            assert all(isinstance(v, int) for pair in got for v in pair)
+
+
+@pytest.mark.parametrize("workers", [0, -1, -3])
+def test_run_experiment_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_experiment(make_spec(), workers=workers)
+
+
 def test_budget_refusal():
     spec = make_spec(sizes=(2**15,))
     with pytest.raises(ValueError, match="allow_large"):
@@ -393,35 +428,40 @@ def test_export_csv_header_only_when_empty(tmp_path):
 
 
 def test_export_csv_row_count_and_round_trip(tmp_path):
-    spec = make_spec(routing_modes=(RoutingMode.parse("greedy-1"),
-                                    RoutingMode.parse("greedy-2")),
-                     seeds=(1,))
-    result = run_experiment(spec)
-    path = tmp_path / "out.csv"
-    raw_path = tmp_path / "raw.csv"
-    export_csv(result, path, raw_path=raw_path)
-    text = path.read_text()
-    assert len(text.splitlines()) == 1 + 4  # header + 2 sizes x 1 seed x 2 modes
-    assert raw_path.read_text().splitlines()[0] == harness.RAW_HEADER
-    assert [line.split(",") for line in text.splitlines()[1:]] == [
-        [r.model, str(r.n), str(r.seed), r.mode, str(r.routes), str(r.successes),
-         repr(r.success_rate), repr(r.mean_len), repr(r.median_len),
-         repr(r.mean_outdeg), repr(r.build_ms), repr(r.wall_ms)]
-        for r in result.rows]
+    for thinning in (False, True):
+        spec = make_spec(routing_modes=(RoutingMode.parse("greedy-1"),
+                                        RoutingMode.parse("greedy-2")),
+                         seeds=(1,), thinning=thinning)
+        result = run_experiment(spec)
+        path = tmp_path / "out.csv"
+        raw_path = tmp_path / "raw.csv"
+        export_csv(result, path, raw_path=raw_path)
+        text = path.read_text()
+        assert len(text.splitlines()) == 1 + 4  # header + 2 sizes x 1 seed x 2 modes
+        assert raw_path.read_text().splitlines()[0] == harness.RAW_HEADER
+        # thin_ms is empty unless the spec thins
+        assert all((r.thin_ms is not None) == thinning for r in result.rows)
+        assert [line.split(",") for line in text.splitlines()[1:]] == [
+            [r.model, str(r.n), str(r.seed), r.mode, str(r.routes), str(r.successes),
+             repr(r.success_rate), repr(r.mean_len), repr(r.median_len),
+             repr(r.mean_outdeg), "" if r.thin_ms is None else repr(r.thin_ms),
+             repr(r.build_ms), repr(r.wall_ms)]
+            for r in result.rows]
 
 
 def test_round_trip_preserves_missing_means(tmp_path):
     spec = make_spec()
     row = AggregateRow("two-directed-cycles", 32, 1, "greedy-1", 5, 0, 0.0,
-                       None, None, 1.5, 7.0, 2.25)
+                       None, None, 1.5, None, 7.0, 2.25)
     path = tmp_path / "out.csv"
     export_csv(ExperimentResult(spec, [row], []), path)
     assert path.read_text() == (harness.AGGREGATE_HEADER + "\n"
-                                "two-directed-cycles,32,1,greedy-1,5,0,0.0,,,1.5,7.0,2.25\n")
+                                "two-directed-cycles,32,1,greedy-1,5,0,0.0,,,1.5,,7.0,2.25\n")
 
 
 def test_build_time_is_reported_apart_from_each_mode(monkeypatch):
-    # a fake clock: every build takes 2 s and every route 1 ms
+    # a fake clock: every build takes 2 s, every thinning 0.5 s and every
+    # route 1 ms; build_ms counts the thinning, thin_ms only the thinning
     clock = [0.0]
     monkeypatch.setattr(harness, "time",
                         SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -431,19 +471,22 @@ def test_build_time_is_reported_apart_from_each_mode(monkeypatch):
             clock[0] += seconds
             return fn(*args)
         return call
-    monkeypatch.setattr(harness, "_build_trial", advancing(harness._build_trial, 2.0))
+    monkeypatch.setattr(harness, "build_model", advancing(harness.build_model, 2.0))
+    monkeypatch.setattr(harness, "thin_edges", advancing(harness.thin_edges, 0.5))
     monkeypatch.setattr(harness, "route", advancing(harness.route, 0.001))
-    spec = make_spec(seeds=(1,), routes_per_size=10,
-                     routing_modes=(RoutingMode.parse("greedy-1"),
-                                    RoutingMode.parse("combined")))
-    rows = run_experiment(spec).rows
-    assert len(rows) == 4
-    for row in rows:
-        assert row.build_ms == pytest.approx(2000.0)
-        assert row.wall_ms == pytest.approx(10.0)
+    for thinning in (False, True):
+        spec = make_spec(seeds=(1,), routes_per_size=10, thinning=thinning,
+                         routing_modes=(RoutingMode.parse("greedy-1"),
+                                        RoutingMode.parse("combined")))
+        rows = run_experiment(spec).rows
+        assert len(rows) == 4
+        for row in rows:
+            assert row.thin_ms == (pytest.approx(500.0) if thinning else None)
+            assert row.build_ms == pytest.approx(2500.0 if thinning else 2000.0)
+            assert row.wall_ms == pytest.approx(10.0)
 
 
 def test_csv_without_timing_strips_timing_columns():
-    text = "a,build_ms,b,wall_ms\n1,40.5,2,3.5\n"
+    text = "a,thin_ms,build_ms,b,wall_ms\n1,,40.5,2,3.5\n"
     assert csv_without_timing(text) == "a,b\n1,2\n"
-    assert harness.AGGREGATE_HEADER.endswith(",build_ms,wall_ms")
+    assert harness.AGGREGATE_HEADER.endswith(",mean_outdeg,thin_ms,build_ms,wall_ms")
