@@ -630,13 +630,19 @@ def write_edge_list(graph: NavGraph, path: str | Path) -> None:
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> NavGraph:
+    """The graph of a file of `tail<TAB>head` lines; blank lines are
+    skipped, and any other line is refused with its path and number."""
     pairs = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        fields = line.split()
+        if not fields:
             continue
-        tail_s, head_s = line.split()
-        pairs.append((int(tail_s), int(head_s)))
+        try:
+            tail, head = map(int, fields)
+        except ValueError:
+            raise ValueError(f"{path}:{number}: expected 'tail<TAB>head' "
+                             f"integers, got {line.strip()!r}") from None
+        pairs.append((tail, head))
     if n is None:
         n = 1 + max((max(t, h) for t, h in pairs), default=-1)
     out: list[set[int]] = [set() for _ in range(n)]

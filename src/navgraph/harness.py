@@ -103,23 +103,33 @@ class ExperimentSpec:
             raise ValueError("routes_per_size must be >= 1")
         if not self.routing_modes:
             raise ValueError("routing_modes must be nonempty")
-        # every size must fit the model's spaces before any trial runs
+        # every size must fit the model's spaces, and the model and every
+        # mode their kind of space, before any trial runs
         if self.model == "continuum":
             _boxes(self.params)
         if self.model == "kleinberg":
             _kleinberg_args(self.params)
         for n in self.sizes:
-            check_routing_modes(self.model, self.params, n, self.routing_modes)
+            spaces = _model_spaces(self.model, self.params, n)
+        _check_space_kinds(self.model, spaces, self.routing_modes)
 
 
 def check_routing_modes(model: str, params: dict, n: int, modes) -> None:
     """Refuse, before any build, the spaces of ``model`` at size ``n`` that
-    ``params`` does not describe, and a half-greedy mode in a space
-    without a base graph."""
-    spaces = [build_space(d, n) for d in _space_descriptors(model, params)]
-    # half-greedy steps along a base graph, which tree leaves and point
-    # clouds lack; a baseline routes in its one space as both, and the
-    # models without descriptors route on cycles or, for continuum, clouds
+    ``params`` does not describe, a kleinberg space without a base graph,
+    and a half-greedy mode in a space without a base graph."""
+    _check_space_kinds(model, _model_spaces(model, params, n), modes)
+
+
+def _check_space_kinds(model: str, spaces: list[Space], modes) -> None:
+    # kleinberg augments a base graph, and half-greedy steps along one;
+    # tree leaves and point clouds have none
+    if model == "kleinberg" and not spaces[0].is_graph_kind:
+        raise ValueError(f"model 'kleinberg' needs a graph-kind space; its "
+                         f"params 'space' is {spaces[0].kind!r}, which has "
+                         f"no base graph")
+    # a baseline routes in its one space as both, and the models without
+    # descriptors route on cycles or, for continuum, clouds
     graph_kind = ([s.is_graph_kind for s in spaces] or [model != "continuum"]) * 2
     for mode in modes:
         if mode.kind == "half-greedy" and not graph_kind[mode.space - 1]:
@@ -291,6 +301,10 @@ def _space_descriptors(model: str, params: dict) -> list[dict]:
     return []
 
 
+def _model_spaces(model: str, params: dict, n: int) -> list[Space]:
+    return [build_space(d, n) for d in _space_descriptors(model, params)]
+
+
 def _boxes(params: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The continuum model's sampling boxes: each a nonempty list of
     finite, positive extents, one per coordinate."""
@@ -333,7 +347,7 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
 
     if model in ("independent-interest", "kleinberg", "continuum") and pi is not None:
         raise ValueError(f"model {model!r} takes no explicit permutation")
-    described = [build_space(d, n) for d in _space_descriptors(model, params)]
+    described = _model_spaces(model, params, n)
     if model == "two-directed-cycles":
         assignment = paired(DirectedCycle(n), DirectedCycle(n))
         graph = build_double_clustering(assignment)
@@ -446,13 +460,15 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
 
     Failed routes are excluded from length means but counted in the
     success rate.  Trials are independent; with workers > 1 they fan out
-    across processes and are reduced in (size, seed) order, so the result
-    is identical for any worker count.  ``workers`` must be >= 1.
+    across at most one process per trial and are reduced in (size, seed)
+    order, so the result is identical for any worker count.  ``workers``
+    must be >= 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _validate_budget(spec, allow_large)
     tasks = [(n, master) for n in spec.sizes for master in spec.seeds]
+    workers = min(workers, len(tasks))
     rows: list[AggregateRow] = []
     raw: list[RouteRecord] = []
     if workers > 1:

@@ -8,16 +8,18 @@ is the canonical asymmetric case).  Graph-like kinds (cycles and grids)
 return exact integer distances; the point-cloud kind returns floats.
 
 Each kind computes the kernel in two forms that agree bit for bit: the
-array forms (:meth:`Space.distances_from`, :meth:`Space.distances_to`,
-:meth:`Space.distances_between`) for builders and balls, and one scalar
-form, :meth:`Space.distance_to`, which prepares a target once and then
-reads one distance per call, for routers that visit a few vertices per
-step.  :meth:`Space.distances_from` also takes a 1-D array of sources and
-returns one row per source, the same formula broadcast, so that builders
-read a block of rows in one call.  :meth:`Space.distance` is the scalar
-form for a single pair.
-Base adjacency has two forms in the same way: :meth:`Space.base_neighbors`
-for one vertex, and :meth:`Space.base_edges` for every vertex at once.
+array forms (:meth:`Space.distances_from`, :meth:`Space.distances_between`)
+for builders and balls, and one scalar form, :meth:`Space.distance_to`,
+which prepares a target once and then reads one distance per call, for
+routers that visit a few vertices per step.  :meth:`Space.distances_from`
+also takes a 1-D array of sources and returns one row per source, the same
+formula broadcast, so that builders read a block of rows in one call.
+
+Base adjacency is stated once per kind, by :meth:`Space.base_edges`, which
+lists every base edge at once: the ball of radius 1 without its center on
+the kinds with integer distances, each point's nearest other points on a
+point cloud.  :meth:`Space.base_neighbors` reads one vertex's slice of
+those edges, for the half-greedy router's small steps.
 
 Balls are listed by :meth:`Space.ball_members`, exactly in every kind.
 The cycles (an arc), the grid (an L1 diamond, wrapped or clipped per axis)
@@ -94,7 +96,6 @@ class Space:
 
     kind: str = "abstract"
     is_graph_kind: bool = False
-    is_symmetric: bool = True
 
     n: int
 
@@ -103,28 +104,16 @@ class Space:
     def distance_to(self, y: int):
         """The kernel toward ``y``: a function ``v -> distance(v, y)``.
 
-        Each call equals ``distances_to(y)[v]`` bit for bit and raises
-        ValueError for an out-of-range ``v``; the work that depends only
-        on ``y`` is done once, here.
+        Each call equals ``distances_from(v)[y]`` bit for bit (an int for
+        the kinds with integer distances) and raises ValueError for an
+        out-of-range ``v``; the work that depends only on ``y`` is done
+        once, here.
         """
         raise NotImplementedError
-
-    def distance(self, x: int, y: int):
-        """Kernel distance from ``x`` to ``y`` (int for graph kinds)."""
-        return self.distance_to(y)(x)
 
     def distances_from(self, x) -> np.ndarray:
         """Vector of ``distance(x, y)`` for every ``y``; for a 1-D array of
         sources, one such row per source."""
-        raise NotImplementedError
-
-    def distances_to(self, x: int) -> np.ndarray:
-        """Vector of ``distance(y, x)`` for every ``y``.
-
-        Coincides with :meth:`distances_from` for symmetric kernels.
-        """
-        if self.is_symmetric:
-            return self.distances_from(x)
         raise NotImplementedError
 
     def distances_between(self, xs, ys) -> np.ndarray:
@@ -136,14 +125,23 @@ class Space:
     # -- adjacency and balls ----------------------------------------------
 
     def base_neighbors(self, x: int) -> list[int]:
-        """Base-graph neighbors of ``x``: the vertices at distance exactly
-        1 for graph kinds, the distance-minimal other vertices otherwise.
-        """
-        raise NotImplementedError
+        """Base-graph neighbors of ``x``, ascending: its slice of
+        :meth:`base_edges`, as a new list."""
+        self._check_vertex(x)
+        bounds, heads = self._base_view
+        return heads[bounds[x]:bounds[x + 1]]
+
+    @cached_property
+    def _base_view(self) -> tuple[list[int], list[int]]:
+        # base_edges as Python lists, built on the first base_neighbors
+        # call: vertex x's heads are heads[bounds[x]:bounds[x + 1]]
+        tails, heads = self.base_edges()
+        bounds = np.searchsorted(tails, np.arange(self.n + 1))
+        return bounds.tolist(), heads.tolist()
 
     def base_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every base-graph edge at once: ``(tail, head)`` arrays listing
-        :meth:`base_neighbors` of every vertex in turn, tails ascending.
+        """Every base-graph edge at once: ``(tail, head)`` arrays, tails
+        ascending and each tail's heads ascending.
 
         This version serves the kinds with integer distances, whose base
         neighbors are the other vertices at distance 1: the ball of
@@ -179,25 +177,9 @@ class Space:
         Returns ``(dist, count)``: ``dist(v)`` equals ``distance_to(y)(v)``
         bit for bit, and ``count(r)`` is ``|{u : distance(y, u) <= r}|``
         for any ``r >= 0``, infinity included; a negative or NaN ``r``
-        raises ValueError.  This base version enumerates y's distances
-        once, reads ``dist`` from that array and sorts it for ``count``;
-        kinds with integer distances override it with the scalar kernel
-        and a closed-form count.
+        raises ValueError.
         """
-        to_y = self.distances_to(y)
-        ranked = np.sort(to_y if self.is_symmetric else self.distances_from(y))
-        # memoryviews read Python scalars without copying the arrays
-        n, values, ranked = self.n, memoryview(to_y), memoryview(ranked)
-
-        def dist(v):
-            if not 0 <= v < n:
-                raise _out_of_range(v, n)
-            return values[v]
-
-        def count(r) -> int:
-            _check_radius(r)
-            return bisect.bisect_right(ranked, r)
-        return dist, count
+        raise NotImplementedError
 
     def diameter(self):
         """Maximum kernel distance between any ordered pair."""
@@ -259,7 +241,6 @@ class DirectedCycle(Space):
 
     kind = "directed-cycle"
     is_graph_kind = True
-    is_symmetric = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -279,10 +260,6 @@ class DirectedCycle(Space):
         x = self._sources(x)
         return (np.arange(self.n, dtype=np.int64) - x) % self.n
 
-    def distances_to(self, x: int) -> np.ndarray:
-        self._check_vertex(x)
-        return (x - np.arange(self.n, dtype=np.int64)) % self.n
-
     def distances_between(self, xs, ys) -> np.ndarray:
         return (self._check_vertices(ys) - self._check_vertices(xs)) % self.n
 
@@ -296,10 +273,6 @@ class DirectedCycle(Space):
         # the forward arc y, ..., y + k
         return self._closed_form_target(y, lambda k: k + 1, self.diameter())
 
-    def base_neighbors(self, x: int) -> list[int]:
-        self._check_vertex(x)
-        return [] if self.n == 1 else [(x + 1) % self.n]
-
     def diameter(self) -> int:
         return self.n - 1
 
@@ -312,7 +285,6 @@ class UndirectedCycle(Space):
 
     kind = "undirected-cycle"
     is_graph_kind = True
-    is_symmetric = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -350,12 +322,6 @@ class UndirectedCycle(Space):
         return self._closed_form_target(y, lambda k: min(2 * k + 1, n),
                                         self.diameter())
 
-    def base_neighbors(self, x: int) -> list[int]:
-        self._check_vertex(x)
-        if self.n == 1:
-            return []
-        return sorted({(x + 1) % self.n, (x - 1) % self.n})
-
     def diameter(self) -> int:
         return self.n // 2
 
@@ -369,7 +335,6 @@ class Grid(Space):
 
     kind = "grid"
     is_graph_kind = True
-    is_symmetric = True
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -473,23 +438,6 @@ class Grid(Space):
         sizes = np.cumsum(shells).tolist()
         return self._closed_form_target(y, sizes.__getitem__, len(sizes) - 1)
 
-    def base_neighbors(self, x: int) -> list[int]:
-        self._check_vertex(x)
-        coord = self._coord_rows[x]
-        out: set[int] = set()
-        for axis, (length, stride) in enumerate(zip(self.dims, self._strides)):
-            if length == 1:
-                continue
-            for delta in (-1, 1):
-                c = coord[axis] + delta
-                if self.toric:
-                    c %= length
-                elif not 0 <= c < length:
-                    continue
-                out.add(x + (c - coord[axis]) * stride)
-        out.discard(x)
-        return sorted(out)
-
     def diameter(self) -> int:
         if self.toric:
             return sum(d // 2 for d in self.dims)
@@ -511,7 +459,6 @@ class TreeLeaves(Space):
 
     kind = "tree-leaves"
     is_graph_kind = False
-    is_symmetric = True
 
     def __post_init__(self):
         if self.branching < 2:
@@ -578,15 +525,6 @@ class TreeLeaves(Space):
         b = self.branching
         return self._closed_form_target(y, lambda k: b**k, self.height)
 
-    def base_neighbors(self, x: int) -> list[int]:
-        self._check_vertex(x)
-        if self.height == 0:
-            return []
-        parent = x // self.branching
-        return [parent * self.branching + i
-                for i in range(self.branching)
-                if parent * self.branching + i != x]
-
     def diameter(self) -> int:
         return self.height
 
@@ -604,7 +542,6 @@ class Euclidean(Space):
 
     kind = "euclidean"
     is_graph_kind = False
-    is_symmetric = True
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -741,6 +678,23 @@ class Euclidean(Space):
         x = self._sources(x)
         return _norms(column - column[x] for column in self._columns)
 
+    def prepare_target(self, y: int):
+        # no closed form: y's distances enumerated once, ``dist`` read
+        # from that array and ``count`` from its sorted copy
+        to_y = self.distances_from(y)
+        # memoryviews read Python scalars without copying the arrays
+        n, values, ranked = self.n, memoryview(to_y), memoryview(np.sort(to_y))
+
+        def dist(v):
+            if not 0 <= v < n:
+                raise _out_of_range(v, n)
+            return values[v]
+
+        def count(r) -> int:
+            _check_radius(r)
+            return bisect.bisect_right(ranked, r)
+        return dist, count
+
     def distances_between(self, xs, ys) -> np.ndarray:
         xs, ys = self._check_vertices(xs), self._check_vertices(ys)
         return _norms(column[ys] - column[xs] for column in self._columns)
@@ -769,12 +723,6 @@ class Euclidean(Space):
             todo = todo[~np.concatenate(found)]
             radius *= 2
         return np.sort(np.concatenate(codes))
-
-    def base_neighbors(self, x: int) -> list[int]:
-        self._check_vertex(x)
-        n, codes = self.n, self._nearest
-        lo, hi = np.searchsorted(codes, (x * n, (x + 1) * n))
-        return (codes[lo:hi] % n).tolist()
 
     def base_edges(self) -> tuple[np.ndarray, np.ndarray]:
         return self._nearest // self.n, self._nearest % self.n

@@ -196,6 +196,34 @@ def test_route_from_edge_list_file(tmp_path, capsys):
     assert "success: yes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", ["3\t4\t5", "3", "3\tx"],
+                         ids=["three-fields", "one-field", "not-an-integer"])
+def test_route_refuses_a_bad_edge_list_line(tmp_path, capsys, bad):
+    # the path and line number, blank lines counted, and the expected form
+    edges = tmp_path / "g.edges"
+    edges.write_text(f"0\t1\n\n{bad}\n1\t0\n")
+    code = run_cli("route", "--model", "two-directed-cycles", "--n", "16",
+                   "--seed", "5", "--edges", str(edges),
+                   "--source", "0", "--target", "1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{edges}:3:" in err
+    assert "tail<TAB>head" in err
+    assert repr(bad) in err
+
+
+def test_route_refuses_kleinberg_on_tree_leaves_before_building(monkeypatch,
+                                                               capsys):
+    def build_model(*args, **kwargs):
+        raise AssertionError("built before the space was checked")
+    monkeypatch.setattr(cli.harness, "build_model", build_model)
+    code = run_cli("route", "--model", "kleinberg", "--n", "16", "--seed", "0",
+                   "--space-kind", "tree", "--source", "0", "--target", "5")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'kleinberg'" in err and "'space'" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -194,7 +194,7 @@ def test_nearest_shell_always_fully_linked():
         a = random_assignment(rng)
         g = build_double_clustering(a)
         for x in range(a.n):
-            d1 = [(a.space1.distance(x, j), j) for j in range(a.n) if j != x]
+            d1 = [(a.space1.distance_to(j)(x), j) for j in range(a.n) if j != x]
             lo = min(d1)[0]
             nearest = {j for d, j in d1 if d == lo}
             assert nearest <= set(g.out_edges[x])
@@ -206,7 +206,7 @@ def test_second_space_minimum_always_receives_edge():
         a = random_assignment(rng)
         g = build_double_clustering(a)
         for x in range(a.n):
-            d2 = [(a.space2.distance(a.pi_list[x], a.pi_list[j]), j) for j in range(a.n) if j != x]
+            d2 = [(a.space2.distance_to(a.pi_list[j])(a.pi_list[x]), j) for j in range(a.n) if j != x]
             lo = min(d2)[0]
             for d, j in d2:
                 if d == lo:

@@ -337,6 +337,46 @@ def test_run_experiment_rejects_workers_below_one(workers):
         run_experiment(make_spec(), workers=workers)
 
 
+def recorded_pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool run_experiment opens."""
+    sizes = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_worker_pool_is_capped_at_the_trial_count(monkeypatch):
+    sizes = recorded_pool_sizes(monkeypatch)
+    two = make_spec(sizes=(16,), seeds=(1, 2), routes_per_size=5)
+    parallel = run_experiment(two, workers=6)
+    assert sizes == [2]
+    assert raw_csv_text(parallel) == raw_csv_text(run_experiment(two))
+    # one trial runs in-process, with the rows of a serial run
+    one = make_spec(sizes=(16,), seeds=(1,), routes_per_size=5)
+    alone = run_experiment(one, workers=6)
+    assert sizes == [2]
+    serial = run_experiment(one, workers=1)
+    assert csv_without_timing(aggregate_csv_text(alone)) == \
+        csv_without_timing(aggregate_csv_text(serial))
+    assert raw_csv_text(alone) == raw_csv_text(serial)
+
+
+@pytest.mark.parametrize("space", [{"kind": "tree"},
+                                   {"kind": "tree", "branching": 4}])
+def test_spec_rejects_kleinberg_without_a_base_graph(space):
+    # lattice augmentation keeps a base graph, which tree leaves lack:
+    # refused with the spec, not inside the first trial
+    with pytest.raises(ValueError, match="'kleinberg' needs a graph-kind "
+                                         "space; its params 'space'"):
+        ExperimentSpec("kleinberg", (16,), (1,), params={"space": space})
+    assert ExperimentSpec("kleinberg", (16,), (1,),
+                          params={"space": {"kind": "undirected-cycle"}})
+
+
 def test_budget_refusal():
     spec = make_spec(sizes=(2**15,))
     with pytest.raises(ValueError, match="allow_large"):

@@ -122,9 +122,8 @@ def test_greedy_monotone_in_routing_distance():
             for space in (1, 2):
                 out = route(g, a, RoutingMode("greedy", space=space), s, t)
                 assert out.success
-                dist = (a.space1.distance if space == 1 else lambda x, y:
-                        a.space2.distance(a.pi_list[x], a.pi_list[y]))
-                trace = [dist(v, t) for v in out.path]
+                dist = target_distances(a, space, t)
+                trace = [dist[v] for v in out.path]
                 assert all(b < x for x, b in zip(trace, trace[1:]))
 
 
@@ -230,10 +229,11 @@ def test_half_greedy_steps_halve_or_decrement():
                 continue
             out = route(g, a, RoutingMode("half-greedy"), src, tgt)
             assert out.success
-            trace = [a.space1.distance(v, tgt) for v in out.path]
+            to_tgt = a.space1.distance_to(tgt)
+            trace = [to_tgt(v) for v in out.path]
             for before, after in zip(trace, trace[1:]):
                 assert before > 2 * after or after == before - 1
-            assert out.steps <= 2 * a.space1.distance(src, tgt)
+            assert out.steps <= 2 * to_tgt(src)
 
 
 def test_half_greedy_in_second_space():
@@ -247,7 +247,8 @@ def test_half_greedy_in_second_space():
             continue
         out = route(g, a, RoutingMode("half-greedy", space=2), src, tgt)
         assert out.success
-        trace = [a.space2.distance(a.pi_list[v], a.pi_list[tgt]) for v in out.path]
+        to_tgt = a.space2.distance_to(a.pi_list[tgt])
+        trace = [to_tgt(a.pi_list[v]) for v in out.path]
         for before, after in zip(trace, trace[1:]):
             assert before > 2 * after or after == before - 1
 
@@ -455,10 +456,7 @@ def check_route_invariants(graph, a, mode, s, t, out):
         assert out.steps == max_steps
     if mode.kind == "greedy" and not resolved_plateau(mode, a):
         # distances from the array kernels, not the router's scalar one
-        if mode.space == 1:
-            dist = a.space1.distances_to(t)
-        else:
-            dist = a.space2.distances_to(int(a.pi[t]))[a.pi]
+        dist = target_distances(a, mode.space, t)
         trace = [dist[v] for v in out.path]
         assert all(after < before for before, after in zip(trace, trace[1:]))
 
@@ -483,8 +481,8 @@ def target_distances(a, space, target):
     """Every vertex's distance toward the target in the selected space,
     from the array kernels."""
     if space == 1:
-        return a.space1.distances_to(target)
-    return a.space2.distances_to(int(a.pi[target]))[a.pi]
+        return a.space1.distances_between(np.arange(a.n), target)
+    return a.space2.distances_between(a.pi, int(a.pi[target]))
 
 
 def oracle_outcome(source, target, path, d, failure):
@@ -590,8 +588,7 @@ def combined_oracle(graph, a, mode, source, target):
         return RouteOutcome(source, target, [source], 0, True)
     plateau = resolved_plateau(mode, a)
     max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
-    d1 = a.space1.distances_to(target)
-    d2 = a.space2.distances_to(int(a.pi[target]))[a.pi]
+    d1, d2 = target_distances(a, 1, target), target_distances(a, 2, target)
     sorted1 = np.sort(a.space1.distances_from(target))
     sorted2 = np.sort(a.space2.distances_from(int(a.pi[target])))
     path, phase, failure = [source], {}, Failure.NONE

@@ -31,6 +31,11 @@ def ball_count(space, center, radius):
     return space.prepare_target(center)[1](radius)
 
 
+def distance(space, x, y):
+    """The kernel for one pair, through the scalar form."""
+    return space.distance_to(y)(x)
+
+
 def space_id(space):
     if isinstance(space, Euclidean):
         return f"Euclidean(n={space.n})"
@@ -94,46 +99,48 @@ def tie_heavy_spaces():
 
 def test_directed_cycle_distance():
     s = DirectedCycle(8)
-    assert s.distance(2, 5) == 3
-    assert s.distance(5, 2) == 5
-    assert s.distance(3, 3) == 0
+    assert distance(s, 2, 5) == 3
+    assert distance(s, 5, 2) == 5
+    assert distance(s, 3, 3) == 0
 
 
 def test_undirected_cycle_distance():
     s = UndirectedCycle(8)
-    assert s.distance(0, 6) == 2
-    assert s.distance(6, 0) == 2
-    assert s.distance(0, 4) == 4
+    assert distance(s, 0, 6) == 2
+    assert distance(s, 6, 0) == 2
+    assert distance(s, 0, 4) == 4
 
 
 def test_tree_distance_examples():
     s = TreeLeaves(2, 3)
     assert s.n == 8
-    assert s.distance(0, 1) == 1
-    assert s.distance(0, 7) == 3
-    assert s.distance(4, 4) == 0
-    assert s.distance(0, 2) == 2
+    assert distance(s, 0, 1) == 1
+    assert distance(s, 0, 7) == 3
+    assert distance(s, 4, 4) == 0
+    assert distance(s, 0, 2) == 2
 
 
 def test_grid_distance_and_coords():
     # row-major ids: (row, col) is vertex 4 * row + col
     g = Grid((4, 4))
-    assert g.distance(0, 14) == 5  # (0, 0) to (3, 2)
+    assert distance(g, 0, 14) == 5  # (0, 0) to (3, 2)
     t = Grid((4, 4), toric=True)
-    assert t.distance(0, 15) == 2  # (0, 0) to (3, 3), both axes wrap
+    assert distance(t, 0, 15) == 2  # (0, 0) to (3, 3), both axes wrap
 
 
 def test_euclidean_distance_matches_math_dist():
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
     s = Euclidean(pts)
-    assert s.distance(0, 1) == pytest.approx(5.0)
-    assert s.distance(0, 2) == pytest.approx(math.dist(pts[0], pts[2]))
+    assert distance(s, 0, 1) == pytest.approx(5.0)
+    assert distance(s, 0, 2) == pytest.approx(math.dist(pts[0], pts[2]))
 
 
 def test_vertex_range_errors():
     s = UndirectedCycle(5)
     with pytest.raises(ValueError):
-        s.distance(0, 5)
+        s.distance_to(5)
+    with pytest.raises(ValueError):
+        s.distance_to(0)(5)
     with pytest.raises(ValueError):
         s.distances_from(-1)
     with pytest.raises(ValueError):
@@ -147,7 +154,7 @@ def test_vertex_range_errors():
 def test_triangle_inequality(space, data):
     ids = st.integers(0, space.n - 1)
     x, y, z = data.draw(ids), data.draw(ids), data.draw(ids)
-    assert space.distance(x, y) + space.distance(y, z) >= space.distance(x, z)
+    assert distance(space, x, y) + distance(space, y, z) >= distance(space, x, z)
 
 
 @given(space_strategy, st.data())
@@ -155,10 +162,10 @@ def test_triangle_inequality(space, data):
 def test_symmetry_and_directed_antisymmetry(space, data):
     ids = st.integers(0, space.n - 1)
     x, y = data.draw(ids), data.draw(ids)
-    if space.is_symmetric:
-        assert space.distance(x, y) == space.distance(y, x)
+    if not isinstance(space, DirectedCycle):
+        assert distance(space, x, y) == distance(space, y, x)
     elif x != y:
-        assert space.distance(x, y) + space.distance(y, x) == space.n
+        assert distance(space, x, y) + distance(space, y, x) == space.n
 
 
 @given(space_strategy, st.data())
@@ -166,8 +173,8 @@ def test_symmetry_and_directed_antisymmetry(space, data):
 def test_scalar_matches_vectorized(space, data):
     ids = st.integers(0, space.n - 1)
     x, y = data.draw(ids), data.draw(ids)
-    assert space.distance(x, y) == space.distances_from(x)[y]
-    assert space.distance_to(y)(x) == space.distances_to(y)[x]
+    assert distance(space, x, y) == space.distances_from(x)[y]
+    assert distance(space, x, y) == space.distances_between([x], [y])[0]
 
 
 def kernel_spaces():
@@ -193,8 +200,9 @@ def test_scalar_kernel_equals_arrays_bit_for_bit(space):
     n = space.n
     for y in range(n):
         to_y = space.distance_to(y)
-        assert [to_y(v) for v in range(n)] == space.distances_to(y).tolist()
-        assert [space.distance(y, v) for v in range(n)] == space.distances_from(y).tolist()
+        assert [to_y(v) for v in range(n)] == \
+            space.distances_between(np.arange(n), y).tolist()
+        assert [distance(space, y, v) for v in range(n)] == space.distances_from(y).tolist()
     for bad in (-1, n):
         with pytest.raises(ValueError):
             space.distance_to(bad)
@@ -208,7 +216,7 @@ def test_cloud_kernel_reads_one_value_for_equal_distances():
     # for the second: a last-bit difference that decides plateau ties
     s = Euclidean([[0, 2 / 3], [2 / 3, 1], [1 / 3, 1 / 3]])
     to_1 = s.distance_to(1)
-    assert to_1(0) == to_1(2) == s.distance(2, 1) == 0.7453559924999299
+    assert to_1(0) == to_1(2) == 0.7453559924999299
 
 
 @pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
@@ -332,15 +340,32 @@ def test_ball_members_of_many_centers_match_enumeration(space):
         assert sorted(member[owner == k].tolist()) == enumerated_ball(space, c, r)
 
 
+def enumerated_base(space, x):
+    """x's base neighbors read verbatim from the array kernel, the test
+    oracle: the other vertices at distance 1 on the kinds with integer
+    distances, the distance-minimal other points on a cloud."""
+    d = space.distances_from(x).astype(np.float64)
+    d[x] = np.inf
+    if not isinstance(space, Euclidean):
+        return np.flatnonzero(d == 1).tolist()
+    return [] if space.n == 1 else np.flatnonzero(d == d.min()).tolist()
+
+
+def assert_base_adjacency_enumerated(space):
+    # every vertex's base_neighbors, ascending, and base_edges listing
+    # them all in turn, against the enumeration
+    expected = [enumerated_base(space, x) for x in range(space.n)]
+    assert [space.base_neighbors(x) for x in range(space.n)] == expected
+    tails, heads = space.base_edges()
+    assert list(zip(tails.tolist(), heads.tolist())) == \
+        [(x, y) for x in range(space.n) for y in expected[x]]
+
+
 @pytest.mark.parametrize("space", cell_index_clouds() + small_spaces()[-1:],
                          ids=space_id)
 def test_cloud_base_neighbors_match_enumeration(space):
     # the distance-minimal other points, ties all kept
-    for x in range(space.n):
-        d = space.distances_from(x)
-        d[x] = np.inf
-        expected = [] if space.n == 1 else np.flatnonzero(d == d.min()).tolist()
-        assert space.base_neighbors(x) == expected
+    assert_base_adjacency_enumerated(space)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -372,7 +397,8 @@ def test_prepared_target_matches_enumeration(space):
     n = space.n
     for x in range(n):
         dist, count = space.prepare_target(x)
-        assert [dist(v) for v in range(n)] == space.distances_to(x).tolist()
+        assert [dist(v) for v in range(n)] == \
+            space.distances_between(np.arange(n), x).tolist()
         d = space.distances_from(x)
         shells = np.unique(d)
         diameter = space.diameter()
@@ -448,9 +474,20 @@ def test_base_neighbors_euclidean_minimal_set():
 
 @pytest.mark.parametrize("space", tie_heavy_spaces() + grid_shapes(), ids=space_id)
 def test_base_edges_list_every_base_neighbor(space):
-    tails, heads = space.base_edges()
-    expected = [(x, y) for x in range(space.n) for y in space.base_neighbors(x)]
-    assert list(zip(tails.tolist(), heads.tolist())) == expected
+    # tree leaves, one- and two-vertex cycles, toric axes of length 1 and
+    # 2 and single-row grids among them
+    assert_base_adjacency_enumerated(space)
+
+
+def test_base_neighbors_view_is_lazy_and_hands_out_new_lists():
+    # builders read base_edges alone and pay nothing for the per-vertex
+    # view; a caller that edits its list leaves the space as it was
+    g = Grid((3, 4))
+    g.base_edges()
+    assert "_base_view" not in g.__dict__
+    first = g.base_neighbors(5)
+    first.append(0)
+    assert g.base_neighbors(5) == [1, 4, 6, 9]
 
 
 @given(space_strategy, st.data())
@@ -459,10 +496,10 @@ def test_base_neighbors_within_unit_ball_for_graph_kinds(space, data):
     x = data.draw(st.integers(0, space.n - 1))
     neighbors = space.base_neighbors(x)
     assert x not in neighbors
+    assert neighbors == sorted(neighbors)
     if space.is_graph_kind:
-        assert set(neighbors) <= set(space.ball_members(x, 1)[1].tolist())
         for w in neighbors:
-            assert space.distance(x, w) == 1
+            assert distance(space, x, w) == 1
 
 
 # ---------------------------------------------------------------------------
