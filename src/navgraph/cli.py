@@ -235,7 +235,6 @@ def _cmd_experiment(args, argv) -> int:
     spec = harness.load_experiment_config(args.config)
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     result = harness.run_experiment(spec, workers=workers,
-                                    allow_large=args.allow_large,
                                     dump_edges_dir=args.dump_edges)
     harness.export_csv(result, args.out, raw_path=args.raw_out)
     print(f"model: {spec.model}  sizes: {list(spec.sizes)}  "
@@ -318,8 +317,6 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--raw-out")
     p_exp.add_argument("--workers", type=int, default=0,
                        help="parallel trials (0, the default: all cores)")
-    p_exp.add_argument("--allow-large", action="store_true",
-                       help="raise the size ceiling to 2^16")
     p_exp.add_argument("--dump-edges", help="directory for per-trial edge lists")
     return parser
 

@@ -33,8 +33,7 @@ from .spaces import (DirectedCycle, Euclidean, Grid, Space, TreeLeaves,
 
 __all__ = [
     "MODELS",
-    "DEFAULT_MAX_SIZE",
-    "LARGE_MAX_SIZE",
+    "MAX_SIZE",
     "ExperimentSpec",
     "AggregateRow",
     "RouteRecord",
@@ -52,15 +51,10 @@ __all__ = [
     "RAW_HEADER",
 ]
 
-MODELS = ("two-directed-cycles", "two-undirected-cycles", "grid-tree",
-          "continuum", "independent-interest", "kleinberg")
-
-# Double-clustering builds read bounded balls on every space kind (closed
-# forms on cycles, grids and trees, a cell index on point clouds), but the
-# kleinberg and independent-interest baselines still do O(n) work per
-# vertex, so their builds are O(n^2) and the ceiling stays for them.
-DEFAULT_MAX_SIZE = 2**14
-LARGE_MAX_SIZE = 2**16
+# One size ceiling for every model: double-clustering builds read bounded
+# balls on every space kind, but the kleinberg and independent-interest
+# baselines still do O(n) work per vertex, so their builds are O(n^2).
+MAX_SIZE = 2**16
 
 AGGREGATE_HEADER = ("model,n,seed,mode,routes,successes,success_rate,"
                     "mean_len,median_len,mean_outdeg,thin_ms,build_ms,wall_ms")
@@ -71,9 +65,12 @@ RAW_HEADER = "n,seed,mode,source,target,steps,success,failure"
 class ExperimentSpec:
     """Declarative description of one study.
 
-    ``params`` carries the model-specific knobs: ``branching`` (grid-tree),
-    ``alpha``/``links`` (kleinberg), ``space`` descriptor (baselines),
-    ``box1``/``box2`` extents (continuum), ``grid_dims``, ``toric``.
+    ``params`` carries the knobs that the model's entry in the model table
+    reads: ``grid_dims``, ``toric`` and ``branching`` (grid-tree),
+    ``box1``/``box2`` extents (continuum), a ``space`` descriptor
+    (baselines) and ``alpha``/``links`` (kleinberg).  Sizes above
+    :data:`MAX_SIZE`, and params, sizes and modes that the model's spaces
+    cannot take, are refused here, before any trial runs.
     """
 
     model: str
@@ -88,10 +85,12 @@ class ExperimentSpec:
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "routing_modes", tuple(self.routing_modes))
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        builder, descriptors, _ = _preset(self.model, self.params)
         if not self.sizes or list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be nonempty and strictly ascending")
+        if self.sizes[-1] > MAX_SIZE:
+            raise ValueError(f"sizes {[n for n in self.sizes if n > MAX_SIZE]} "
+                             f"exceed the n <= {MAX_SIZE} ceiling")
         # a trial needs a route pair, and thinning needs ln(n) > 1
         smallest = 3 if self.thinning else 2
         if self.sizes[0] < smallest:
@@ -103,34 +102,31 @@ class ExperimentSpec:
             raise ValueError("routes_per_size must be >= 1")
         if not self.routing_modes:
             raise ValueError("routing_modes must be nonempty")
-        # every size must fit the model's spaces, and the model and every
-        # mode their kind of space, before any trial runs
-        if self.model == "continuum":
-            _boxes(self.params)
-        if self.model == "kleinberg":
-            _kleinberg_args(self.params)
+        # every size must fit the model's spaces, and the builder and every
+        # mode their kind of space
         for n in self.sizes:
-            spaces = _model_spaces(self.model, self.params, n)
-        _check_space_kinds(self.model, spaces, self.routing_modes)
+            classes = _space_classes(descriptors, n)
+        _check_space_kinds(self.model, builder, classes, self.routing_modes)
 
 
 def check_routing_modes(model: str, params: dict, n: int, modes) -> None:
     """Refuse, before any build, the spaces of ``model`` at size ``n`` that
     ``params`` does not describe, a kleinberg space without a base graph,
     and a half-greedy mode in a space without a base graph."""
-    _check_space_kinds(model, _model_spaces(model, params, n), modes)
+    builder, descriptors, _ = _preset(model, params)
+    _check_space_kinds(model, builder, _space_classes(descriptors, n), modes)
 
 
-def _check_space_kinds(model: str, spaces: list[Space], modes) -> None:
+def _check_space_kinds(model: str, builder: str, classes: list[type[Space]],
+                       modes) -> None:
     # kleinberg augments a base graph, and half-greedy steps along one;
     # tree leaves and point clouds have none
-    if model == "kleinberg" and not spaces[0].is_graph_kind:
-        raise ValueError(f"model 'kleinberg' needs a graph-kind space; its "
-                         f"params 'space' is {spaces[0].kind!r}, which has "
+    if builder == "kleinberg" and not classes[0].is_graph_kind:
+        raise ValueError(f"model {model!r} needs a graph-kind space; its "
+                         f"params 'space' is {classes[0].kind!r}, which has "
                          f"no base graph")
-    # a baseline routes in its one space as both, and the models without
-    # descriptors route on cycles or, for continuum, clouds
-    graph_kind = ([s.is_graph_kind for s in spaces] or [model != "continuum"]) * 2
+    # a baseline routes in its one space as both
+    graph_kind = [c.is_graph_kind for c in classes] * 2
     for mode in modes:
         if mode.kind == "half-greedy" and not graph_kind[mode.space - 1]:
             raise ValueError(f"{mode.label} needs a graph-kind space {mode.space}; "
@@ -287,22 +283,29 @@ def build_space(descriptor: dict, n: int) -> Space:
     raise ValueError(f"unknown space kind {kind!r}")
 
 
-def _space_descriptors(model: str, params: dict) -> list[dict]:
-    """Descriptors of the spaces :func:`build_model` instantiates from
-    ``params``; the cycle and continuum models take any size."""
-    if model == "grid-tree":
-        return [{"kind": "grid", "dims": params.get("grid_dims"),
-                 "toric": params.get("toric", False)},
-                {"kind": "tree", "branching": params.get("branching", 2)}]
-    if model == "independent-interest":
-        return [params.get("space", {"kind": "undirected-cycle"})]
-    if model == "kleinberg":
-        return [params.get("space", {"kind": "grid"})]
-    return []
+@dataclass(frozen=True)
+class _Cloud:
+    """A point cloud of n points drawn uniformly from ``box``.  Only the
+    model table makes one; configs describe their spaces for
+    :func:`build_space`, which has no cloud kind."""
+
+    box: tuple[float, ...]
 
 
-def _model_spaces(model: str, params: dict, n: int) -> list[Space]:
-    return [build_space(d, n) for d in _space_descriptors(model, params)]
+def _space_classes(descriptors: list, n: int) -> list[type[Space]]:
+    """The class of each described space, each descriptor checked against
+    size n; a cloud takes any size, and no point is drawn."""
+    return [Euclidean if isinstance(d, _Cloud) else type(build_space(d, n))
+            for d in descriptors]
+
+
+def _spaces(descriptors: list, n: int, seed: Seed) -> list[Space]:
+    """The described spaces at size n; a cloud that is the k-th space draws
+    its points from the seed's ("points", k) stream."""
+    return [Euclidean(seed.rng("points", k).random((n, len(d.box)))
+                      * np.asarray(d.box), d.box)
+            if isinstance(d, _Cloud) else build_space(d, n)
+            for k, d in enumerate(descriptors, 1)]
 
 
 def _boxes(params: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -332,49 +335,62 @@ def _kleinberg_args(params: dict) -> tuple[float, int]:
     return float(alpha), links
 
 
+# The model table: each model is one of three builders over the spaces its
+# params describe.  An entry maps params to (builder, space descriptors,
+# the builder's own arguments), each read and checked from params.
+_PRESETS = {
+    "two-directed-cycles": lambda p: (
+        "double-clustering", [{"kind": "directed-cycle"}] * 2, ()),
+    "two-undirected-cycles": lambda p: (
+        "double-clustering", [{"kind": "undirected-cycle"}] * 2, ()),
+    "grid-tree": lambda p: ("double-clustering", [
+        {"kind": "grid", "dims": p.get("grid_dims"),
+         "toric": p.get("toric", False)},
+        {"kind": "tree", "branching": p.get("branching", 2)}], ()),
+    "continuum": lambda p: (
+        "double-clustering", [_Cloud(box) for box in _boxes(p)], ()),
+    "independent-interest": lambda p: (
+        "independent-interest",
+        [p.get("space", {"kind": "undirected-cycle"})], ()),
+    "kleinberg": lambda p: (
+        "kleinberg", [p.get("space", {"kind": "grid"})], _kleinberg_args(p)),
+}
+MODELS = tuple(_PRESETS)
+
+
+def _preset(model: str, params: dict) -> tuple[str, list, tuple]:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    return _PRESETS[model](params)
+
+
 def build_model(model: str, params: dict, n: int, seed: Seed,
                 pi: np.ndarray | None = None) -> tuple[Assignment, NavGraph]:
     """Instantiate the model's spaces at size n and build its graph.
 
-    ``pi`` overrides the permutation stream of the double-clustering
-    models (used to replay explicit permutations); the baseline models
-    have no permutation to override.
+    Double clustering pairs its two spaces by a permutation from the seed's
+    stream, or by ``pi`` where given (to replay explicit permutations).
+    Point clouds, whose points are drawn at random already, are paired by
+    identity, and a baseline's one space with itself: neither takes a
+    ``pi``.
     """
-    def paired(space1: Space, space2: Space) -> Assignment:
-        if pi is not None:
-            return Assignment(space1, space2, pi)
-        return Assignment.random(space1, space2, seed)
-
-    if model in ("independent-interest", "kleinberg", "continuum") and pi is not None:
+    builder, descriptors, args = _preset(model, params)
+    clouds = any(isinstance(d, _Cloud) for d in descriptors)
+    if pi is not None and (clouds or len(descriptors) == 1):
         raise ValueError(f"model {model!r} takes no explicit permutation")
-    described = _model_spaces(model, params, n)
-    if model == "two-directed-cycles":
-        assignment = paired(DirectedCycle(n), DirectedCycle(n))
-        graph = build_double_clustering(assignment)
-    elif model == "two-undirected-cycles":
-        assignment = paired(UndirectedCycle(n), UndirectedCycle(n))
-        graph = build_double_clustering(assignment)
-    elif model == "grid-tree":
-        assignment = paired(*described)
-        graph = build_double_clustering(assignment)
-    elif model == "continuum":
-        box1, box2 = _boxes(params)
-        pts1 = seed.rng("points", 1).random((n, len(box1))) * np.asarray(box1)
-        pts2 = seed.rng("points", 2).random((n, len(box2))) * np.asarray(box2)
-        assignment = Assignment.identity(Euclidean(pts1, box1),
-                                         Euclidean(pts2, box2))
-        graph = build_double_clustering(assignment)
-    elif model == "independent-interest":
-        space, = described
-        assignment = Assignment.identity(space)
-        graph = build_independent_interest(space, seed)
-    elif model == "kleinberg":
-        space, = described
-        assignment = Assignment.identity(space)
-        graph = build_kleinberg(space, *_kleinberg_args(params), seed)
-    else:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    return assignment, graph
+    spaces = _spaces(descriptors, n, seed)
+    if builder == "double-clustering":
+        if pi is not None:
+            assignment = Assignment(*spaces, pi)
+        elif clouds:
+            assignment = Assignment.identity(*spaces)
+        else:
+            assignment = Assignment.random(*spaces, seed)
+        return assignment, build_double_clustering(assignment)
+    space, = spaces
+    if builder == "kleinberg":
+        return Assignment.identity(space), build_kleinberg(space, *args, seed)
+    return Assignment.identity(space), build_independent_interest(space, seed)
 
 
 def _build_trial(spec: ExperimentSpec, n: int, seed: Seed
@@ -439,22 +455,7 @@ def _run_trial(spec: ExperimentSpec, n: int, master: int,
     return rows, raw
 
 
-def _validate_budget(spec: ExperimentSpec, allow_large: bool) -> None:
-    limit = LARGE_MAX_SIZE if allow_large else DEFAULT_MAX_SIZE
-    too_big = [n for n in spec.sizes if n > limit]
-    if not too_big:
-        return
-    if allow_large:
-        raise ValueError(f"sizes {too_big} exceed the hard n <= {limit} ceiling")
-    raise ValueError(
-        f"sizes {too_big} exceed the n <= {limit} budget (the kleinberg and "
-        f"independent-interest baselines still do O(n^2) work); pass "
-        f"allow_large to raise the ceiling to "
-        f"{LARGE_MAX_SIZE}")
-
-
 def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
-                   allow_large: bool = False,
                    dump_edges_dir: str | None = None) -> ExperimentResult:
     """Run every (size, seed) trial of the spec and aggregate.
 
@@ -466,7 +467,6 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _validate_budget(spec, allow_large)
     tasks = [(n, master) for n in spec.sizes for master in spec.seeds]
     workers = min(workers, len(tasks))
     rows: list[AggregateRow] = []

@@ -341,7 +341,7 @@ class Grid(Space):
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError(f"grid dims must be positive, got {self.dims}")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return math.prod(self.dims)
 
@@ -398,7 +398,9 @@ class Grid(Space):
 
     def distances_between(self, xs, ys) -> np.ndarray:
         xs, ys = self._check_vertices(xs), self._check_vertices(ys)
-        return self._l1(column[ys] - column[xs] for column in self._columns)
+        # a 0-d array where both ids are scalars: _l1 writes into its inputs
+        return self._l1(np.asarray(column[ys] - column[xs])
+                        for column in self._columns)
 
     def ball_members(self, centers, radii):
         # the L1 diamond, one axis at a time: each partial member spends
@@ -466,7 +468,7 @@ class TreeLeaves(Space):
         if self.height < 0:
             raise ValueError("height must be >= 0")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.branching**self.height
 

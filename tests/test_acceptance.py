@@ -313,7 +313,7 @@ def test_kleinberg_exponent_growth_separation():
     means = {}
     for alpha in (0.0, 2.0):
         for side in (64, 256):
-            result = run_experiment(spec(alpha, side), allow_large=True)
+            result = run_experiment(spec(alpha, side))
             means[alpha, side] = _pooled_mean(result.rows)
     growth_uniform = means[0.0, 256] / means[0.0, 64]
     growth_inverse_sq = means[2.0, 256] / means[2.0, 64]

@@ -451,15 +451,20 @@ def test_experiment_missing_config_is_io_error(tmp_path, capsys):
     assert code == 3
 
 
-def test_experiment_rejects_oversized_config(tmp_path, capsys):
+def test_experiment_rejects_oversized_config(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a graph")
+    monkeypatch.setattr(cli.harness, "build_model", no_build)
     cfg = tmp_path / "big.cfg"
     cfg.write_text(json.dumps({"model": "two-directed-cycles",
-                               "sizes": [2**15], "seeds": [1],
+                               "sizes": [8, 2**16 + 1], "seeds": [1],
                                "routes_per_size": 1}))
     code = run_cli("experiment", "--config", str(cfg),
                    "--out", str(tmp_path / "o.csv"))
     assert code == 1
-    assert "allow_large" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: sizes [65537] exceed the n <= 65536 ceiling\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from navgraph import harness
-from navgraph.construction import Seed
+from navgraph.construction import Seed, edge_list_text
 from navgraph.harness import (AggregateRow, ExperimentResult, ExperimentSpec,
                               aggregate_csv_text, build_model, build_space,
                               experiment_spec_from_dict, export_csv,
@@ -269,6 +270,53 @@ def test_build_model_rejects_pi_for_baselines():
         build_model("independent-interest", {}, 8, Seed(0), pi=np.arange(8))
 
 
+# SHA-256 of each model's edge list at n = 64, so that a change to any
+# model, param or random stream shows; "x5" is the permutation v -> 5v mod 64
+@pytest.mark.parametrize("model,params,master,pi,digest", [
+    ("two-directed-cycles", {}, 0, None,
+     "783bb24923849d7654bb5c37a83e484b0a817e2960223fc5b336b9944e007f46"),
+    ("two-directed-cycles", {}, 7, None,
+     "544838b63c7af74ede7badfb531879547df542e958f4b323c780f337c85b02aa"),
+    ("two-undirected-cycles", {}, 0, None,
+     "7460d0c980a7799b7b6a91576b6120f989d815490c0d092f3c34d411a0697265"),
+    ("two-undirected-cycles", {}, 7, None,
+     "225b2f700899ed3a89a00e4e1aad870e5e72e5f036671a4a922d05f99aeb86c9"),
+    ("grid-tree", {}, 0, None,
+     "9532f7b921c25308a898ffcbaf6eb1ee131343cc4fb4e8e4d9f0ba6ca5f82879"),
+    ("grid-tree", {}, 7, None,
+     "b6c8f4ce538c03c07e7c41ec55cc561d5f1dbd2447424c9041e37515de7436ef"),
+    ("continuum", {}, 0, None,
+     "87304599f4ec1c382f79e484392859d0be5263a6cec62e54f25f4889f5da545f"),
+    ("continuum", {}, 7, None,
+     "808603c266659d27444feeacc6a35ed316343a32bf4628e500586f1002c22165"),
+    ("independent-interest", {}, 0, None,
+     "a02c9c27b41d56dacf12a1d71950f6c97306e4f19152e644aad38ab08171df67"),
+    ("independent-interest", {}, 7, None,
+     "60692913a14a0bec783baa4114e54e70585cbaa6b8fba8dfea1127a9bca7abc4"),
+    ("kleinberg", {}, 0, None,
+     "8e6fa1d34383ed291f3b0dd9065ee41c4b22e111d9d8137448c97db54afc3335"),
+    ("kleinberg", {}, 7, None,
+     "97845c3a4996a4c9d2b9c0c69c2b354e5919af25f18efc6fdc2f693c19a766e6"),
+    ("grid-tree", {"toric": True, "branching": 4}, 3, None,
+     "7e73f2439546d8b589528edc8db9879ede66cdbf5e6a38352f1b32ca93cc57c2"),
+    ("continuum", {"box1": [2.0, 0.5], "box2": [1.0]}, 3, None,
+     "b363d122b22ebbd468baae2348bfce5d8bb9788d250c2ff8068ab44404d54546"),
+    ("kleinberg", {"alpha": 2.0, "links": 2,
+                   "space": {"kind": "grid", "toric": True}}, 3, None,
+     "cc9ec8c361e9a5a009aa658eb06ec03b6281bfed553cbcfe95118d0919d3ab53"),
+    ("independent-interest", {"space": {"kind": "tree"}}, 3, None,
+     "f105e702e23e90687a9890b438f9ff2a31512cbdb96e8d7122bef7258143cf10"),
+    ("two-directed-cycles", {}, 3, "x5",
+     "529ac06a9e79332292b930e5773bd9abc05ef303eb84dfcf318d96e9698c7387"),
+    ("two-undirected-cycles", {}, 3, "x5",
+     "3d5ac31cb84c0561017dc6365ace1d142d082fea5620dd53651fa0f9446f1c45"),
+])
+def test_build_model_edges_are_pinned(model, params, master, pi, digest):
+    pi = None if pi is None else np.arange(64) * 5 % 64
+    _, graph = build_model(model, params, 64, Seed(master), pi=pi)
+    assert hashlib.sha256(edge_list_text(graph).encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 
@@ -377,12 +425,17 @@ def test_spec_rejects_kleinberg_without_a_base_graph(space):
                           params={"space": {"kind": "undirected-cycle"}})
 
 
-def test_budget_refusal():
-    spec = make_spec(sizes=(2**15,))
-    with pytest.raises(ValueError, match="allow_large"):
-        run_experiment(spec)
-    with pytest.raises(ValueError, match="ceiling"):
-        run_experiment(make_spec(sizes=(2**17,)), allow_large=True)
+def test_budget_refusal(monkeypatch):
+    # one ceiling for every model, checked when the spec is made
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a graph")
+    monkeypatch.setattr(harness, "build_model", no_build)
+    assert harness.MAX_SIZE == 2**16
+    for model in harness.MODELS:
+        assert make_spec(model=model, sizes=(2**16,)).sizes == (2**16,)
+        with pytest.raises(ValueError, match=r"sizes \[65537\] exceed the "
+                                             r"n <= 65536 ceiling"):
+            make_spec(model=model, sizes=(2**16, 2**16 + 1))
 
 
 def test_determinism_and_worker_independence():

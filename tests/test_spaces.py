@@ -175,6 +175,7 @@ def test_scalar_matches_vectorized(space, data):
     x, y = data.draw(ids), data.draw(ids)
     assert distance(space, x, y) == space.distances_from(x)[y]
     assert distance(space, x, y) == space.distances_between([x], [y])[0]
+    assert distance(space, x, y) == space.distances_between(x, y)
 
 
 def kernel_spaces():
