@@ -5,10 +5,14 @@ close in the second space as all candidates strictly closer in the first
 space.  Ties in the first space form one unordered shell: members of a
 shell never constrain each other, and the running second-space minimum is
 updated only after the whole shell has been scanned.  One kernel,
-``_record_heads``, applies the rule for every builder and size, to one
-candidate set: each row's space-1 prefix ball and the second ball that the
-prefix bounds.  Rows go to the kernel in blocks; the exhaustive oracles'
-enumerations put the rows of many permutations in one block.
+``_record_keep``, applies the rule for every builder and size.  Each row's
+candidates form two sets, the space-1 prefix ball and the second ball
+that the prefix bounds (less the prefix), and each comes nearest first
+from its own ball, as :meth:`Space.ball_members` lists it.  The rule is
+the same with the two spaces swapped, so the kernel reads each set in
+that order and sorts nothing.  Rows go to the kernel in blocks;
+the exhaustive oracles' enumerations put the rows of many permutations in
+one block.
 
 All builders are pure functions of their parameters and a :class:`Seed`;
 randomness is drawn from per-vertex streams derived from (master seed,
@@ -32,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spaces import Space
+from .spaces import Space, _owner_order
 
 __all__ = [
     "Seed",
@@ -300,20 +304,52 @@ class NavGraph:
 # record-selection core shared by the clustering and interest builders
 
 
-def _record_select_mask(sorted_key: np.ndarray, sorted_val: np.ndarray) -> np.ndarray:
-    """Mask entries whose value is <= the running minimum over all
-    strictly-earlier key groups (first group passes vacuously)."""
-    m = sorted_key.shape[0]
+def _runs(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and lengths of the runs of entries whose first entries
+    ``first`` flags (``first[0]`` set)."""
+    starts = np.flatnonzero(first)
+    lengths = np.empty_like(starts)
+    lengths[:-1] = starts[1:] - starts[:-1]
+    lengths[-1] = first.size - starts[-1]
+    return starts, lengths
+
+
+def _record_keep(owner: np.ndarray, key: np.ndarray, value: np.ndarray
+                 ) -> np.ndarray:
+    """The record rule over entries listed in (owner, key) order: entry t
+    is kept iff ``value[t]`` is <= the value of every entry of the same
+    owner at a strictly smaller key.  The entries of one key form one
+    shell, which never constrains itself, so an owner's first shell is
+    kept whole."""
+    m = owner.size
     if m == 0:
         return np.zeros(0, dtype=bool)
-    change = np.empty(m, dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    # before[k]: the minimum of the first k values; no value exceeds the
-    # sentinel that the first group sees
-    before = np.concatenate(([sorted_val.max()], np.minimum.accumulate(sorted_val)))
-    return sorted_val <= before[starts[np.cumsum(change) - 1]]
+    new_owner = np.empty(m, dtype=bool)
+    new_owner[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=new_owner[1:])
+    new_shell = new_owner.copy()
+    new_shell[1:] |= key[1:] != key[:-1]
+    shells, shell_lengths = _runs(new_shell)
+    if value.dtype.kind == "f":
+        # a running minimum per owner, along the rows of a table padded with
+        # inf: column p of an owner's row holds the minimum of its first p
+        # values, and entry t sits one column past its cell
+        firsts, counts = _runs(new_owner)
+        width = int(counts.max()) + 1
+        cell = np.arange(m) + np.repeat(np.arange(len(firsts)) * width - firsts,
+                                        counts)
+        table = np.full((len(firsts), width), np.inf)
+        table.ravel()[cell + 1] = value
+        np.minimum.accumulate(table, axis=1, out=table)
+        before = table.ravel()[cell[shells]]
+    else:
+        # integers: each owner's values shifted wholly below those of the
+        # owners before it, so that one running minimum restarts at every
+        # owner; the first shell sees a sentinel that no value exceeds
+        value = value - owner * (int(value.max()) - int(value.min()) + 1)
+        before = np.minimum.accumulate(value)[shells - 1]
+        before[0] = value.max()
+    return value <= np.repeat(before, shell_lengths)
 
 
 def _prefix_plan(space: Space) -> tuple[float, int]:
@@ -328,59 +364,43 @@ def _prefix_plan(space: Space) -> tuple[float, int]:
     return space.prefix_radius, max(1, _BLOCK_ENTRIES // (2 * k))
 
 
-def _prefix(space: Space, rows: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, member) pairs of each row's prefix: the whole space-1 ball of
-    ``radius`` around ``rows[owner]``, the row itself left out."""
-    owner, member = space.ball_members(rows, radius)
+def _prefix(space: Space, rows: np.ndarray, radius
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, member, distance) of each row's prefix, nearest first: the
+    whole space-1 ball of ``radius`` around ``rows[owner]``, the row itself
+    left out."""
+    owner, member, d = space.ball_members(rows, radius)
     other = member != rows[owner]
-    return owner[other], member[other]
+    return owner[other], member[other], d[other]
 
 
 def _block_heads(space1: Space, rows: np.ndarray, radius, prefix, bounded
                  ) -> list[list[int]]:
-    """Heads of a block of rows from two (owner, member, value) candidate
-    sets: each row's prefix, and the vertices whose value is within the
-    bound its prefix sets.  Bounded candidates inside the prefix ball, the
-    row itself among them, are already listed and are dropped."""
-    owner1, member1, value1 = prefix
+    """Sorted heads of a block of rows from its two candidate sets, each
+    listed per row in its own order.
+
+    ``prefix`` is (owner, member, d1, value): each row's prefix P, nearest
+    first in space 1.  ``bounded`` is (owner, member, value): the vertices
+    whose value is within the bound that P sets, ascending in value.
+    Those inside the prefix ball, the row itself among them, are listed in
+    P and dropped; the rest, L, lie farther in space 1 than all of P and
+    no farther in value, so only L can block L.  "No candidate is both
+    strictly closer and of strictly lower value" reads the same with the
+    two orders swapped, so the rule keeps a member of P whose value is <=
+    that of every closer member, and a member of L whose d1 is <= that of
+    every member of lower value.
+    """
+    owner1, member1, d1, value1 = prefix
     owner2, member2, value2 = bounded
     d1_2 = space1.distances_between(rows[owner2], member2)
     later = d1_2 > radius
-    return _record_heads(
-        len(rows), np.concatenate([owner1, owner2[later]]),
-        np.concatenate([member1, member2[later]]),
-        np.concatenate([space1.distances_between(rows[owner1], member1),
-                        d1_2[later]]),
-        np.concatenate([value1, value2[later]]))
-
-
-def _exact_ranks(x: np.ndarray) -> np.ndarray:
-    """Integers ordered and tied exactly as ``x`` (integer input as is)."""
-    if x.dtype.kind == "f":
-        return np.unique(x, return_inverse=True)[1]
-    return x
-
-
-def _record_heads(rows: int, owner: np.ndarray, member: np.ndarray,
-                  d1: np.ndarray, value: np.ndarray) -> list[list[int]]:
-    """Sorted heads of each of ``rows`` rows under the record rule.
-
-    Candidate t of row ``owner[t]`` lies at space-1 distance ``d1[t]`` and
-    is kept iff ``value[t]`` is <= the value of every candidate of the same
-    row strictly closer in space 1.
-    """
-    if owner.size == 0:
-        return [[] for _ in range(rows)]
-    d1, value = _exact_ranks(d1), _exact_ranks(value)
-    # one shell per (row, d1); the order inside a shell does not matter
-    shell = owner * (int(d1.max()) + 1) + d1
-    order = np.argsort(shell)
-    # each row lies wholly below the rows before it, so the running minimum
-    # restarts at every row
-    shifted = value[order] - owner[order] * (int(value.max()) + 1)
-    keep = order[_record_select_mask(shell[order], shifted)]
-    span = int(member.max()) + 1
-    return _split_rows(np.sort(owner[keep] * span + member[keep]), rows, span)
+    owner2, member2 = owner2[later], member2[later]
+    keep1 = _record_keep(owner1, d1, value1)
+    keep2 = _record_keep(owner2, value2[later], d1_2[later])
+    n = space1.n
+    codes = np.concatenate((owner1[keep1] * n + member1[keep1],
+                            owner2[keep2] * n + member2[keep2]))
+    return _split_rows(np.sort(codes), len(rows), n)
 
 
 def _split_rows(codes: np.ndarray, rows: int, span: int) -> list[list[int]]:
@@ -413,15 +433,15 @@ def _graphs(space1: Space, space2: Space, perms):
             rows = np.arange(start, min(pis.size, start + block))
             verts = rows % n
             base = rows - verts  # row of each permutation's vertex 0
-            owner1, member1 = _prefix(space1, verts, radius)
+            owner1, member1, d1 = _prefix(space1, verts, radius)
             value1 = space2.distances_between(pos[rows[owner1]],
                                               pos[base[owner1] + member1])
             bound = np.full(len(rows), np.inf)
             # (float values: ufunc.at scatters them far faster than int64)
             np.minimum.at(bound, owner1, value1.astype(np.float64))
-            owner2, pos2 = space2.ball_members(pos[rows], bound)
-            value2 = space2.distances_between(pos[rows[owner2]], pos2)
-            out += _block_heads(space1, verts, radius, (owner1, member1, value1),
+            owner2, pos2, value2 = space2.ball_members(pos[rows], bound)
+            out += _block_heads(space1, verts, radius,
+                                (owner1, member1, d1, value1),
                                 (owner2, vertex[base[owner2] + pos2], value2))
         for p in range(len(chunk)):
             yield NavGraph(n, out[p * n:(p + 1) * n], "double-clustering")
@@ -456,9 +476,10 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
     vertex draws its n values from its own stream ("ii", x).  Candidates
     are pruned as in :func:`build_double_clustering`, with the space-2 ball
     replaced by the vertices whose interest is at least the prefix's
-    largest.  The values of a few rows are held at once, as many as keep
-    them near ``_BLOCK_ENTRIES``; the record kernel takes the candidates
-    of a whole block from :func:`_prefix_plan`.
+    largest, which are sorted on their interest, the order in which the
+    record kernel reads them.  The values of a few rows are held at once,
+    as many as keep them near ``_BLOCK_ENTRIES``; the record kernel takes
+    the candidates of a whole block from :func:`_prefix_plan`.
     """
     n = space.n
     radius, block = _prefix_plan(space)
@@ -467,7 +488,7 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
     out = []
     for start in range(0, n, block):
         rows = np.arange(start, min(n, start + block))
-        owner1, member1 = _prefix(space, rows, radius)
+        owner1, member1, d1 = _prefix(space, rows, radius)
         value1 = np.empty(len(member1))
         bound = np.zeros(len(rows))
         bounded = []
@@ -483,8 +504,10 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
             np.minimum.at(bound, owner1[lo:hi], value1[lo:hi])
             kept = np.flatnonzero(values <= bound[first:first + len(part), None])
             bounded.append((kept // n + first, kept % n, values.ravel()[kept]))
-        out += _block_heads(space, rows, radius, (owner1, member1, value1),
-                            tuple(map(np.concatenate, zip(*bounded))))
+        owner2, member2, value2 = map(np.concatenate, zip(*bounded))
+        order = _owner_order(owner2, value2)
+        out += _block_heads(space, rows, radius, (owner1, member1, d1, value1),
+                            (owner2[order], member2[order], value2[order]))
     return NavGraph(n, out, "independent-interest")
 
 

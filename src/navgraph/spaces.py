@@ -21,16 +21,19 @@ the kinds with integer distances, each point's nearest other points on a
 point cloud.  :meth:`Space.base_neighbors` reads one vertex's slice of
 those edges, for the half-greedy router's small steps.
 
-Balls are listed by :meth:`Space.ball_members`, exactly in every kind.
-The cycles (an arc), the grid (an L1 diamond, wrapped or clipped per axis)
-and tree leaves (the leaves of one subtree) list them in closed form:
-their distances are integers, so a radius r reaches exactly the vertices
-at distance <= floor(r), and the closed form generates exactly those
+Balls are listed by :meth:`Space.ball_members`, exactly in every kind,
+each nearest first and with every member's distance.  The cycles (an
+arc), the grid (an L1 diamond, wrapped or clipped per axis) and tree
+leaves (the leaves of one subtree) list them in closed form: their
+distances are integers, so a radius r reaches exactly the vertices at
+distance <= floor(r), and the closed form generates exactly those
 vertices rather than estimating a volume.  Point clouds have no such
 form; their balls are read through a uniform cell index (Bentley, Stanat
 and Williams, 1977): the points bucketed into cubes whose side is half
 the cloud's prefix radius, so a ball reads only the cells its bounding box
 touches and decides membership on the exact distances of their points.
+The cycles and tree leaves generate each ball nearest first; the grid and
+point clouds sort each ball on the distances they computed.
 
 Ball sizes around one center are counted by :meth:`Space.prepare_target`,
 which prepares a target once for combined routing: it returns the scalar
@@ -72,8 +75,19 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     """(owner, value) listing starts[k], ..., starts[k] + counts[k] - 1 for
     every k in turn, each value tagged with its k."""
     owner = np.repeat(np.arange(len(counts)), counts)
-    firsts = np.cumsum(counts) - counts
-    return owner, np.arange(owner.size) - firsts[owner] + starts[owner]
+    # entry t, of k, is starts[k] + t - (the index of k's first entry)
+    shift = np.cumsum(counts) - counts - starts
+    return owner, np.arange(owner.size) - shift[owner]
+
+
+def _owner_order(owner: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The order that lists entries by owner, then by key, ties in any
+    order: one sort on the keys, then a stable one on the owners in the
+    smallest dtype that holds them, which numpy sorts by radix up to 16
+    bits."""
+    order = np.argsort(key)
+    small = owner[order].astype(np.min_scalar_type(owner.max(initial=0)))
+    return order[np.argsort(small, kind="stable")]
 
 
 def _check_radius(r) -> None:
@@ -148,18 +162,21 @@ class Space:
         radius 1 without its center.
         """
         n = self.n
-        owner, member = self.ball_members(np.arange(n), 1)
+        owner, member, _ = self.ball_members(np.arange(n), 1)
         codes = np.sort(owner * n + member)
         codes = codes[codes // n != codes % n]
         return codes // n, codes % n
 
-    def ball_members(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+    def ball_members(self, centers, radii
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every y with ``distance(centers[k], y) <= radii[k]``, for every k.
 
-        Returns ``(owner, member)`` arrays: ``member[t]`` lies in the ball
-        around ``centers[owner[t]]``.  Owners ascend; the members of one
-        owner come in no promised order.  ``radii`` broadcasts against
-        ``centers`` and may be infinite.
+        Returns ``(owner, member, distance)`` arrays: ``member[t]`` lies in
+        the ball around ``centers[owner[t]]``, and ``distance[t]`` equals
+        ``distances_between(centers[owner[t]], member[t])`` bit for bit.
+        Owners ascend, and each owner's members come nearest first;
+        members at equal distance come in no promised order.  ``radii``
+        broadcasts against ``centers`` and may be infinite.
         """
         raise NotImplementedError
 
@@ -264,10 +281,10 @@ class DirectedCycle(Space):
         return (self._check_vertices(ys) - self._check_vertices(xs)) % self.n
 
     def ball_members(self, centers, radii):
-        # the forward arc x, x+1, ..., x+r
+        # the forward arc x, x+1, ..., x+r, nearest first as it stands
         centers, steps = self._ball_steps(centers, radii)
         owner, ahead = _ranges(np.zeros_like(steps), steps + 1)
-        return owner, (centers[owner] + ahead) % self.n
+        return owner, (centers[owner] + ahead) % self.n, ahead
 
     def prepare_target(self, y: int):
         # the forward arc y, ..., y + k
@@ -311,10 +328,13 @@ class UndirectedCycle(Space):
         return np.minimum(a, self.n - a)
 
     def ball_members(self, centers, radii):
-        # the arc x-r, ..., x+r, which covers the whole cycle once 2r+1 >= n
+        # the arc x-r, ..., x+r nearest first: x, x-1, x+1, x-2, x+2, ...,
+        # entry t at (t + 1) // 2 steps, behind x for odd t; its first n
+        # entries cover the whole cycle once 2r+1 >= n
         centers, steps = self._ball_steps(centers, radii)
-        owner, offset = _ranges(-steps, np.minimum(2 * steps + 1, self.n))
-        return owner, (centers[owner] + offset) % self.n
+        owner, t = _ranges(np.zeros_like(steps), np.minimum(2 * steps + 1, self.n))
+        d = (t + 1) >> 1
+        return owner, (centers[owner] + np.where(t & 1, -d, d)) % self.n, d
 
     def prepare_target(self, y: int):
         # the arc y - k, ..., y + k
@@ -405,8 +425,8 @@ class Grid(Space):
     def ball_members(self, centers, radii):
         # the L1 diamond, one axis at a time: each partial member spends
         # part of its remaining budget on an offset along the next axis
-        centers, budget = self._ball_steps(centers, radii)
-        owner = np.arange(len(centers))
+        centers, steps = self._ball_steps(centers, radii)
+        owner, budget = np.arange(len(centers)), steps
         member = np.zeros(len(centers), dtype=np.int64)
         for axis, (length, stride) in enumerate(zip(self.dims, self._strides)):
             c = self._columns[axis][centers[owner]]
@@ -422,7 +442,10 @@ class Grid(Space):
             owner = owner[entry]
             member = member[entry] + coord * stride
             budget = budget[entry] - np.abs(offset)
-        return owner, member
+        # nearest first, on the budget each member spent
+        d = steps[owner] - budget
+        order = _owner_order(owner, d)
+        return owner[order], member[order], d[order]
 
     def prepare_target(self, y: int):
         # the L1 shells around y: per axis, the number of coordinates at
@@ -508,8 +531,21 @@ class TreeLeaves(Space):
             d[codes[level] == (x // self.branching**level)] = level
         return d
 
+    @cached_property
+    def _bits(self) -> int:
+        """s when the branching is 2^s, else 0: then a leaf's base-b digits
+        are its bits in groups of s."""
+        b = self.branching
+        return b.bit_length() - 1 if b & (b - 1) == 0 else 0
+
     def distances_between(self, xs, ys) -> np.ndarray:
         xs, ys = self._check_vertices(xs), self._check_vertices(ys)
+        if self._bits:
+            # the bit length of x ^ y, the exponent that frexp reads, over
+            # s bits a digit, rounded up: the digits up to the highest one
+            # that differs, the height of the smallest common subtree
+            bits = np.frexp((xs ^ ys).astype(np.float64))[1]
+            return (-(-bits // self._bits)).astype(np.int64)
         d = np.zeros(np.broadcast_shapes(xs.shape, ys.shape), dtype=np.int64)
         for _ in range(self.height):
             d += xs != ys
@@ -517,10 +553,26 @@ class TreeLeaves(Space):
         return d
 
     def ball_members(self, centers, radii):
-        # the leaves of x's subtree of height r: an aligned range of b^r ids
+        # the leaves of x's subtree of height r, nearest first: member k of
+        # a ball is x with each digit combined with k's, so that exactly
+        # the digits where k's is nonzero change (xor when b = 2^s, else
+        # addition mod b); it parts from x at k's highest nonzero digit, as
+        # many levels up as k has digits
         centers, steps = self._ball_steps(centers, radii)
-        width = self.branching ** steps
-        return _ranges(centers // width * width, width)
+        b = self.branching
+        owner, k = _ranges(np.zeros_like(steps), b ** steps)
+        x = centers[owner]
+        if self._bits:
+            member = x ^ k
+        else:
+            member = x.copy()
+            width = 1
+            for _ in range(int(steps.max(initial=0))):
+                digit = x // width % b
+                member += ((digit + k // width % b) % b - digit) * width
+                width *= b
+        d = np.searchsorted(b ** np.arange(self.height), k, side="right")
+        return owner, member, d
 
     def prepare_target(self, y: int):
         # the leaves of y's subtree of height k
@@ -636,8 +688,10 @@ class Euclidean(Space):
         return owner[inside], member[inside], d[inside]
 
     def ball_members(self, centers, radii):
-        owner, member, _ = self._near(centers, radii)
-        return owner, member
+        # nearest first, on the distances that decided membership
+        owner, member, d = self._near(centers, radii)
+        order = _owner_order(owner, d)
+        return owner[order], member[order], d[order]
 
     def distance_to(self, y: int):
         self._check_vertex(y)

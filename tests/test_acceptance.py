@@ -124,8 +124,8 @@ def exp_kleinberg():
 
 @pytest.fixture(scope="module")
 def exp_kleinberg_128():
-    # the same spec on a 128x128 lattice (2^14 vertices, within the default
-    # size budget), the upper end of criterion 10's growth measurement
+    # the same spec on a 128x128 lattice (2^14 vertices, under the 2^16
+    # MAX_SIZE ceiling), the upper end of criterion 10's growth measurement
     return _kleinberg_pair(128)
 
 
@@ -234,8 +234,7 @@ def test_criterion_7_grid_tree_success(exp_grid_tree):
     ok = 0.65 <= tree_rate <= 0.95 and comb_rate >= tree_rate
     _report(7, ok, f"n=2^14 tree-only success {tree_rate:.3f} in [0.65, 0.95], "
                    f"combined {comb_rate:.3f} >= tree-only "
-                   f"(2^16 reproduction stays behind the large-size flag; "
-                   f"{elapsed:.0f}s)")
+                   f"(2^16 reproduction not run by this test; {elapsed:.0f}s)")
 
 
 def test_criterion_8_half_greedy_polylog(exp_cycles):

@@ -396,19 +396,39 @@ def test_interest_matches_rule_on_tie_heavy_families(family, large):
         assert build_independent_interest(space, seed).out_edges == expected
 
 
-@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 50)),
-                min_size=0, max_size=40))
-@settings(max_examples=200, deadline=None)
-def test_record_select_mask_against_bruteforce(pairs):
-    # the vectorized shell scan must match the quantified rule verbatim:
-    # entry t selected iff its value <= every value at a strictly smaller key
-    keys = np.array([k for k, _ in sorted(pairs)], dtype=np.float64)
-    vals = np.array([v for _, v in sorted(pairs)], dtype=np.float64)
-    mask = cons._record_select_mask(keys, vals)
-    for t in range(len(pairs)):
-        earlier = [vals[s] for s in range(len(pairs)) if keys[s] < keys[t]]
-        expected = vals[t] <= min(earlier) if earlier else True
-        assert mask[t] == expected
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                          st.integers(-3, 3)), max_size=60),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_record_keep_against_bruteforce(entries, integer):
+    # the kernel over entries of several owners in (owner, key) order must
+    # match the quantified rule verbatim: entry t kept iff its value is <=
+    # every value of its owner at a strictly smaller key; few keys and
+    # values, so both tie often, as integers or as floats
+    entries.sort(key=lambda e: e[:2])
+    owner = np.array([o for o, _, _ in entries], dtype=np.int64)
+    key = np.array([k for _, k, _ in entries], dtype=np.int64)
+    value = np.array([v if integer else v / 3 for _, _, v in entries])
+    assert value.dtype == (np.int64 if integer and entries else np.float64)
+    keep = cons._record_keep(owner, key, value)
+    assert keep.dtype == bool and keep.shape == (len(entries),)
+    for t, (o, k, v) in enumerate(entries):
+        earlier = [w for p, q, w in entries if p == o and q < k]
+        assert keep[t] == (v <= min(earlier) if earlier else True)
+
+
+@pytest.mark.parametrize("space", [DirectedCycle(6), UndirectedCycle(6)],
+                         ids=["directed", "undirected"])
+def test_every_permutation_matches_rule(space):
+    # every permutation at n = 6, many to a record-kernel block, against
+    # the rule read verbatim
+    perms = list(itertools.permutations(range(6)))
+    assert cons._prefix_plan(space)[1] // 6 > 1
+    graphs = list(cons._graphs(space, space, perms))
+    assert len(graphs) == len(perms)
+    for pi, graph in zip(perms, graphs):
+        assert graph.out_edges == rule_double_clustering(
+            Assignment(space, space, np.array(pi)))
 
 
 def test_no_self_loops_or_duplicates():

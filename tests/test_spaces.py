@@ -89,6 +89,7 @@ def tie_heavy_spaces():
         Grid((2, 3, 4), toric=True),
         TreeLeaves(2, 0),
         TreeLeaves(4, 2),
+        TreeLeaves(8, 2),
         Euclidean(np.floor(rng.random((24, 2)) * 3) / 3),
     ] + cell_index_clouds()
 
@@ -295,13 +296,26 @@ def test_ball_count_examples():
 
 
 def test_ball_members():
-    owner, member = UndirectedCycle(8).ball_members(0, 2)
+    owner, member, d = UndirectedCycle(8).ball_members(0, 2)
     assert owner.tolist() == [0] * 5
-    assert set(member.tolist()) == {6, 7, 0, 1, 2}
-    owner, member = DirectedCycle(8).ball_members([6, 1], [3, 0.5])
+    assert member.tolist() == [0, 7, 1, 6, 2]  # nearest first
+    assert d.tolist() == [0, 1, 1, 2, 2]
+    owner, member, d = DirectedCycle(8).ball_members([6, 1], [3, 0.5])
     assert owner.tolist() == [0, 0, 0, 0, 1]
     assert member.tolist() == [6, 7, 0, 1, 1]  # forward arc, center included
-    assert UndirectedCycle(8).ball_members([], 1)[1].size == 0
+    assert d.tolist() == [0, 1, 2, 3, 0]
+    owner, member, d = TreeLeaves(3, 2).ball_members(4, 1)
+    assert member.tolist() == [4, 5, 3] and d.tolist() == [0, 1, 1]
+    assert all(a.size == 0 for a in UndirectedCycle(8).ball_members([], 1))
+
+
+def assert_nearest_first(space, centers, owner, member, d):
+    """Each member's distance is the array kernel's, bit for bit, and each
+    owner's distances never decrease."""
+    assert np.array_equal(d, space.distances_between(centers[owner], member))
+    assert d.dtype == space.distances_between(0, 0).dtype
+    same = owner[1:] == owner[:-1]
+    assert np.all(d[1:][same] >= d[:-1][same])
 
 
 def enumerated_ball(space, center, radius):
@@ -320,8 +334,10 @@ def test_ball_members_matches_enumeration(space):
         shells = np.unique(d)
         radii = np.concatenate([[0], shells, (shells[1:] + shells[:-1]) / 2,
                                 shells + 0.5, [beyond, np.inf]])
-        owner, member = space.ball_members(np.full(len(radii), x), radii)
+        centers = np.full(len(radii), x)
+        owner, member, d = space.ball_members(centers, radii)
         assert np.all(np.diff(owner) >= 0)
+        assert_nearest_first(space, centers, owner, member, d)
         for k, r in enumerate(radii):
             got = member[owner == k]
             assert len(got) == len(set(got.tolist()))
@@ -335,8 +351,9 @@ def test_ball_members_of_many_centers_match_enumeration(space):
     rng = np.random.default_rng(n)
     centers = rng.permutation(np.repeat(np.arange(n), 2))
     radii = np.array([rng.choice(space.distances_from(c)) for c in centers])
-    owner, member = space.ball_members(centers, radii)
+    owner, member, d = space.ball_members(centers, radii)
     assert np.all(np.diff(owner) >= 0)
+    assert_nearest_first(space, centers, owner, member, d)
     for k, (c, r) in enumerate(zip(centers, radii)):
         assert sorted(member[owner == k].tolist()) == enumerated_ball(space, c, r)
 
