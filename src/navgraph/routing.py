@@ -16,8 +16,11 @@ kernel toward the target (:meth:`~navgraph.spaces.Space.distance_to`), so
 a route costs its path length times the out-degree, at every size.  A step
 makes one kernel read per out-neighbor (combined routing one per space)
 and nothing else: the distance of the vertex a route stands on comes from
-the step that chose it, and phases are counted once per route, from the
-distances of the vertices its steps left.
+the step that chose it.  A route returns those distances of the vertices
+its steps left as :attr:`RouteOutcome.trace`, and its step count, success
+and per-phase step counts are derived from the outcome's fields when read;
+beyond its steps a route pays for its endpoint checks, its distance
+kernels and one outcome.
 Combined routing also counts balls around the target; it reads distances
 and ball sizes through each space's per-target preparation
 (:meth:`~navgraph.spaces.Space.prepare_target`).  On cycles, grids and
@@ -35,7 +38,7 @@ and off elsewhere.  :func:`route` is the one entry point; a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .construction import Assignment, NavGraph
@@ -113,26 +116,43 @@ class RoutingMode:
         return cls(kind=kind, space=int(space))
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteOutcome:
     """Result of one route attempt.
 
+    ``trace[i]`` is the distance to the target of ``path[i]``, the vertex
+    step i left, in the algorithm's primary space (space 1 for combined
+    routing).  ``steps``, ``success`` and ``phase_steps`` are derived from
+    the stored fields each time they are read.
+
     ``phase_steps`` maps phase index i to the number of steps taken from
-    vertices whose distance d to the target satisfied 2^(i-1) < d <= 2^i,
-    measured in the algorithm's primary space; it always sums to ``steps``.
-    Steps taken from a vertex at distance 0 that is not the target (it
-    coincides with the target in a point cloud) are counted under
-    :data:`PHASE_AT_ZERO`, ``-math.inf``, which sorts below every phase
-    index, as the limit of ``phase_index(d)`` for d -> 0.
+    vertices whose distance d to the target satisfied 2^(i-1) < d <= 2^i;
+    it always sums to ``steps``.  Steps taken from a vertex at distance 0
+    that is not the target (it coincides with the target in a point cloud)
+    are counted under :data:`PHASE_AT_ZERO`, ``-math.inf``, which sorts
+    below every phase index, as the limit of ``phase_index(d)`` for d -> 0.
     """
 
     source: int
     target: int
     path: list[int]
-    steps: int
-    success: bool
+    trace: list[int | float]
     failure: Failure = Failure.NONE
-    phase_steps: dict[int | float, int] = field(default_factory=dict)
+
+    @property
+    def steps(self) -> int:
+        return len(self.trace)
+
+    @property
+    def success(self) -> bool:
+        return self.path[-1] == self.target and self.failure is Failure.NONE
+
+    @property
+    def phase_steps(self) -> dict[int | float, int]:
+        phase: dict[int | float, int] = {}
+        for i in map(_phase, self.trace):
+            phase[i] = phase.get(i, 0) + 1
+        return phase
 
 
 PHASE_AT_ZERO = -math.inf
@@ -181,20 +201,10 @@ def _dist_getter(a: Assignment, space_sel: int, target: int):
 # algorithms
 #
 # Each router carries the distance of the vertex it stands on from the step
-# that chose it, and reads each out-neighbor's distance once per step.  The
-# minimum over a step's neighbors is the first strict one in list order,
-# which is the smallest id on ties since out-neighbor lists ascend.
-
-
-def _finish(source, target, path, trace, failure):
-    """The outcome of a route whose i-th step left a vertex at primary
-    distance ``trace[i]``."""
-    phase: dict[int | float, int] = {}
-    for i in map(_phase, trace):
-        phase[i] = phase.get(i, 0) + 1
-    return RouteOutcome(source, target, path, len(trace),
-                        success=(path[-1] == target and failure is Failure.NONE),
-                        failure=failure, phase_steps=phase)
+# that chose it, and reads each out-neighbor's distance once per step; it
+# appends that distance to ``trace`` as it leaves the vertex.  The minimum
+# over a step's neighbors is the first strict one in list order, which is
+# the smallest id on ties since out-neighbor lists ascend.
 
 
 def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
@@ -205,7 +215,7 @@ def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
     x, dx = source, get(source)
     while x != target:
         if len(trace) >= max_steps:
-            return _finish(source, target, path, trace, Failure.STEP_LIMIT)
+            return RouteOutcome(source, target, path, trace, Failure.STEP_LIMIT)
         # the closest neighbor if it improves, else the first unvisited one
         # level with x; every visited vertex is at least as far as x, so
         # only a plateau move could revisit one
@@ -219,13 +229,13 @@ def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
         if w < 0:
             w = level
             if w < 0:
-                return _finish(source, target, path, trace, Failure.STUCK)
+                return RouteOutcome(source, target, path, trace, Failure.STUCK)
         trace.append(dx)
         path.append(w)
         if plateau:
             visited.add(w)
         x, dx = w, dw
-    return _finish(source, target, path, trace, Failure.NONE)
+    return RouteOutcome(source, target, path, trace)
 
 
 def _half_greedy(graph, a, space_sel, max_steps, source, target):
@@ -241,7 +251,7 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
     x, dx = source, get(source)
     while x != target:
         if len(trace) >= max_steps:
-            return _finish(source, target, path, trace, Failure.STEP_LIMIT)
+            return RouteOutcome(source, target, path, trace, Failure.STEP_LIMIT)
         # the closest neighbor, and the neighbors exactly one closer
         w, dw, one_closer = -1, dx, []
         for v in out[x]:
@@ -258,11 +268,11 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
             dw = dx - 1
             w = next((b for b in base_of(x) if b in one_closer), -1)
             if w < 0:
-                return _finish(source, target, path, trace, Failure.STUCK)
+                return RouteOutcome(source, target, path, trace, Failure.STUCK)
         trace.append(dx)
         path.append(w)
         x, dx = w, dw
-    return _finish(source, target, path, trace, Failure.NONE)
+    return RouteOutcome(source, target, path, trace)
 
 
 def _combined(graph, a, plateau, max_steps, literal_m, source, target):
@@ -275,7 +285,7 @@ def _combined(graph, a, plateau, max_steps, literal_m, source, target):
     x, d1x, d2x = source, to1(source), to2(pos[source])
     while x != target:
         if len(trace) >= max_steps:
-            return _finish(source, target, path, trace, Failure.STEP_LIMIT)
+            return RouteOutcome(source, target, path, trace, Failure.STEP_LIMIT)
         # one pass: the first strict minimum in each space, and the other
         # space's distance there
         w1 = w2 = -1
@@ -288,7 +298,7 @@ def _combined(graph, a, plateau, max_steps, literal_m, source, target):
             if w2 < 0 or e2 < m2:
                 w2, m2, o2 = v, e2, e1
         if w1 < 0:
-            return _finish(source, target, path, trace, Failure.STUCK)
+            return RouteOutcome(source, target, path, trace, Failure.STUCK)
         improving1, improving2 = m1 < d1x, m2 < d2x
         if improving1 and improving2:
             take2 = m2 < m1 if literal_m else count2(m2) < count1(m1)
@@ -300,7 +310,7 @@ def _combined(graph, a, plateau, max_steps, literal_m, source, target):
             # neighbor level with x is the one that attains it
             take2 = m1 != d1x
         else:
-            return _finish(source, target, path, trace, Failure.STUCK)
+            return RouteOutcome(source, target, path, trace, Failure.STUCK)
         trace.append(d1x)
         if take2:
             x, d1x, d2x = w2, o2, m2
@@ -308,7 +318,7 @@ def _combined(graph, a, plateau, max_steps, literal_m, source, target):
             x, d1x, d2x = w1, m1, o1
         path.append(x)
         visited.add(x)
-    return _finish(source, target, path, trace, Failure.NONE)
+    return RouteOutcome(source, target, path, trace)
 
 
 def route(graph: NavGraph, assignment: Assignment, mode: RoutingMode,
@@ -322,18 +332,18 @@ def route(graph: NavGraph, assignment: Assignment, mode: RoutingMode,
     n = graph.n
     if n != assignment.n:
         raise ValueError("graph and assignment sizes differ")
-    for v in (source, target):
-        if not 0 <= v < n:
-            raise ValueError(f"vertex id {v} out of range [0, {n})")
+    if not 0 <= source < n > target >= 0:
+        v = target if 0 <= source < n else source
+        raise ValueError(f"vertex id {v} out of range [0, {n})")
     if source == target:
-        return RouteOutcome(source, target, [source], 0, True)
-    plateau = resolved_plateau(mode, assignment)
+        return RouteOutcome(source, target, [source], [])
     max_steps = mode.max_steps if mode.max_steps is not None else 10 * n
-    if mode.kind == "greedy":
-        return _greedy(graph, assignment, mode.space, plateau, max_steps,
-                       source, target)
     if mode.kind == "half-greedy":
         return _half_greedy(graph, assignment, mode.space, max_steps,
                             source, target)
+    plateau = resolved_plateau(mode, assignment)
+    if mode.kind == "greedy":
+        return _greedy(graph, assignment, mode.space, plateau, max_steps,
+                       source, target)
     return _combined(graph, assignment, plateau, max_steps, mode.literal_m,
                      source, target)

@@ -96,13 +96,19 @@ def _check_radius(r) -> None:
 
 
 def _norms(diffs) -> np.ndarray:
-    """L2 norms from one array of differences per coordinate, their squares
-    summed in coordinate order: the arithmetic of
-    :meth:`Euclidean.distance_to`, at every dimension."""
-    total = 0.0
+    """L2 norms from one fresh array (or scalar) of differences per
+    coordinate, their squares summed in coordinate order: the arithmetic of
+    :meth:`Euclidean.distance_to`, at every dimension.  Arrays are squared
+    in place and summed into the first square; 0.0 + s is s for any square
+    s, so the sum starting there changes no bit."""
+    total = None
     for diff in diffs:
-        total = total + diff * diff
-    return np.sqrt(total)
+        diff *= diff
+        if total is None:
+            total = diff
+        else:
+            total += diff
+    return np.sqrt(0.0 if total is None else total)
 
 
 class Space:

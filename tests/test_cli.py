@@ -118,6 +118,27 @@ def test_route_accepts_every_mode_label(capsys, label):
     assert f"mode: {label}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,lines", [
+    ("--model two-undirected-cycles --n 64 --seed 1 --source 0 --target 50 "
+     "--mode combined",
+     ["mode: combined", "path: 0 -> 48 -> 49 -> 50", "steps: 3",
+      "success: yes", "phase steps: 0:1 1:1 4:1"]),
+    # three steps leave cloud distances in (1/4, 1/2], one in (1/16, 1/8]
+    ("--model continuum --n 64 --seed 1 --source 0 --target 63 "
+     "--mode combined",
+     ["mode: combined", "path: 0 -> 62 -> 36 -> 59 -> 63", "steps: 4",
+      "success: yes", "phase steps: -3:1 -1:3"]),
+    ("--model two-undirected-cycles --n 2 --seed 1 --source 0 --target 1 "
+     "--mode half-greedy-2",
+     ["mode: half-greedy-2", "path: 0 -> 1", "steps: 1", "success: yes",
+      "phase steps: 0:1"]),
+])
+def test_route_output_is_pinned(capsys, argv, lines):
+    assert run_cli("route", *argv.split()) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"# navgraph route {argv}", *lines]
+
+
 @pytest.mark.parametrize("flags,result", [
     ((), "success: yes"),
     (("--plateau", "on"), "success: yes"),

@@ -140,6 +140,25 @@ def test_phase_steps_sum_to_steps():
             assert out.steps == len(out.path) - 1
 
 
+def test_outcome_is_slotted_and_derives_its_counts():
+    # stuck after one step: 1 has no out-edge toward target 3
+    a = Assignment.identity(UndirectedCycle(6))
+    stuck = route(custom_graph(6, [(0, 1)]), a, RoutingMode("greedy"), 0, 3)
+    assert stuck.failure is Failure.STUCK and stuck.path == [0, 1]
+    assert stuck.trace == [3] and stuck.phase_steps == {2: 1}
+    b = Assignment.identity(DirectedCycle(8))
+    limited = route(build_double_clustering(b), b,
+                    RoutingMode("greedy", max_steps=3), 0, 7)
+    assert limited.failure is Failure.STEP_LIMIT
+    for out in (stuck, limited):
+        assert not hasattr(out, "__dict__")
+        assert out.steps == len(out.path) - 1 == len(out.trace)
+        assert not out.success
+        with pytest.raises(AttributeError):
+            out.steps = 0
+    assert limited.steps == 3
+
+
 def test_greedy_stuck_without_outgoing_improvement():
     a = Assignment.identity(UndirectedCycle(6))
     g = custom_graph(6, [(0, 5)])  # only a worsening edge toward target 2
@@ -376,10 +395,13 @@ def test_routing_is_deterministic():
 def test_endpoint_validation():
     a = Assignment.identity(DirectedCycle(4))
     g = build_double_clustering(a)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vertex id 4 out of range \[0, 4\)$"):
         route(g, a, RoutingMode("greedy"), 0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vertex id -1 out of range \[0, 4\)$"):
         route(g, a, RoutingMode("greedy"), -1, 2)
+    # the source is named first when both are out of range
+    with pytest.raises(ValueError, match=r"^vertex id 5 out of range"):
+        route(g, a, RoutingMode("half-greedy"), 5, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +508,19 @@ def target_distances(a, space, target):
 
 
 def oracle_outcome(source, target, path, d, failure):
-    """The outcome of an oracle's path: one phase per step, by the primary
+    """The outcome of an oracle's path: each step's trace entry is the
+    primary distance d of the vertex it left."""
+    return RouteOutcome(source, target, path, [d[v] for v in path[:-1]], failure)
+
+
+def phases_by_definition(path, d):
+    """Steps per phase: each step counted under the phase of the primary
     distance d of the vertex it left."""
     phase = {}
     for v in path[:-1]:
         key = phase_index(d[v]) if d[v] > 0 else PHASE_AT_ZERO
         phase[key] = phase.get(key, 0) + 1
-    return RouteOutcome(source, target, path, len(path) - 1,
-                        failure is Failure.NONE, failure, phase)
+    return phase
 
 
 def greedy_oracle(graph, a, mode, source, target):
@@ -502,7 +529,7 @@ def greedy_oracle(graph, a, mode, source, target):
     with plateau moves, the smallest-id unvisited out-neighbor at x's own
     distance."""
     if source == target:
-        return RouteOutcome(source, target, [source], 0, True)
+        return RouteOutcome(source, target, [source], [])
     plateau = resolved_plateau(mode, a)
     max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
     d = target_distances(a, mode.space, target)
@@ -532,7 +559,7 @@ def half_greedy_oracle(graph, a, mode, source, target):
     ties; otherwise the smallest-id out-neighbor that is a base neighbor
     (at distance 1 in the routing space) and exactly one closer."""
     if source == target:
-        return RouteOutcome(source, target, [source], 0, True)
+        return RouteOutcome(source, target, [source], [])
     max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
     d = target_distances(a, mode.space, target)
     path, failure = [source], Failure.NONE
@@ -577,7 +604,10 @@ def test_greedy_and_half_greedy_match_array_oracles(instance, data):
         for plateau in plateaus:
             mode = dataclasses.replace(base, plateau=plateau, max_steps=max_steps)
             for s, t in pairs:
-                assert route(graph, a, mode, s, t) == oracle(graph, a, mode, s, t)
+                out = route(graph, a, mode, s, t)
+                assert out == oracle(graph, a, mode, s, t)
+                assert out.phase_steps == phases_by_definition(
+                    out.path, target_distances(a, mode.space, t))
 
 
 def combined_oracle(graph, a, mode, source, target):
@@ -585,13 +615,13 @@ def combined_oracle(graph, a, mode, source, target):
     distances toward the target in each space, and ball sizes counted on
     the sorted distance multiset around the target."""
     if source == target:
-        return RouteOutcome(source, target, [source], 0, True)
+        return RouteOutcome(source, target, [source], [])
     plateau = resolved_plateau(mode, a)
     max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
     d1, d2 = target_distances(a, 1, target), target_distances(a, 2, target)
     sorted1 = np.sort(a.space1.distances_from(target))
     sorted2 = np.sort(a.space2.distances_from(int(a.pi[target])))
-    path, phase, failure = [source], {}, Failure.NONE
+    path, failure = [source], Failure.NONE
     x = source
     while x != target:
         if len(path) - 1 >= max_steps:
@@ -620,12 +650,9 @@ def combined_oracle(graph, a, mode, source, target):
         if w < 0:
             failure = Failure.STUCK
             break
-        key = phase_index(d1[x]) if d1[x] > 0 else PHASE_AT_ZERO
-        phase[key] = phase.get(key, 0) + 1
         path.append(w)
         x = w
-    return RouteOutcome(source, target, path, len(path) - 1,
-                        failure is Failure.NONE, failure, phase)
+    return oracle_outcome(source, target, path, d1, failure)
 
 
 @given(routing_instances(), st.data())
@@ -641,5 +668,7 @@ def test_combined_matches_array_oracle(instance, data):
             mode = RoutingMode("combined", plateau=plateau,
                                max_steps=max_steps, literal_m=literal_m)
             for s, t in pairs:
-                assert route(graph, a, mode, s, t) == \
-                    combined_oracle(graph, a, mode, s, t)
+                out = route(graph, a, mode, s, t)
+                assert out == combined_oracle(graph, a, mode, s, t)
+                assert out.phase_steps == phases_by_definition(
+                    out.path, target_distances(a, 1, t))
