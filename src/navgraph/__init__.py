@@ -15,9 +15,9 @@ from .construction import (Assignment, NavGraph, Seed, build_double_clustering,
 from .harness import (ExperimentResult, ExperimentSpec, ScalingFit, build_model,
                       build_space, export_csv, fit_scaling,
                       load_experiment_config, run_experiment)
-from .oracle import (DegreeStats, DivergenceWitness, degree_statistics,
-                     find_divergent_permutation, marginal_edge_law,
-                     monotonicity_check, random_disjoint_sets, tau_tail)
+from .oracle import (DivergenceWitness, find_divergent_permutation,
+                     marginal_edge_law, monotonicity_check,
+                     random_disjoint_sets, tau_tail)
 from .routing import Failure, RouteOutcome, RoutingMode, phase_index, route
 from .spaces import (DirectedCycle, Euclidean, Grid, Space, TreeLeaves,
                      UndirectedCycle)
@@ -25,15 +25,15 @@ from .spaces import (DirectedCycle, Euclidean, Grid, Space, TreeLeaves,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "DegreeStats", "DirectedCycle", "DivergenceWitness",
-    "Euclidean", "ExperimentResult", "ExperimentSpec", "Failure", "Grid",
-    "NavGraph", "RouteOutcome", "RoutingMode", "ScalingFit", "Seed",
-    "Space", "TreeLeaves", "UndirectedCycle", "build_double_clustering",
+    "Assignment", "DirectedCycle", "DivergenceWitness", "Euclidean",
+    "ExperimentResult", "ExperimentSpec", "Failure", "Grid", "NavGraph",
+    "RouteOutcome", "RoutingMode", "ScalingFit", "Seed", "Space",
+    "TreeLeaves", "UndirectedCycle", "build_double_clustering",
     "build_independent_interest", "build_kleinberg", "build_model",
-    "build_space", "degree_statistics", "edge_keep_probability",
-    "export_csv", "find_divergent_permutation", "fit_scaling",
-    "load_experiment_config", "load_permutation", "marginal_edge_law",
-    "monotonicity_check", "parse_permutation", "phase_index",
-    "random_disjoint_sets", "read_edge_list", "route", "run_experiment",
-    "tau_tail", "thin_edges", "write_edge_list",
+    "build_space", "edge_keep_probability", "export_csv",
+    "find_divergent_permutation", "fit_scaling", "load_experiment_config",
+    "load_permutation", "marginal_edge_law", "monotonicity_check",
+    "parse_permutation", "phase_index", "random_disjoint_sets",
+    "read_edge_list", "route", "run_experiment", "tau_tail", "thin_edges",
+    "write_edge_list",
 ]

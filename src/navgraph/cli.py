@@ -51,33 +51,30 @@ def _echo(argv: list[str], seed: int | None) -> None:
 
 
 def _model_params(args) -> dict:
-    params: dict = {}
+    space: dict = {}  # the flags that describe a space
     # a falsy value such as 0 or "" is for the typed checks to refuse
-    if getattr(args, "branching", None) is not None:
-        params["branching"] = args.branching
-    if getattr(args, "grid_dims", None) is not None:
+    if args.grid_dims is not None:
         try:
-            params["grid_dims"] = [int(d) for d in args.grid_dims.split(",")]
+            space["grid_dims"] = [int(d) for d in args.grid_dims.split(",")]
         except ValueError:
             raise _UsageError("--grid-dims must be comma-separated integers, "
                               f"got {args.grid_dims!r}") from None
-    if getattr(args, "toric", False):
-        params["toric"] = True
-    if getattr(args, "alpha", None) is not None:
+    if args.toric:
+        space["toric"] = True
+    if args.branching is not None:
+        space["branching"] = args.branching
+    if args.space_kind:
+        # baseline models take their base space as a descriptor, which
+        # names the grid's side lengths dims
+        if "grid_dims" in space:
+            space["dims"] = space.pop("grid_dims")
+        params = {"space": {"kind": args.space_kind, **space}}
+    else:
+        params = space  # grid-tree reads them as params
+    if args.alpha is not None:
         params["alpha"] = args.alpha
-    if getattr(args, "links", None) is not None:
+    if args.links is not None:
         params["links"] = args.links
-    if getattr(args, "space_kind", None):
-        # baseline models take their base space as a descriptor
-        space: dict = {"kind": args.space_kind}
-        if args.space_kind == "grid":
-            if "grid_dims" in params:
-                space["dims"] = params["grid_dims"]
-            if params.get("toric"):
-                space["toric"] = True
-        elif args.space_kind == "tree" and "branching" in params:
-            space["branching"] = params["branching"]
-        params["space"] = space
     return params
 
 
@@ -208,7 +205,7 @@ def _cmd_oracle(args, argv) -> int:
             _, graph = harness.build_model(
                 "independent-interest", {"space": {"kind": "directed-cycle"}},
                 args.n, Seed(seed + i))
-            means.append(oracle.degree_statistics(graph).mean)
+            means.append(graph.mean_out_degree())
         observed = sum(means) / len(means)
         rel = abs(observed - expected) / expected
         print(f"independent interest on a directed cycle, n={args.n}, "

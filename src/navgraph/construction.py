@@ -21,9 +21,9 @@ The baselines and thinning seed all the streams of their label at once,
 in one array pass of :meth:`Seed.streams` that gives each vertex exactly
 the draws of ``Seed.rng(label, v)``, and do the rest of their work as
 array passes over blocks of vertices: Kleinberg's d^-alpha law and its
-draws, the interest values and their bounds, and the base and kept edges
-of thinning.  The Kleinberg and independent-interest baselines still do
-O(n) work per vertex.
+draws, the interest values (held one block of rows at a time) and their
+bounds, and the base and kept edges of thinning.  The Kleinberg and
+independent-interest baselines still do O(n) work per vertex.
 """
 
 from __future__ import annotations
@@ -477,34 +477,27 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
     are pruned as in :func:`build_double_clustering`, with the space-2 ball
     replaced by the vertices whose interest is at least the prefix's
     largest, which are sorted on their interest, the order in which the
-    record kernel reads them.  The values of a few rows are held at once,
-    as many as keep them near ``_BLOCK_ENTRIES``; the record kernel takes
-    the candidates of a whole block from :func:`_prefix_plan`.
+    record kernel reads them.  Values are held one block of rows at a
+    time, the block that :func:`_prefix_plan` sizes for the record kernel:
+    (block rows x n) floats, 1 MiB at n = 2^10 and 8 MiB at 2^16.
     """
     n = space.n
     radius, block = _prefix_plan(space)
-    fill = max(1, _BLOCK_ENTRIES // n)
     streams = seed.streams("ii", np.arange(n))
     out = []
     for start in range(0, n, block):
         rows = np.arange(start, min(n, start + block))
         owner1, member1, d1 = _prefix(space, rows, radius)
-        value1 = np.empty(len(member1))
+        values = np.empty((len(rows), n))
+        for k, i in enumerate(rows.tolist()):
+            streams.random(i, values[k])
+        # keep iff interest >= running max  <=>  -interest <= running min
+        np.negative(values, out=values)
+        value1 = values[owner1, member1]
         bound = np.zeros(len(rows))
-        bounded = []
-        for first in range(0, len(rows), fill):
-            part = rows[first:first + fill]
-            values = np.empty((len(part), n))
-            for k, i in enumerate(part.tolist()):
-                streams.random(i, values[k])
-            # keep iff interest >= running max  <=>  -interest <= running min
-            np.negative(values, out=values)
-            lo, hi = np.searchsorted(owner1, (first, first + len(part)))
-            value1[lo:hi] = values[owner1[lo:hi] - first, member1[lo:hi]]
-            np.minimum.at(bound, owner1[lo:hi], value1[lo:hi])
-            kept = np.flatnonzero(values <= bound[first:first + len(part), None])
-            bounded.append((kept // n + first, kept % n, values.ravel()[kept]))
-        owner2, member2, value2 = map(np.concatenate, zip(*bounded))
+        np.minimum.at(bound, owner1, value1)
+        kept = np.flatnonzero(values <= bound[:, None])
+        owner2, member2, value2 = kept // n, kept % n, values.ravel()[kept]
         order = _owner_order(owner2, value2)
         out += _block_heads(space, rows, radius, (owner1, member1, d1, value1),
                             (owner2[order], member2[order], value2[order]))

@@ -13,13 +13,13 @@ so results do not depend on worker scheduling.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +69,9 @@ class ExperimentSpec:
     reads: ``grid_dims``, ``toric`` and ``branching`` (grid-tree),
     ``box1``/``box2`` extents (continuum), a ``space`` descriptor
     (baselines) and ``alpha``/``links`` (kleinberg).  Sizes above
-    :data:`MAX_SIZE`, and params, sizes and modes that the model's spaces
-    cannot take, are refused here, before any trial runs.
+    :data:`MAX_SIZE`, params keys the model does not read, and params,
+    sizes and modes that the model's spaces cannot take, are refused here,
+    before any trial runs.
     """
 
     model: str
@@ -135,6 +136,14 @@ def _check_space_kinds(model: str, builder: str, classes: list[type[Space]],
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _refuse_unread(data: dict, reads: tuple, what: str) -> None:
+    """Refuse the first key of ``data`` that is not among ``reads``."""
+    for key in data:
+        if key not in reads:
+            raise ValueError(f"{what} {key!r} is not read; it reads "
+                             + (", ".join(map(repr, reads)) or "no keys"))
 
 
 def _config_value(data: dict, key: str, default, valid, expected: str,
@@ -246,16 +255,31 @@ def _near_square_dims(n: int) -> tuple[int, int]:
     return (n // best, best)
 
 
+# the keys of a space descriptor that each kind reads
+_SPACE_KEYS = {
+    "directed-cycle": ("kind",),
+    "undirected-cycle": ("kind",),
+    "grid": ("kind", "dims", "toric"),
+    "tree": ("kind", "branching"),
+    "tree-leaves": ("kind", "branching"),
+}
+
+
 def build_space(descriptor: dict, n: int) -> Space:
     """Instantiate a space descriptor at size n.
 
     Descriptor keys: kind (directed-cycle | undirected-cycle | grid | tree),
-    plus dims/toric for grids and branching for trees.  Grid dims default
-    to the most square factorization of n; tree height is derived from n.
+    plus dims/toric for grids and branching for trees; a key that the kind
+    does not read is refused.  Grid dims default to the most square
+    factorization of n; tree height is derived from n.
     """
     if not isinstance(descriptor, dict):
         raise ValueError(f"space descriptor must be an object, got {descriptor!r}")
     kind = descriptor.get("kind", "undirected-cycle")
+    reads = _SPACE_KEYS.get(kind) if isinstance(kind, str) else None
+    if reads is None:
+        raise ValueError(f"unknown space kind {kind!r}")
+    _refuse_unread(descriptor, reads, f"space kind {kind!r}: descriptor key")
     if kind == "directed-cycle":
         return DirectedCycle(n)
     if kind == "undirected-cycle":
@@ -272,15 +296,13 @@ def build_space(descriptor: dict, n: int) -> Space:
         return Grid(dims, toric=_config_value(
             descriptor, "toric", False, lambda v: isinstance(v, bool),
             "true or false", "grid"))
-    if kind in ("tree", "tree-leaves"):
-        branching = _config_value(descriptor, "branching", 2,
-                                  lambda v: _is_int(v) and v >= 2,
-                                  "an integer >= 2", "tree")
-        height = round(math.log(n, branching))
-        if branching**height != n:
-            raise ValueError(f"n={n} is not a power of branching={branching}")
-        return TreeLeaves(branching, height)
-    raise ValueError(f"unknown space kind {kind!r}")
+    branching = _config_value(descriptor, "branching", 2,
+                              lambda v: _is_int(v) and v >= 2,
+                              "an integer >= 2", "tree")
+    height = round(math.log(n, branching))
+    if branching**height != n:
+        raise ValueError(f"n={n} is not a power of branching={branching}")
+    return TreeLeaves(branching, height)
 
 
 @dataclass(frozen=True)
@@ -336,24 +358,26 @@ def _kleinberg_args(params: dict) -> tuple[float, int]:
 
 
 # The model table: each model is one of three builders over the spaces its
-# params describe.  An entry maps params to (builder, space descriptors,
-# the builder's own arguments), each read and checked from params.
+# params describe.  An entry names the params keys the model reads, and
+# maps params to (builder, space descriptors, the builder's own
+# arguments), each read and checked from params.
 _PRESETS = {
-    "two-directed-cycles": lambda p: (
-        "double-clustering", [{"kind": "directed-cycle"}] * 2, ()),
-    "two-undirected-cycles": lambda p: (
-        "double-clustering", [{"kind": "undirected-cycle"}] * 2, ()),
-    "grid-tree": lambda p: ("double-clustering", [
-        {"kind": "grid", "dims": p.get("grid_dims"),
-         "toric": p.get("toric", False)},
-        {"kind": "tree", "branching": p.get("branching", 2)}], ()),
-    "continuum": lambda p: (
-        "double-clustering", [_Cloud(box) for box in _boxes(p)], ()),
-    "independent-interest": lambda p: (
+    "two-directed-cycles": ((), lambda p: (
+        "double-clustering", [{"kind": "directed-cycle"}] * 2, ())),
+    "two-undirected-cycles": ((), lambda p: (
+        "double-clustering", [{"kind": "undirected-cycle"}] * 2, ())),
+    "grid-tree": (("grid_dims", "toric", "branching"), lambda p: (
+        "double-clustering", [
+            {"kind": "grid", "dims": p.get("grid_dims"),
+             "toric": p.get("toric", False)},
+            {"kind": "tree", "branching": p.get("branching", 2)}], ())),
+    "continuum": (("box1", "box2"), lambda p: (
+        "double-clustering", [_Cloud(box) for box in _boxes(p)], ())),
+    "independent-interest": (("space",), lambda p: (
         "independent-interest",
-        [p.get("space", {"kind": "undirected-cycle"})], ()),
-    "kleinberg": lambda p: (
-        "kleinberg", [p.get("space", {"kind": "grid"})], _kleinberg_args(p)),
+        [p.get("space", {"kind": "undirected-cycle"})], ())),
+    "kleinberg": (("space", "alpha", "links"), lambda p: (
+        "kleinberg", [p.get("space", {"kind": "grid"})], _kleinberg_args(p))),
 }
 MODELS = tuple(_PRESETS)
 
@@ -361,7 +385,9 @@ MODELS = tuple(_PRESETS)
 def _preset(model: str, params: dict) -> tuple[str, list, tuple]:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    return _PRESETS[model](params)
+    reads, make = _PRESETS[model]
+    _refuse_unread(params, reads, f"model {model!r}: params key")
+    return make(params)
 
 
 def build_model(model: str, params: dict, n: int, seed: Seed,
@@ -539,25 +565,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_text(header: str, records) -> str:
+    """``header`` and one line per record, the record's fields read by the
+    header's names."""
+    fields = attrgetter(*header.split(","))
+    lines = [header]
+    lines += [",".join(map(_fmt, fields(r))) for r in records]
+    return "\n".join(lines) + "\n"
+
+
 def aggregate_csv_text(result: ExperimentResult) -> str:
-    buf = io.StringIO()
-    buf.write(AGGREGATE_HEADER + "\n")
-    for r in result.rows:
-        buf.write(",".join(_fmt(v) for v in (
-            r.model, r.n, r.seed, r.mode, r.routes, r.successes,
-            r.success_rate, r.mean_len, r.median_len, r.mean_outdeg,
-            r.thin_ms, r.build_ms, r.wall_ms)) + "\n")
-    return buf.getvalue()
+    return _csv_text(AGGREGATE_HEADER, result.rows)
 
 
 def raw_csv_text(result: ExperimentResult) -> str:
-    buf = io.StringIO()
-    buf.write(RAW_HEADER + "\n")
-    for r in result.raw:
-        buf.write(",".join(_fmt(v) for v in (
-            r.n, r.seed, r.mode, r.source, r.target, r.steps, r.success,
-            r.failure)) + "\n")
-    return buf.getvalue()
+    return _csv_text(RAW_HEADER, result.raw)
 
 
 def export_csv(result: ExperimentResult, path: str | Path,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .construction import Assignment, NavGraph, Seed, _graphs
+from .construction import Assignment, Seed, _graphs
 from .routing import RoutingMode, route
 from .spaces import DirectedCycle
 
@@ -31,13 +31,11 @@ __all__ = [
     "MonotonicityReport",
     "DivergenceWitness",
     "TauTailReport",
-    "DegreeStats",
     "marginal_edge_law",
     "monotonicity_check",
     "find_divergent_permutation",
     "tau_tail",
     "random_disjoint_sets",
-    "degree_statistics",
 ]
 
 _MAX_MARGINAL_N = 8
@@ -364,33 +362,3 @@ def tau_tail(n: int, a_order, b_set, samples: int, seed: Seed) -> TauTailReport:
                          tau1_probability=1.0 - tail[1] if k > 1 else 1.0,
                          p_lower=p - 3 * sigma, sigma=sigma)
 
-
-# ---------------------------------------------------------------------------
-# degree statistics
-
-
-@dataclass
-class DegreeStats:
-    mean: float
-    maximum: int
-    histogram: dict[int, int]
-
-    def table(self) -> str:
-        lines = [f"mean out-degree {self.mean:.4f}, max {self.maximum}",
-                 "degree count"]
-        for deg in sorted(self.histogram):
-            lines.append(f"{deg:>6} {self.histogram[deg]}")
-        return "\n".join(lines)
-
-    def write_csv(self, path: str | Path) -> None:
-        _write_csv(path, ["degree", "count"],
-                   [[deg, self.histogram[deg]] for deg in sorted(self.histogram)])
-
-
-def degree_statistics(graph: NavGraph) -> DegreeStats:
-    degrees = [len(heads) for heads in graph.out_edges]
-    hist: dict[int, int] = {}
-    for d in degrees:
-        hist[d] = hist.get(d, 0) + 1
-    return DegreeStats(mean=sum(degrees) / len(degrees),
-                       maximum=max(degrees), histogram=hist)

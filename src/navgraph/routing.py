@@ -69,9 +69,10 @@ class RoutingMode:
     """Algorithm selector.
 
     ``plateau=None`` resolves at routing time: on for combined routing and
-    for greedy over a tree-distance space, off otherwise.  ``max_steps=None``
-    resolves to 10*n, a termination backstop reported as a failure rather
-    than silently truncated.  ``literal_m`` switches combined routing to
+    for greedy over a tree-distance space, off otherwise; half-greedy
+    routing makes no plateau moves and refuses an explicit ``plateau``.
+    ``max_steps=None`` resolves to 10*n, a termination backstop reported as
+    a failure rather than silently truncated.  ``literal_m`` switches combined routing to
     comparing raw best distances instead of ball counts (for side-by-side
     study; the ball-count rule is the default).
     """
@@ -91,6 +92,8 @@ class RoutingMode:
             raise ValueError("max_steps must be >= 1")
         if self.literal_m and self.kind != "combined":
             raise ValueError("literal_m applies to combined routing only")
+        if self.plateau is not None and self.kind == "half-greedy":
+            raise ValueError("plateau applies to greedy and combined routing only")
 
     @property
     def label(self) -> str:

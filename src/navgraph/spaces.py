@@ -8,12 +8,14 @@ is the canonical asymmetric case).  Graph-like kinds (cycles and grids)
 return exact integer distances; the point-cloud kind returns floats.
 
 Each kind computes the kernel in two forms that agree bit for bit: the
-array forms (:meth:`Space.distances_from`, :meth:`Space.distances_between`)
-for builders and balls, and one scalar form, :meth:`Space.distance_to`,
-which prepares a target once and then reads one distance per call, for
-routers that visit a few vertices per step.  :meth:`Space.distances_from`
-also takes a 1-D array of sources and returns one row per source, the same
-formula broadcast, so that builders read a block of rows in one call.
+pairwise array form, :meth:`Space.distances_between`, for builders and
+balls, and one scalar form, :meth:`Space.distance_to`, which prepares a
+target once and then reads one distance per call, for routers that visit
+a few vertices per step.  Rows, :meth:`Space.distances_from`, are the
+pairwise kernel broadcast over every id, for one source or for a 1-D array
+of sources (one row each), so that builders read a block of rows in one
+call.  Grid and Euclidean override rows to read whole coordinate columns
+with no gather.
 
 Base adjacency is stated once per kind, by :meth:`Space.base_edges`, which
 lists every base edge at once: the ball of radius 1 without its center on
@@ -133,8 +135,9 @@ class Space:
 
     def distances_from(self, x) -> np.ndarray:
         """Vector of ``distance(x, y)`` for every ``y``; for a 1-D array of
-        sources, one such row per source."""
-        raise NotImplementedError
+        sources, one such row per source: :meth:`distances_between`
+        broadcast over every id."""
+        return self.distances_between(self._sources(x), np.arange(self.n))
 
     def distances_between(self, xs, ys) -> np.ndarray:
         """Array of ``distance(xs[k], ys[k])`` for every k, each entry
@@ -279,10 +282,6 @@ class DirectedCycle(Space):
             return (y - v) % n
         return d
 
-    def distances_from(self, x) -> np.ndarray:
-        x = self._sources(x)
-        return (np.arange(self.n, dtype=np.int64) - x) % self.n
-
     def distances_between(self, xs, ys) -> np.ndarray:
         return (self._check_vertices(ys) - self._check_vertices(xs)) % self.n
 
@@ -323,11 +322,6 @@ class UndirectedCycle(Space):
             a = v - y if v >= y else y - v
             return a if a <= half else n - a
         return d
-
-    def distances_from(self, x) -> np.ndarray:
-        x = self._sources(x)
-        a = np.abs(np.arange(self.n, dtype=np.int64) - x)
-        return np.minimum(a, self.n - a)
 
     def distances_between(self, xs, ys) -> np.ndarray:
         a = np.abs(self._check_vertices(xs) - self._check_vertices(ys))
@@ -501,16 +495,6 @@ class TreeLeaves(Space):
     def n(self) -> int:
         return self.branching**self.height
 
-    @cached_property
-    def _level_codes(self) -> list[np.ndarray]:
-        # _level_codes[l][y] identifies the depth-(height-l) subtree of leaf y
-        ids = np.arange(self.n, dtype=np.int64)
-        codes = [ids]
-        for _ in range(self.height):
-            ids = ids // self.branching
-            codes.append(ids)
-        return codes
-
     def distance_to(self, y: int):
         self._check_vertex(y)
         n, height = self.n, self.height
@@ -526,15 +510,6 @@ class TreeLeaves(Space):
             while level and v // widths[level - 1] == subtree[level - 1]:
                 level -= 1
             return level
-        return d
-
-    def distances_from(self, x) -> np.ndarray:
-        x = self._sources(x)
-        d = np.full(np.broadcast_shapes(np.shape(x), (self.n,)), self.height,
-                    dtype=np.int64)
-        codes = self._level_codes
-        for level in range(self.height - 1, -1, -1):
-            d[codes[level] == (x // self.branching**level)] = level
         return d
 
     @cached_property

@@ -100,6 +100,49 @@ def test_generate_refuses_falsy_model_flags(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--model", "kleinberg", "--grid-dims", "4,16"),
+     "model 'kleinberg': params key 'grid_dims' is not read; "
+     "it reads 'space', 'alpha', 'links'"),
+    (("--model", "two-undirected-cycles", "--alpha", "2", "--branching", "3"),
+     "model 'two-undirected-cycles': params key 'branching' is not read; "
+     "it reads no keys"),
+    (("--model", "kleinberg", "--space-kind", "grid", "--branching", "3"),
+     "space kind 'grid': descriptor key 'branching' is not read; "
+     "it reads 'kind', 'dims', 'toric'"),
+    (("--model", "independent-interest", "--space-kind", "tree", "--toric"),
+     "space kind 'tree': descriptor key 'toric' is not read; "
+     "it reads 'kind', 'branching'"),
+    (("--model", "grid-tree", "--space-kind", "grid"),
+     "model 'grid-tree': params key 'space' is not read; "
+     "it reads 'grid_dims', 'toric', 'branching'"),
+], ids=["kleinberg-grid-dims", "cycles-alpha-branching", "grid-branching",
+        "tree-toric", "grid-tree-space-kind"])
+def test_generate_refuses_flags_the_model_does_not_read(tmp_path, capsys,
+                                                        flags, message):
+    # a space flag reaches the model's params, or with --space-kind its
+    # space descriptor; one that nothing reads is refused, never dropped
+    out = tmp_path / "g.edges"
+    code = run_cli("generate", "--n", "16", "--seed", "1", "--out", str(out),
+                   *flags)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_generate_space_flags_reach_the_space_descriptor(tmp_path):
+    def edges(*flags):
+        out = tmp_path / "g.edges"
+        assert run_cli("generate", "--model", "kleinberg", "--n", "64",
+                       "--seed", "1", "--space-kind", "grid", "--out",
+                       str(out), *flags) == 0
+        return out.read_bytes()
+    default = edges()
+    assert edges("--grid-dims", "8,8") == default
+    assert edges("--grid-dims", "4,16") != default
+    assert edges("--toric") != default
+
+
 def test_route_source_equals_target(capsys):
     code = run_cli("route", "--model", "two-directed-cycles", "--n", "16",
                    "--seed", "2", "--source", "3", "--target", "3")
@@ -174,8 +217,15 @@ def test_route_unknown_vertex(capsys):
     (("--model", "kleinberg", "--source", "4096"), "vertex 4096 out of range"),
     (("--model", "kleinberg", "--target", "-1"), "vertex -1 out of range"),
     (("--model", "continuum", "--mode", "half-greedy-1"), "graph-kind space 1"),
+    (("--model", "two-undirected-cycles", "--mode", "half-greedy-1",
+      "--plateau", "on"), "plateau applies to greedy and combined routing only"),
+    (("--model", "two-undirected-cycles", "--mode", "half-greedy-2",
+      "--plateau", "off"), "plateau applies to greedy and combined routing only"),
+    (("--model", "two-undirected-cycles", "--branching", "3"),
+     "model 'two-undirected-cycles': params key 'branching' is not read"),
 ], ids=["max-steps-0", "source-out-of-range", "target-out-of-range",
-        "half-greedy-on-continuum"])
+        "half-greedy-on-continuum", "plateau-on-half-greedy",
+        "plateau-off-half-greedy", "unread-branching"])
 def test_route_refuses_bad_arguments_before_building(monkeypatch, capsys,
                                                       flags, message):
     def build_model(*args, **kwargs):
@@ -282,6 +332,25 @@ def test_oracle_degree(capsys):
                    "--seed", "1")
     assert code == 0
     assert "harmonic" in capsys.readouterr().out
+
+
+def test_oracle_degree_output_is_pinned(tmp_path, capsys):
+    # stdout, stderr and CSV bytes as recorded before the mean degree was
+    # read from NavGraph.mean_out_degree
+    path = tmp_path / "degree.csv"
+    code = run_cli("oracle", "degree", "--n", "64", "--seeds", "3",
+                   "--seed", "1", "--csv", str(path))
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == (
+        f"# navgraph oracle degree --n 64 --seeds 3 --seed 1 --csv {path}\n"
+        "independent interest on a directed cycle, n=64, 3 seeds\n"
+        "mean out-degree: 4.4688 (harmonic oracle 4.7283, "
+        "relative error 5.489%)\n")
+    assert err == ("FAILED: mean degree 4.4688 deviates 5.489% from "
+                   "harmonic value 4.7283 (> 5%)\n")
+    assert path.read_bytes() == (b"seed,mean_outdeg\r\n1,4.640625\r\n"
+                                 b"2,4.34375\r\n3,4.421875\r\n")
 
 
 def test_oracle_degree_fails_with_impossible_tolerance(capsys):
@@ -435,6 +504,25 @@ def test_experiment_rejects_config_values_of_the_wrong_type(tmp_path, capsys,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"alpah": 2.0, "space": {"kind": "grid", "dims": [2, 8]}},
+     "model 'kleinberg': params key 'alpah' is not read"),
+    ({"alpha": 2.0, "space": {"kind": "grid", "dim": [2, 8]}},
+     "space kind 'grid': descriptor key 'dim' is not read"),
+], ids=["misspelt-alpha", "misspelt-dims"])
+def test_experiment_rejects_keys_the_model_does_not_read(tmp_path, capsys,
+                                                         params, message):
+    cfg = tmp_path / "kleinberg.cfg"
+    cfg.write_text(json.dumps({"model": "kleinberg", "sizes": [16],
+                               "seeds": [1], "params": params}))
+    code = run_cli("experiment", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.csv"))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}; it reads ")
     assert not (tmp_path / "o.csv").exists()
 
 

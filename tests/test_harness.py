@@ -123,12 +123,13 @@ def test_spec_rejects_half_greedy_without_a_base_graph(model, params, label):
 
 
 def test_config_round_trip(tmp_path):
-    spec = make_spec(routing_modes=(RoutingMode.parse("greedy-1"),
+    spec = make_spec(model="grid-tree",
+                     routing_modes=(RoutingMode.parse("greedy-1"),
                                     RoutingMode.parse("combined")),
                      params={"branching": 2})
     path = tmp_path / "sweep.cfg"
     path.write_text(json.dumps({
-        "model": "two-directed-cycles", "sizes": [32, 64], "seeds": [1, 2],
+        "model": "grid-tree", "sizes": [32, 64], "seeds": [1, 2],
         "routes_per_size": 40, "routing_modes": ["greedy-1", "combined"],
         "thinning": False, "params": {"branching": 2}}))
     loaded = load_experiment_config(path)
@@ -210,6 +211,49 @@ def test_model_params_of_the_wrong_type_are_refused(model, params, message):
         make_spec(model=model, params=params, sizes=(16,))
     with pytest.raises(ValueError, match=message):
         build_model(model, params, 16, Seed(1))
+
+
+@pytest.mark.parametrize("model,params,message", [
+    ("kleinberg", {"alpah": 2.0, "space": {"kind": "grid", "dim": [2, 8]}},
+     "model 'kleinberg': params key 'alpah' is not read; "
+     "it reads 'space', 'alpha', 'links'"),
+    ("kleinberg", {"space": {"kind": "grid", "dim": [2, 8]}},
+     "space kind 'grid': descriptor key 'dim' is not read; "
+     "it reads 'kind', 'dims', 'toric'"),
+    ("kleinberg", {"grid_dims": [4, 4]},
+     "model 'kleinberg': params key 'grid_dims' is not read"),
+    ("kleinberg", {"space": {"kind": "grid", "branching": 2}},
+     "space kind 'grid': descriptor key 'branching' is not read"),
+    ("two-undirected-cycles", {"alpha": 2, "branching": 3},
+     "model 'two-undirected-cycles': params key 'alpha' is not read; "
+     "it reads no keys"),
+    ("two-directed-cycles", {"branching": 2},
+     "model 'two-directed-cycles': params key 'branching' is not read"),
+    ("grid-tree", {"space": {"kind": "grid"}},
+     "model 'grid-tree': params key 'space' is not read; "
+     "it reads 'grid_dims', 'toric', 'branching'"),
+    ("continuum", {"box1": [1, 1], "dims": [2]},
+     "model 'continuum': params key 'dims' is not read"),
+    ("independent-interest", {"space": {"kind": "tree", "height": 4}},
+     "space kind 'tree': descriptor key 'height' is not read; "
+     "it reads 'kind', 'branching'"),
+    ("independent-interest", {"space": {"kind": "directed-cycle",
+                                        "toric": True}},
+     "space kind 'directed-cycle': descriptor key 'toric' is not read; "
+     "it reads 'kind'"),
+], ids=["misspelt-alpha", "misspelt-dims", "kleinberg-grid-dims",
+        "grid-branching", "cycles-alpha", "cycles-branching",
+        "grid-tree-space", "continuum-dims", "tree-height", "cycle-toric"])
+def test_keys_the_model_does_not_read_are_refused(model, params, message):
+    # refused by name, never ignored: an ignored misspelt key would run the
+    # default (alpha 0 on a near-square grid for the first case)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make_spec(model=model, params=params, sizes=(16,))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build_model(model, params, 16, Seed(1))
+    if message.startswith("space kind"):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build_space(params["space"], 16)
 
 
 def test_model_params_of_the_right_type_are_accepted():

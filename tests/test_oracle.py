@@ -5,7 +5,7 @@ import pytest
 
 from navgraph.construction import Assignment, Seed, build_double_clustering
 from navgraph.harness import build_model
-from navgraph.oracle import (DivergenceWitness, degree_statistics, find_divergent_permutation,
+from navgraph.oracle import (DivergenceWitness, find_divergent_permutation,
                              marginal_edge_law, monotonicity_check,
                              random_disjoint_sets, tau_tail)
 from navgraph.routing import RoutingMode, route
@@ -155,15 +155,14 @@ def test_random_disjoint_sets_disjoint():
 
 
 # ---------------------------------------------------------------------------
-# degree statistics
+# mean out-degree
 
 
 def test_degree_stats_identity_double_cycle():
+    # identity pairing: each vertex links to its successor alone
     g = build_double_clustering(Assignment.identity(DirectedCycle(4)))
-    stats = degree_statistics(g)
-    assert stats.mean == 1.0
-    assert stats.maximum == 1
-    assert stats.histogram == {1: 4}
+    assert g.mean_out_degree() == 1.0
+    assert g.out_edges == [[1], [2], [3], [0]]
 
 
 def test_degree_stats_interest_matches_harmonic():
@@ -173,7 +172,7 @@ def test_degree_stats_interest_matches_harmonic():
     for master in range(6):
         _, g = build_model("independent-interest",
                            {"space": {"kind": "directed-cycle"}}, n, Seed(master))
-        means.append(degree_statistics(g).mean)
+        means.append(g.mean_out_degree())
     assert sum(means) / len(means) == pytest.approx(harmonic, rel=0.05)
 
 
@@ -186,11 +185,4 @@ def test_tree_second_space_inflates_degree():
     pi = seed.permutation(n)
     with_tree = build_double_clustering(Assignment(grid, TreeLeaves(2, 8), pi))
     with_cycle = build_double_clustering(Assignment(grid, UndirectedCycle(n), pi))
-    assert degree_statistics(with_tree).mean > degree_statistics(with_cycle).mean
-
-
-def test_degree_stats_csv(tmp_path):
-    g = build_double_clustering(Assignment.identity(DirectedCycle(4)))
-    path = tmp_path / "deg.csv"
-    degree_statistics(g).write_csv(path)
-    assert path.read_text().splitlines() == ["degree,count", "1,4"]
+    assert with_tree.mean_out_degree() > with_cycle.mean_out_degree()

@@ -368,6 +368,12 @@ def test_mode_parse_and_label_round_trip():
         RoutingMode("greedy", space=3)
     with pytest.raises(ValueError):
         RoutingMode("greedy", literal_m=True)
+    # half-greedy routing makes no plateau moves, so the flag would do nothing
+    for space in (1, 2):
+        for plateau in (True, False):
+            with pytest.raises(ValueError, match="plateau applies to greedy "
+                                                 "and combined routing only"):
+                RoutingMode("half-greedy", space, plateau)
 
 
 def test_plateau_defaults():
@@ -492,7 +498,9 @@ def test_routers_keep_invariants_on_random_instances(instance, data):
                                min_size=1, max_size=3))
     max_steps = data.draw(st.none() | st.integers(1, 6))
     for base in admitted_modes(a):
-        for plateau in (None, True, False):
+        # half-greedy routing refuses an explicit plateau
+        plateaus = (None,) if base.kind == "half-greedy" else (None, True, False)
+        for plateau in plateaus:
             mode = dataclasses.replace(base, plateau=plateau, max_steps=max_steps)
             for s, t in pairs:
                 out = route(graph, a, mode, s, t)
