@@ -18,7 +18,7 @@ from .harness import (ExperimentResult, ExperimentSpec, ScalingFit, build_model,
 from .oracle import (DivergenceWitness, find_divergent_permutation,
                      marginal_edge_law, monotonicity_check,
                      random_disjoint_sets, tau_tail)
-from .routing import Failure, RouteOutcome, RoutingMode, phase_index, route
+from .routing import Failure, RouteOutcome, RoutingMode, route
 from .spaces import (DirectedCycle, Euclidean, Grid, Space, TreeLeaves,
                      UndirectedCycle)
 
@@ -33,7 +33,7 @@ __all__ = [
     "build_space", "edge_keep_probability", "export_csv",
     "find_divergent_permutation", "fit_scaling", "load_experiment_config",
     "load_permutation", "marginal_edge_law", "monotonicity_check",
-    "parse_permutation", "phase_index", "random_disjoint_sets",
+    "parse_permutation", "random_disjoint_sets",
     "read_edge_list", "route", "run_experiment", "tau_tail", "thin_edges",
     "write_edge_list",
 ]

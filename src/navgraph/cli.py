@@ -9,8 +9,6 @@ every run echoes an invocation line it can be reproduced from.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import os
 import sys
 
@@ -27,7 +25,7 @@ EXIT_ASSERTION = 2
 EXIT_IO = 3
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -114,8 +112,8 @@ def _cmd_generate(args, argv) -> int:
 def _cmd_route(args, argv) -> int:
     # the mode, the endpoints and the model's spaces are checked before the
     # build, which can take seconds
-    mode = dataclasses.replace(
-        RoutingMode.parse(args.mode), max_steps=args.max_steps,
+    mode = RoutingMode(
+        args.mode, max_steps=args.max_steps,
         plateau=None if args.plateau == "auto" else args.plateau == "on")
     for v in (args.source, args.target):
         if not 0 <= v < args.n:
@@ -143,53 +141,52 @@ def _fail(message: str) -> int:
     return EXIT_ASSERTION
 
 
+def _report(args, text: str, write_csv, failure: str | None) -> int:
+    """Print a report, write its CSV where --csv asks, and turn a failure
+    message into exit 2."""
+    print(text)
+    if args.csv:
+        write_csv(args.csv)
+    return _fail(failure) if failure else EXIT_OK
+
+
 def _cmd_oracle(args, argv) -> int:
     if args.oracle_cmd == "marginal":
         _echo(argv, None)
         report = oracle.marginal_edge_law(args.n)
-        print(report.table())
-        if args.csv:
-            report.write_csv(args.csv)
-        if not report.all_exact:
-            bad = [r for r in report.rows if not r.exact][0]
-            return _fail(f"edge frequency to y={bad.head} is {bad.probability}, "
-                         f"expected {bad.expected}")
-        return EXIT_OK
+        if report.all_exact:
+            return _report(args, report.table(), report.write_csv, None)
+        bad = [r for r in report.rows if not r.exact][0]
+        return _report(args, report.table(), report.write_csv,
+                       f"edge frequency to y={bad.head} is {bad.probability}, "
+                       f"expected {bad.expected}")
     if args.oracle_cmd == "monotonicity":
         _echo(argv, None)
         report = oracle.monotonicity_check(args.n)
-        print(report.table())
-        if args.csv:
-            report.write_csv(args.csv)
-        if report.violations:
-            ex = report.examples[0]
-            return _fail(f"{report.violations} monotonicity violations, e.g. "
-                         f"pi={ex.pi} {ex.source}->{ex.target}")
-        print("0 violations")
-        return EXIT_OK
+        if not report.violations:
+            return _report(args, report.table() + "\n0 violations",
+                           report.write_csv, None)
+        ex = report.examples[0]
+        return _report(args, report.table(), report.write_csv,
+                       f"{report.violations} monotonicity violations, e.g. "
+                       f"pi={ex.pi} {ex.source}->{ex.target}")
     if args.oracle_cmd == "divergence":
         _echo(argv, None)
         witness = oracle.find_divergent_permutation(args.n_max)
         if witness is None:
             return _fail(f"no divergent permutation up to n={args.n_max}")
-        print(witness.table())
-        if args.csv:
-            witness.write_csv(args.csv)
-        return EXIT_OK
+        return _report(args, witness.table(), witness.write_csv, None)
     if args.oracle_cmd == "tau":
         seed = _resolve_seed(args.seed)
         _echo(argv, seed)
         set_a, set_b = oracle.random_disjoint_sets(args.n, args.set_size,
                                                    args.set_size, Seed(seed))
         report = oracle.tau_tail(args.n, set_a, set_b, args.samples, Seed(seed))
-        print(report.table())
-        if args.csv:
-            report.write_csv(args.csv)
-        if not report.passed:
-            return _fail(f"tau tail checks failed: P(tau=1)={report.tau1_probability:.4f} "
-                         f"needs >= {report.p_lower:.4f}, "
-                         f"nonincreasing={report.tail_nonincreasing}")
-        return EXIT_OK
+        return _report(args, report.table(), report.write_csv,
+                       None if report.passed else
+                       f"tau tail checks failed: P(tau=1)={report.tau1_probability:.4f} "
+                       f"needs >= {report.p_lower:.4f}, "
+                       f"nonincreasing={report.tail_nonincreasing}")
     if args.oracle_cmd == "degree":
         if args.n < 2:
             raise _UsageError(f"--n must be >= 2, got {args.n}")
@@ -208,19 +205,18 @@ def _cmd_oracle(args, argv) -> int:
             means.append(graph.mean_out_degree())
         observed = sum(means) / len(means)
         rel = abs(observed - expected) / expected
-        print(f"independent interest on a directed cycle, n={args.n}, "
-              f"{args.seeds} seeds")
-        print(f"mean out-degree: {observed:.4f} (harmonic oracle {expected:.4f}, "
-              f"relative error {rel:.3%})")
-        if args.csv:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["seed", "mean_outdeg"])
-                writer.writerows([seed + i, repr(m)] for i, m in enumerate(means))
-        if rel > args.tolerance:
-            return _fail(f"mean degree {observed:.4f} deviates {rel:.3%} from "
-                         f"harmonic value {expected:.4f} (> {args.tolerance:.0%})")
-        return EXIT_OK
+        return _report(
+            args,
+            f"independent interest on a directed cycle, n={args.n}, "
+            f"{args.seeds} seeds\n"
+            f"mean out-degree: {observed:.4f} (harmonic oracle {expected:.4f}, "
+            f"relative error {rel:.3%})",
+            lambda path: oracle._write_csv(
+                path, ["seed", "mean_outdeg"],
+                [[seed + i, repr(m)] for i, m in enumerate(means)]),
+            f"mean degree {observed:.4f} deviates {rel:.3%} from harmonic "
+            f"value {expected:.4f} (> {args.tolerance:.0%})"
+            if rel > args.tolerance else None)
     raise _UsageError("choose an oracle: marginal | monotonicity | divergence "
                       "| tau | degree")
 
@@ -335,10 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return EXIT_USAGE
         return _COMMANDS[args.command](args, argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # _UsageError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -46,7 +46,6 @@ __all__ = [
     "build_double_clustering",
     "build_independent_interest",
     "build_kleinberg",
-    "long_range_distribution",
     "thin_edges",
     "edge_keep_probability",
     "parse_permutation",
@@ -278,15 +277,10 @@ class Assignment:
 
 @dataclass(eq=False)
 class NavGraph:
-    """Directed adjacency: per-vertex sorted lists of head ids.
-
-    ``kind`` says how the graph was produced, e.g. ``"double-clustering"``,
-    ``"kleinberg(alpha=2,links=1)"`` or ``"thinned(double-clustering)"``.
-    """
+    """Directed adjacency: per-vertex sorted lists of head ids."""
 
     n: int
     out_edges: list[list[int]]
-    kind: str = "unknown"
 
     def edge_count(self) -> int:
         return sum(len(heads) for heads in self.out_edges)
@@ -444,7 +438,7 @@ def _graphs(space1: Space, space2: Space, perms):
                                 (owner1, member1, d1, value1),
                                 (owner2, vertex[base[owner2] + pos2], value2))
         for p in range(len(chunk)):
-            yield NavGraph(n, out[p * n:(p + 1) * n], "double-clustering")
+            yield NavGraph(n, out[p * n:(p + 1) * n])
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +495,7 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
         order = _owner_order(owner2, value2)
         out += _block_heads(space, rows, radius, (owner1, member1, d1, value1),
                             (owner2[order], member2[order], value2[order]))
-    return NavGraph(n, out, "independent-interest")
+    return NavGraph(n, out)
 
 
 def _candidate_distances(space: Space, rows: np.ndarray) -> np.ndarray:
@@ -520,31 +514,18 @@ def _link_probabilities(d: np.ndarray, alpha: float) -> np.ndarray:
     return weights
 
 
-def long_range_distribution(space: Space, x: int, alpha: float):
-    """Candidates y != x and their link probabilities ~ d(x, y)^-alpha,
-    normalized by exact summation.  Returns (None, None) when n == 1.
-
-    This is one row of the law that :func:`build_kleinberg` samples a
-    block of rows at a time.
-    """
-    n = space.n
-    if n == 1:
-        return None, None
-    cand = np.flatnonzero(np.arange(n) != x)
-    return cand, _link_probabilities(_candidate_distances(space, np.array([x])), alpha)[0]
-
-
 def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGraph:
     """Base-graph edges plus `links` long-range heads per vertex, sampled
     independently with probability proportional to distance^-alpha.
     Duplicate draws collapse.
 
     Vertex x's draws are ``Generator.choice(cand, size=links, p=probs)``
-    on its stream ("kleinberg", x) with the law of
-    :func:`long_range_distribution`.  A block of rows, as many as keep
-    their candidates near ``_BLOCK_ENTRIES``, computes them as ``choice``
-    does: the running sums of the probabilities divided by their last,
-    and each uniform's candidate the number of those sums at most it.
+    on its stream ("kleinberg", x), where ``cand`` lists every y != x in
+    ascending order and ``probs`` their d(x, y)^-alpha normalized by exact
+    summation.  A block of rows, as many as keep their candidates near
+    ``_BLOCK_ENTRIES``, computes them as ``choice`` does: the running
+    sums of the probabilities divided by their last, and each uniform's
+    candidate the number of those sums at most it.
     """
     if not space.is_graph_kind:
         raise ValueError("lattice augmentation needs a graph-kind space")
@@ -553,9 +534,8 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
     if links < 1:
         raise ValueError("links must be >= 1")
     n = space.n
-    kind = f"kleinberg(alpha={float(alpha):g},links={links})"
     if n == 1:
-        return NavGraph(n, [[]], kind)
+        return NavGraph(n, [[]])
     base_tails, base_heads = space.base_edges()
     block = max(1, _BLOCK_ENTRIES // n)
     streams = seed.streams("kleinberg", np.arange(n))
@@ -574,7 +554,7 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
         codes = np.concatenate((base_tails[lo:hi] * n + base_heads[lo:hi],
                                 (rows[:, None] * n + draws).ravel()))
         out += _split_rows(np.unique(codes) - start * n, len(rows), n)
-    return NavGraph(n, out, kind)
+    return NavGraph(n, out)
 
 
 def edge_keep_probability(n) -> float:
@@ -615,8 +595,7 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
     for k, x in enumerate(drawing.tolist()):
         streams.random(k, u[ends[x]:ends[x + 1]])
     keep[extras[u < keep_p]] = True
-    return NavGraph(n, _split_rows(np.unique(codes[keep]), n, n),
-                    f"thinned({graph.kind})")
+    return NavGraph(n, _split_rows(np.unique(codes[keep]), n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -667,4 +646,4 @@ def read_edge_list(path: str | Path, n: int | None = None) -> NavGraph:
             raise ValueError(f"edge ({tail}, {head}) out of range for n={n}")
         if tail != head:
             out[tail].add(head)
-    return NavGraph(n, [sorted(s) for s in out], "imported")
+    return NavGraph(n, [sorted(s) for s in out])

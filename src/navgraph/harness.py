@@ -18,6 +18,7 @@ import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -78,7 +79,7 @@ class ExperimentSpec:
     sizes: tuple[int, ...]
     seeds: tuple[int, ...]
     routes_per_size: int = 1000
-    routing_modes: tuple[RoutingMode, ...] = (RoutingMode("greedy", space=1),)
+    routing_modes: tuple[RoutingMode, ...] = (RoutingMode("greedy-1"),)
     thinning: bool = False
     params: dict = field(default_factory=dict)
 
@@ -237,10 +238,6 @@ class ExperimentResult:
     spec: ExperimentSpec
     rows: list[AggregateRow]
     raw: list[RouteRecord]
-
-    def rows_for(self, mode: str | None = None, n: int | None = None) -> list[AggregateRow]:
-        return [r for r in self.rows
-                if (mode is None or r.mode == mode) and (n is None or r.n == n)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +494,13 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     workers = min(workers, len(tasks))
     rows: list[AggregateRow] = []
     raw: list[RouteRecord] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_run_trial, [spec] * len(tasks),
-                               [n for n, _ in tasks], [m for _, m in tasks],
-                               [dump_edges_dir] * len(tasks))
-            for trial_rows, trial_raw in results:
-                rows.extend(trial_rows)
-                raw.extend(trial_raw)
-    else:
-        for n, master in tasks:
-            trial_rows, trial_raw = _run_trial(spec, n, master, dump_edges_dir)
+    # one trial loop: in this process for one worker, else over a pool
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        trials = (pool.map if pool else map)(
+            _run_trial, [spec] * len(tasks), [n for n, _ in tasks],
+            [m for _, m in tasks], [dump_edges_dir] * len(tasks))
+        for trial_rows, trial_raw in trials:
             rows.extend(trial_rows)
             raw.extend(trial_raw)
     return ExperimentResult(spec, rows, raw)

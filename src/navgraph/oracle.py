@@ -174,8 +174,7 @@ def monotonicity_check(n: int) -> MonotonicityReport:
     space = DirectedCycle(n)
     # the kernel toward each position, for both cycles: d(v, t) = to[t](v)
     to = [space.distance_to(t) for t in range(n)]
-    mode1 = RoutingMode("greedy", space=1)
-    mode2 = RoutingMode("greedy", space=2)
+    mode1, mode2 = RoutingMode("greedy-1"), RoutingMode("greedy-2")
     perms = paths = violations = 0
     examples: list[MonotonicityViolation] = []
     for pi_tuple, graph in _enumerated_graphs(space, n):
@@ -239,8 +238,7 @@ def find_divergent_permutation(n_max: int) -> DivergenceWitness | None:
     """
     if n_max > _MAX_DIVERGENCE_N:
         raise ValueError(f"exhaustive search supports n_max <= {_MAX_DIVERGENCE_N}")
-    mode1 = RoutingMode("greedy", space=1)
-    mode2 = RoutingMode("greedy", space=2)
+    mode1, mode2 = RoutingMode("greedy-1"), RoutingMode("greedy-2")
     for n in range(2, n_max + 1):
         space = DirectedCycle(n)
         for pi_tuple, graph in _enumerated_graphs(space, n):

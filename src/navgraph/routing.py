@@ -38,7 +38,7 @@ and off elsewhere.  :func:`route` is the one entry point; a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 
 from .construction import Assignment, NavGraph
@@ -49,13 +49,22 @@ __all__ = [
     "RoutingMode",
     "RouteOutcome",
     "PHASE_AT_ZERO",
-    "phase_index",
     "route",
     "MODE_LABELS",
 ]
 
-MODE_LABELS = ("greedy-1", "greedy-2", "half-greedy-1", "half-greedy-2",
-               "combined", "combined-literal-m")
+# the mode table: each label's (kind, space, literal_m); combined routing
+# reads both spaces and counts its phases in space 1
+_MODES = {
+    "greedy-1": ("greedy", 1, False),
+    "greedy-2": ("greedy", 2, False),
+    "half-greedy-1": ("half-greedy", 1, False),
+    "half-greedy-2": ("half-greedy", 2, False),
+    "combined": ("combined", 1, False),
+    "combined-literal-m": ("combined", 1, True),
+}
+_ALIASES = {"greedy": "greedy-1", "half-greedy": "half-greedy-1"}
+MODE_LABELS = tuple(_MODES)
 
 
 class Failure(str, Enum):
@@ -66,57 +75,48 @@ class Failure(str, Enum):
 
 @dataclass(frozen=True)
 class RoutingMode:
-    """Algorithm selector.
+    """Algorithm selector, named by its label: one of :data:`MODE_LABELS`,
+    or ``greedy`` or ``half-greedy`` for the space-1 mode, in any case and
+    with surrounding whitespace.  The label is stored normalized, and
+    ``kind``, ``space`` and ``literal_m`` are read from its row of the mode
+    table; they cannot be passed in.
 
     ``plateau=None`` resolves at routing time: on for combined routing and
     for greedy over a tree-distance space, off otherwise; half-greedy
     routing makes no plateau moves and refuses an explicit ``plateau``.
     ``max_steps=None`` resolves to 10*n, a termination backstop reported as
-    a failure rather than silently truncated.  ``literal_m`` switches combined routing to
-    comparing raw best distances instead of ball counts (for side-by-side
-    study; the ball-count rule is the default).
+    a failure rather than silently truncated.  ``literal_m`` (the
+    ``combined-literal-m`` mode) switches combined routing to comparing
+    raw best distances instead of ball counts (for side-by-side study; the
+    ball-count rule is the default).
     """
 
-    kind: str = "greedy"
-    space: int = 1
+    label: str
+    _: KW_ONLY
     plateau: bool | None = None
     max_steps: int | None = None
-    literal_m: bool = False
+    kind: str = field(init=False, repr=False, compare=False)
+    space: int = field(init=False, repr=False, compare=False)
+    literal_m: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("greedy", "half-greedy", "combined"):
-            raise ValueError(f"unknown routing kind {self.kind!r}")
-        if self.space not in (1, 2):
-            raise ValueError("space must be 1 or 2")
+        label = self.label.strip().lower()
+        label = _ALIASES.get(label, label)
+        if label not in _MODES:
+            raise ValueError(
+                f"unknown routing mode {label!r}; expected one of {MODE_LABELS}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.literal_m and self.kind != "combined":
-            raise ValueError("literal_m applies to combined routing only")
-        if self.plateau is not None and self.kind == "half-greedy":
+        kind, space, literal_m = _MODES[label]
+        if self.plateau is not None and kind == "half-greedy":
             raise ValueError("plateau applies to greedy and combined routing only")
-
-    @property
-    def label(self) -> str:
-        if self.kind == "combined":
-            return "combined-literal-m" if self.literal_m else "combined"
-        return f"{self.kind}-{self.space}"
+        for name, value in (("label", label), ("kind", kind), ("space", space),
+                            ("literal_m", literal_m)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def parse(cls, label: str) -> "RoutingMode":
-        label = label.strip().lower()
-        if label == "greedy":
-            label = "greedy-1"
-        if label == "half-greedy":
-            label = "half-greedy-1"
-        if label not in MODE_LABELS:
-            raise ValueError(
-                f"unknown routing mode {label!r}; expected one of {MODE_LABELS}")
-        if label == "combined":
-            return cls(kind="combined")
-        if label == "combined-literal-m":
-            return cls(kind="combined", literal_m=True)
-        kind, space = label.rsplit("-", 1)
-        return cls(kind=kind, space=int(space))
+        return cls(label)
 
 
 @dataclass(slots=True)
@@ -133,7 +133,7 @@ class RouteOutcome:
     it always sums to ``steps``.  Steps taken from a vertex at distance 0
     that is not the target (it coincides with the target in a point cloud)
     are counted under :data:`PHASE_AT_ZERO`, ``-math.inf``, which sorts
-    below every phase index, as the limit of ``phase_index(d)`` for d -> 0.
+    below every phase index, as the limit of the phase of d for d -> 0.
     """
 
     source: int
@@ -161,15 +161,9 @@ class RouteOutcome:
 PHASE_AT_ZERO = -math.inf
 
 
-def phase_index(d) -> int:
-    """Smallest integer i with d <= 2^i (phase_index(1) == 0)."""
-    if not d > 0:
-        raise ValueError(f"phase is defined for d > 0, got {d}")
-    return _phase(d)
-
-
 def _phase(d) -> int | float:
-    """:func:`phase_index` of a distance d > 0, and PHASE_AT_ZERO at 0."""
+    """The phase of a distance d > 0, the smallest integer i with
+    d <= 2^i (1 is in phase 0), and PHASE_AT_ZERO at 0."""
     if type(d) is not int:
         d = float(d)
         if not d.is_integer():

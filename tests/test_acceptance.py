@@ -35,6 +35,12 @@ def _timed(fn, *args, **kwargs):
     return value, time.perf_counter() - t0
 
 
+def _rows_for(result, mode, n=None):
+    """The result's aggregate rows of one mode, at size n where given."""
+    return [r for r in result.rows
+            if r.mode == mode and (n is None or r.n == n)]
+
+
 def _pooled_mean(rows):
     vals = [r.mean_len for r in rows if r.mean_len is not None]
     return sum(vals) / len(vals)
@@ -171,9 +177,9 @@ def test_criterion_3_divergence_witness():
         space = DirectedCycle(witness.n)
         a = Assignment(space, DirectedCycle(witness.n), np.array(witness.pi))
         g = build_double_clustering(a)
-        p1 = route(g, a, RoutingMode("greedy", space=1),
+        p1 = route(g, a, RoutingMode("greedy-1"),
                    witness.source, witness.target).path
-        p2 = route(g, a, RoutingMode("greedy", space=2),
+        p2 = route(g, a, RoutingMode("greedy-2"),
                    witness.source, witness.target).path
         replay_ok = (tuple(p1) == witness.path_d
                      and tuple(p2) == witness.path_dpi and p1 != p2)
@@ -198,7 +204,7 @@ def test_criterion_5_logarithmic_scaling(exp_cycles):
     result, _, elapsed = exp_cycles
     fit = fit_scaling(result)["greedy-1"]
     top = [2**12, 2**13, 2**14]
-    ratios = [_pooled_mean(result.rows_for("greedy-1", n)) / math.log2(n)
+    ratios = [_pooled_mean(_rows_for(result, "greedy-1", n)) / math.log2(n)
               for n in top]
     spread = max(ratios) / min(ratios) - 1
     ok = fit.r_squared >= 0.95 and spread < 0.15 and elapsed < 600
@@ -210,9 +216,9 @@ def test_criterion_5_logarithmic_scaling(exp_cycles):
 def test_criterion_6_mode_ordering(exp_dc_ordering, exp_ii_ordering):
     dc_result, _, t_dc = exp_dc_ordering
     ii_result, _, t_ii = exp_ii_ordering
-    combined = [r.mean_len for r in dc_result.rows_for("combined")]
-    dc_greedy = [r.mean_len for r in dc_result.rows_for("greedy-1")]
-    ii_greedy = [r.mean_len for r in ii_result.rows_for("greedy-1")]
+    combined = [r.mean_len for r in _rows_for(dc_result, "combined")]
+    dc_greedy = [r.mean_len for r in _rows_for(dc_result, "greedy-1")]
+    ii_greedy = [r.mean_len for r in _rows_for(ii_result, "greedy-1")]
     (m_c, se_c), (m_i, se_i), (m_d, se_d) = map(
         _mean_and_se, (combined, ii_greedy, dc_greedy))
     gap1 = "confirmed" if m_c + se_c < m_i - se_i else "inconclusive"
@@ -227,8 +233,8 @@ def test_criterion_6_mode_ordering(exp_dc_ordering, exp_ii_ordering):
 
 def test_criterion_7_grid_tree_success(exp_grid_tree):
     result, _, elapsed = exp_grid_tree
-    tree_rows = result.rows_for("greedy-2")
-    comb_rows = result.rows_for("combined")
+    tree_rows = _rows_for(result, "greedy-2")
+    comb_rows = _rows_for(result, "combined")
     tree_rate = sum(r.successes for r in tree_rows) / sum(r.routes for r in tree_rows)
     comb_rate = sum(r.successes for r in comb_rows) / sum(r.routes for r in comb_rows)
     ok = 0.65 <= tree_rate <= 0.95 and comb_rate >= tree_rate
@@ -240,7 +246,7 @@ def test_criterion_7_grid_tree_success(exp_grid_tree):
 def test_criterion_8_half_greedy_polylog(exp_cycles):
     result, _, elapsed = exp_cycles
     sizes = [2**10, 2**12, 2**14]
-    means = {n: _pooled_mean(result.rows_for("half-greedy-1", n)) for n in sizes}
+    means = {n: _pooled_mean(_rows_for(result, "half-greedy-1", n)) for n in sizes}
     ratios = [means[n] / math.log2(n) ** 2 for n in sizes]
     bound_ok = all(means[n] <= 4 * math.log2(n) ** 2 for n in sizes)
     growth_ok = all(ratios[j] <= 1.25 * ratios[i]

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 from pathlib import Path
 
 import pytest
 
-from navgraph import cli
+from navgraph import cli, oracle
 from navgraph.oracle import find_divergent_permutation
 from navgraph.routing import MODE_LABELS
 
@@ -351,6 +353,96 @@ def test_oracle_degree_output_is_pinned(tmp_path, capsys):
                    "harmonic value 4.7283 (> 5%)\n")
     assert path.read_bytes() == (b"seed,mean_outdeg\r\n1,4.640625\r\n"
                                  b"2,4.34375\r\n3,4.421875\r\n")
+
+
+_TAU_TAIL = ("1.00000", "0.45900", "0.21100", "0.09400", "0.04600",
+             "0.02300", "0.01100", "0.00700", "0.00400", "0.00200",
+             "0.00100", "0.00000")
+
+
+@pytest.mark.parametrize("argv,code,lines,err,csv_bytes", [
+    ("marginal --n 5", 0,
+     ["double cycle n=5: edge frequency of 0 ~> y over 24 permutation classes",
+      "  y   d    count    empirical   expected ok",
+      "  1   1       24            1          1 yes",
+      "  2   2       12          1/2        1/2 yes",
+      "  3   3        8          1/3        1/3 yes",
+      "  4   4        6          1/4        1/4 yes"], "",
+     b"head,distance,count,total,probability,expected,exact\r\n"
+     b"1,1,24,24,1,1,1\r\n2,2,12,24,1/2,1/2,1\r\n3,3,8,24,1/3,1/3,1\r\n"
+     b"4,4,6,24,1/4,1/4,1\r\n"),
+    ("monotonicity --n 4", 0,
+     ["double cycle n=4: 576 greedy paths over 24 permutations -> "
+      "0 monotonicity violations", "0 violations"], "",
+     b"n,permutations,paths_checked,violations\r\n4,24,576,0\r\n"),
+    ("divergence --n-max 8", 0,
+     ["n=4 pi=[0, 1, 3, 2] route 1->0", "  greedy-1 path: [1, 3, 0]",
+      "  greedy-2 path: [1, 2, 0]"], "",
+     b"n,pi,source,target,path_d,path_dpi\r\n4,0 1 3 2,1,0,1 3 0,1 2 0\r\n"),
+    # no witness: exit 2, and no table or CSV
+    ("divergence --n-max 3", 2, [],
+     "FAILED: no divergent permutation up to n=3\n", None),
+    ("tau --n 200 --set-size 20 --samples 1000 --seed 4", 0,
+     ["tau tail: n=200 |A|=20 q=1 samples=1000",
+      "P(tau=1) = 0.5410 (needs >= 0.4526): ok", "tail nonincreasing: ok",
+      "t  P(tau >= t)", *(f"{t:<2} {p}" for t, p in enumerate(_TAU_TAIL, 1))],
+     "",
+     b"t,tail_probability\r\n1,1.0\r\n2,0.459\r\n3,0.211\r\n4,0.094\r\n"
+     b"5,0.046\r\n6,0.023\r\n7,0.011\r\n8,0.007\r\n9,0.004\r\n10,0.002\r\n"
+     b"11,0.001\r\n" + b"".join(b"%d,0.0\r\n" % t for t in range(12, 21))),
+], ids=["marginal", "monotonicity", "divergence", "divergence-none", "tau"])
+def test_oracle_report_output_is_pinned(tmp_path, capsys, argv, code, lines,
+                                        err, csv_bytes):
+    # stdout, stderr, exit code and CSV bytes as recorded before the oracle
+    # reports shared one report path in the CLI
+    path = tmp_path / "report.csv"
+    assert run_cli("oracle", *argv.split(), "--csv", str(path)) == code
+    assert capsys.readouterr() == (
+        "\n".join([f"# navgraph oracle {argv} --csv {path}", *lines]) + "\n",
+        err)
+    if csv_bytes is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == csv_bytes
+
+
+# oracle reports whose check fails, made from the real ones where they can be
+def _failing_marginal(n, real=oracle.marginal_edge_law):
+    report = real(n)
+    report.rows[1] = dataclasses.replace(report.rows[1], probability=Fraction(1, 3))
+    return report
+
+
+def _failing_monotonicity(n):
+    return oracle.MonotonicityReport(
+        n, 6, 12, 2, [oracle.MonotonicityViolation((0, 2, 1), 1, 0, 2, (1, 2, 0))])
+
+
+def _failing_tau(*args, real=oracle.tau_tail):
+    return dataclasses.replace(real(*args), tau1_probability=0.25)
+
+
+@pytest.mark.parametrize("argv,name,fake,failure", [
+    ("marginal --n 3", "marginal_edge_law", _failing_marginal,
+     "edge frequency to y=2 is 1/3, expected 1/2"),
+    ("monotonicity --n 3", "monotonicity_check", _failing_monotonicity,
+     "2 monotonicity violations, e.g. pi=(0, 2, 1) 1->0"),
+    ("tau --n 40 --set-size 4 --samples 50 --seed 1", "tau_tail", _failing_tau,
+     "tau tail checks failed: P(tau=1)=0.2500 needs >= "),
+], ids=["marginal", "monotonicity", "tau"])
+def test_failed_oracle_report_prints_writes_and_exits_two(
+        tmp_path, capsys, monkeypatch, argv, name, fake, failure):
+    # a failed check still prints its table and writes its CSV; the
+    # message goes to stderr, and the exit code is 2
+    monkeypatch.setattr(oracle, name, fake)
+    path = tmp_path / "report.csv"
+    assert run_cli("oracle", *argv.split(), "--csv", str(path)) == 2
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0] == f"# navgraph oracle {argv} --csv {path}"
+    assert len(lines) > 1 and "0 violations" not in lines
+    assert err.startswith(f"FAILED: {failure}") and err.count("\n") == 1
+    assert path.read_bytes().count(b"\r\n") > 1
 
 
 def test_oracle_degree_fails_with_impossible_tolerance(capsys):

@@ -10,8 +10,8 @@ from navgraph import construction as cons
 from navgraph.construction import (Assignment, Seed, build_double_clustering,
                                    build_independent_interest, build_kleinberg,
                                    edge_keep_probability, load_permutation,
-                                   long_range_distribution, parse_permutation,
-                                   read_edge_list, thin_edges, write_edge_list)
+                                   parse_permutation, read_edge_list,
+                                   thin_edges, write_edge_list)
 from navgraph.spaces import (DirectedCycle, Euclidean, Grid, TreeLeaves,
                              UndirectedCycle)
 
@@ -179,7 +179,6 @@ def test_identity_permutation_gives_successor_graph():
     a = Assignment.identity(DirectedCycle(4))
     g = build_double_clustering(a)
     assert g.out_edges == [[1], [2], [3], [0]]
-    assert g.kind == "double-clustering"
 
 
 def test_hand_enumerated_example():
@@ -344,7 +343,6 @@ def test_chunked_small_graphs_match_single_builds(family):
     assert len(graphs) == len(perms)
     for pi, graph in zip(perms, graphs):
         a = Assignment(space1, space2, pi)
-        assert graph.kind == "double-clustering"
         assert graph.out_edges == build_double_clustering(a).out_edges
         assert graph.out_edges == rule_double_clustering(a)
 
@@ -458,7 +456,6 @@ def test_interest_deterministic():
     g3 = build_independent_interest(s, Seed(124))
     assert g1.out_edges == g2.out_edges
     assert g1.out_edges != g3.out_edges
-    assert g1.kind == "independent-interest"
 
 
 def test_interest_expected_degree_record_law():
@@ -495,40 +492,6 @@ def test_interest_mean_degree_near_harmonic():
 # lattice augmentation baseline
 
 
-def test_long_range_distribution_examples():
-    cand, probs = long_range_distribution(DirectedCycle(2), 0, 1.0)
-    assert list(cand) == [1] and probs[0] == pytest.approx(1.0)
-
-    cand, probs = long_range_distribution(UndirectedCycle(5), 0, 0.0)
-    assert np.allclose(probs, 0.25)
-
-    # distances {1,1,2,2}: h = 1 + 1 + 1/2 + 1/2 = 3
-    cand, probs = long_range_distribution(UndirectedCycle(5), 0, 1.0)
-    by_vertex = dict(zip(cand.tolist(), probs.tolist()))
-    assert by_vertex[1] == pytest.approx(1 / 3)
-    assert by_vertex[2] == pytest.approx(1 / 6)
-
-    # 3x3 lattice at alpha=2.  From the centre: four vertices at distance 1
-    # and four corners at 2, h = 4 + 4/4 = 5.
-    grid = Grid((3, 3))
-    cand, probs = long_range_distribution(grid, 4, 2.0)
-    assert cand.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
-    by_vertex = dict(zip(cand.tolist(), probs.tolist()))
-    for y in (1, 3, 5, 7):
-        assert by_vertex[y] == pytest.approx(1 / 5)
-    for y in (0, 2, 6, 8):
-        assert by_vertex[y] == pytest.approx(1 / 20)
-
-    # From corner 0: distances 1,1 (vertices 1,3), 2,2,2 (2,4,6), 3,3 (5,7)
-    # and 4 (8), h = 2 + 3/4 + 2/9 + 1/16 = 437/144.
-    cand, probs = long_range_distribution(grid, 0, 2.0)
-    assert cand.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
-    by_vertex = dict(zip(cand.tolist(), probs.tolist()))
-    for ys, weight in (((1, 3), 144), ((2, 4, 6), 36), ((5, 7), 16), ((8,), 9)):
-        for y in ys:
-            assert by_vertex[y] == pytest.approx(weight / 437)
-
-
 def long_range_row(space, x, alpha):
     """One vertex's law written out from its distance row: d^-alpha over
     every y != x in ascending order, normalized by its exact sum."""
@@ -539,15 +502,49 @@ def long_range_row(space, x, alpha):
     return cand, weights / weights.sum()
 
 
+def test_long_range_distribution_examples():
+    cand, probs = long_range_row(DirectedCycle(2), 0, 1.0)
+    assert list(cand) == [1] and probs[0] == pytest.approx(1.0)
+
+    cand, probs = long_range_row(UndirectedCycle(5), 0, 0.0)
+    assert np.allclose(probs, 0.25)
+
+    # distances {1,1,2,2}: h = 1 + 1 + 1/2 + 1/2 = 3
+    cand, probs = long_range_row(UndirectedCycle(5), 0, 1.0)
+    by_vertex = dict(zip(cand.tolist(), probs.tolist()))
+    assert by_vertex[1] == pytest.approx(1 / 3)
+    assert by_vertex[2] == pytest.approx(1 / 6)
+
+    # 3x3 lattice at alpha=2.  From the centre: four vertices at distance 1
+    # and four corners at 2, h = 4 + 4/4 = 5.
+    grid = Grid((3, 3))
+    cand, probs = long_range_row(grid, 4, 2.0)
+    assert cand.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
+    by_vertex = dict(zip(cand.tolist(), probs.tolist()))
+    for y in (1, 3, 5, 7):
+        assert by_vertex[y] == pytest.approx(1 / 5)
+    for y in (0, 2, 6, 8):
+        assert by_vertex[y] == pytest.approx(1 / 20)
+
+    # From corner 0: distances 1,1 (vertices 1,3), 2,2,2 (2,4,6), 3,3 (5,7)
+    # and 4 (8), h = 2 + 3/4 + 2/9 + 1/16 = 437/144.
+    cand, probs = long_range_row(grid, 0, 2.0)
+    assert cand.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+    by_vertex = dict(zip(cand.tolist(), probs.tolist()))
+    for ys, weight in (((1, 3), 144), ((2, 4, 6), 36), ((5, 7), 16), ((8,), 9)):
+        for y in ys:
+            assert by_vertex[y] == pytest.approx(weight / 437)
+
+
 def kleinberg_per_vertex(space, alpha, links, seed):
     """build_kleinberg as a loop over vertices: each vertex's base
     neighbors, and Generator.choice from its stream ("kleinberg", x) on
-    the law of long_range_distribution."""
+    the law of long_range_row (no draws at n = 1)."""
     out = []
     for x in range(space.n):
         heads = set(space.base_neighbors(x))
-        cand, probs = long_range_distribution(space, x, alpha)
-        if cand is not None:
+        if space.n > 1:
+            cand, probs = long_range_row(space, x, alpha)
             draws = seed.rng("kleinberg", x).choice(cand, size=links, p=probs)
             heads.update(int(y) for y in np.atleast_1d(draws))
         heads.discard(x)
@@ -569,20 +566,17 @@ def lattice_shapes():
 
 @pytest.mark.parametrize("space", lattice_shapes(), ids=repr)
 def test_long_range_law_equals_its_rows_written_out(space):
-    # long_range_distribution, and every row of one block of all vertices,
-    # each row normalized by its own sum
+    # every row of one block of all vertices, each row normalized by its
+    # own sum; a single vertex has no candidates and no long-range link
     n = space.n
     if n == 1:
-        assert long_range_distribution(space, 0, 2.0) == (None, None)
+        assert build_kleinberg(space, 2.0, 1, Seed(0)).out_edges == [[]]
         return
     for alpha in (0.0, 1.0, 1.5, 2.0, 50.0):
         block = cons._link_probabilities(
             cons._candidate_distances(space, np.arange(n)), alpha)
         for x in range(n):
-            want_cand, want_probs = long_range_row(space, x, alpha)
-            cand, probs = long_range_distribution(space, x, alpha)
-            assert np.array_equal(cand, want_cand)
-            assert np.array_equal(probs, want_probs)
+            _, want_probs = long_range_row(space, x, alpha)
             assert np.array_equal(block[x], want_probs)
 
 
@@ -636,7 +630,6 @@ def test_kleinberg_builder_basics():
     for x in range(16):
         assert set(grid.base_neighbors(x)) <= set(g.out_edges[x])
         assert x not in g.out_edges[x]
-    assert g.kind == "kleinberg(alpha=2,links=1)"
     again = build_kleinberg(Grid((4, 4)), alpha=2.0, links=1, seed=Seed(3))
     assert again.out_edges == g.out_edges
 
@@ -666,7 +659,6 @@ def test_thinning_preserves_base_only_graph():
     g = build_double_clustering(a)
     thinned = thin_edges(g, a.space1, Seed(77))
     assert thinned.out_edges == g.out_edges
-    assert thinned.kind == "thinned(double-clustering)"
 
 
 def test_thinning_rejects_tiny_graphs():
@@ -730,7 +722,6 @@ def test_thinning_matches_per_vertex_loop(base):
     for master, graph in enumerate(graphs):
         thinned = thin_edges(graph, base, Seed(master))
         assert thinned.out_edges == thin_per_vertex(graph, base, Seed(master))
-        assert thinned.kind == f"thinned({graph.kind})"
 
 
 def test_thinning_deterministic():
@@ -754,7 +745,6 @@ def test_edge_list_round_trip(tmp_path):
     assert lines == sorted(lines)
     back = read_edge_list(path, n=6)
     assert back.out_edges == g.out_edges
-    assert back.kind == "imported"
     inferred = read_edge_list(path)  # n from the largest id seen
     assert inferred.n == 6
     assert inferred.out_edges == g.out_edges

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from navgraph import harness
-from navgraph.construction import Seed, edge_list_text
+from navgraph.construction import Seed, build_kleinberg, edge_list_text
 from navgraph.harness import (AggregateRow, ExperimentResult, ExperimentSpec,
                               aggregate_csv_text, build_model, build_space,
                               experiment_spec_from_dict, export_csv,
@@ -262,7 +262,9 @@ def test_model_params_of_the_right_type_are_accepted():
                              "space": {"kind": "grid", "dims": [2, 8],
                                        "toric": True}})
     _, graph = build_model(spec.model, spec.params, 16, Seed(1))
-    assert graph.kind == "kleinberg(alpha=2,links=2)"
+    # alpha, links and the grid reach the builder
+    assert graph.out_edges == build_kleinberg(
+        Grid((2, 8), toric=True), 2.0, 2, Seed(1)).out_edges
     spec = make_spec(model="grid-tree", sizes=(16,),
                      params={"grid_dims": None, "toric": False, "branching": 4})
     assert build_model(spec.model, spec.params, 16, Seed(1))[0].space2.n == 16

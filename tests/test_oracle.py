@@ -72,7 +72,7 @@ def test_monotonicity_n6_exhaustive_counts():
 def test_monotonicity_identity_permutation_follows_cycle():
     a = Assignment.identity(DirectedCycle(6))
     g = build_double_clustering(a)
-    out = route(g, a, RoutingMode("greedy", space=1), 1, 4)
+    out = route(g, a, RoutingMode("greedy-1"), 1, 4)
     assert out.path == [1, 2, 3, 4]
 
 
@@ -103,8 +103,8 @@ def test_divergence_witness_found_and_replays():
     space = DirectedCycle(witness.n)
     a = Assignment(space, DirectedCycle(witness.n), np.array(witness.pi))
     g = build_double_clustering(a)
-    p1 = route(g, a, RoutingMode("greedy", space=1), witness.source, witness.target)
-    p2 = route(g, a, RoutingMode("greedy", space=2), witness.source, witness.target)
+    p1 = route(g, a, RoutingMode("greedy-1"), witness.source, witness.target)
+    p2 = route(g, a, RoutingMode("greedy-2"), witness.source, witness.target)
     assert tuple(p1.path) == witness.path_d
     assert tuple(p2.path) == witness.path_dpi
     assert p1.path != p2.path

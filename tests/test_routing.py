@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from navgraph.construction import (Assignment, NavGraph, Seed,
                                    thin_edges)
 from navgraph.harness import build_model
 from navgraph.routing import (MODE_LABELS, PHASE_AT_ZERO, Failure,
-                              RouteOutcome, RoutingMode, phase_index,
-                              resolved_plateau, route)
+                              RouteOutcome, RoutingMode, resolved_plateau,
+                              route)
 from navgraph.spaces import (DirectedCycle, Euclidean, Grid, TreeLeaves,
                              UndirectedCycle)
 
@@ -38,24 +39,41 @@ def ring(n):
 # phase bookkeeping
 
 
+def phase_by_definition(d):
+    """The phase of a distance d >= 0 by its definition: the smallest
+    integer i with d <= 2^i, found by stepping i over exact powers of two,
+    and PHASE_AT_ZERO at 0."""
+    if d == 0:
+        return PHASE_AT_ZERO
+    d, i = Fraction(np.asarray(d).item()), 0  # exact, for numpy scalars too
+    while d > Fraction(2) ** i:
+        i += 1
+    while d <= Fraction(2) ** (i - 1):
+        i -= 1
+    return i
+
+
 def test_phase_index_examples():
-    assert phase_index(1) == 0
-    assert phase_index(5) == 3   # 4 < 5 <= 8
-    assert phase_index(8) == 3   # boundary inclusive above
-    assert phase_index(2) == 1
-    assert phase_index(0.3) == -1
-    with pytest.raises(ValueError):
-        phase_index(0)
-    with pytest.raises(ValueError):
-        phase_index(-2)
+    # 4 < 5 <= 8 and 8 is in phase 3: the boundary is inclusive above
+    for d, i in ((1, 0), (5, 3), (8, 3), (2, 1), (0.3, -1), (1.0, 0),
+                 (4.5, 3), (0, PHASE_AT_ZERO), (0.0, PHASE_AT_ZERO)):
+        assert phase_by_definition(d) == i
+        assert rt._phase(d) == i
 
 
 def test_phase_index_brackets_distance():
+    # the routers' phase of integer and float distances, of numpy's scalar
+    # types too, and of 0, against the definition
     rng = np.random.default_rng(0)
-    for d in list(range(1, 300)) + list(rng.uniform(0.01, 50, 100)):
-        i = phase_index(d)
-        assert d <= 2.0**i
-        assert d > 2.0 ** (i - 1)
+    distances = [*range(300), *rng.uniform(0.01, 50, 100), 0.0,
+                 *np.arange(0, 70, dtype=np.int64),
+                 *rng.uniform(0, 3, 20).astype(np.float32), 2.0**-30, 1e9]
+    for d in distances:
+        i = phase_by_definition(d)
+        assert rt._phase(d) == i
+        if d > 0:
+            assert d <= 2.0**i
+            assert d > 2.0 ** (i - 1)
 
 
 def test_coincident_points_route_under_every_mode():
@@ -67,9 +85,7 @@ def test_coincident_points_route_under_every_mode():
     edges = set(g.iter_edges())
     for label in ("greedy-1", "greedy-2", "combined", "combined-literal-m"):
         for plateau in (None, True, False):
-            mode = RoutingMode.parse(label)
-            mode = RoutingMode(mode.kind, mode.space, plateau,
-                               literal_m=mode.literal_m)
+            mode = RoutingMode(label, plateau=plateau)
             for s in range(3):
                 for t in range(3):
                     out = route(g, a, mode, s, t)
@@ -120,7 +136,7 @@ def test_greedy_monotone_in_routing_distance():
             if s == t:
                 continue
             for space in (1, 2):
-                out = route(g, a, RoutingMode("greedy", space=space), s, t)
+                out = route(g, a, RoutingMode(f"greedy-{space}"), s, t)
                 assert out.success
                 dist = target_distances(a, space, t)
                 trace = [dist[v] for v in out.path]
@@ -181,9 +197,9 @@ def test_plateau_moves_rescue_tree_routing():
     # 0's only edge keeps the tree distance flat; footnote behavior takes it
     a = Assignment.identity(UndirectedCycle(4), TreeLeaves(2, 2))
     g = custom_graph(4, [(0, 1), (1, 3)])
-    stuck = route(g, a, RoutingMode("greedy", space=2, plateau=False), 0, 3)
+    stuck = route(g, a, RoutingMode("greedy-2", plateau=False), 0, 3)
     assert stuck.failure is Failure.STUCK
-    saved = route(g, a, RoutingMode("greedy", space=2, plateau=True), 0, 3)
+    saved = route(g, a, RoutingMode("greedy-2", plateau=True), 0, 3)
     assert saved.success
     assert saved.path == [0, 1, 3]
     assert len(set(saved.path)) == len(saved.path)
@@ -264,7 +280,7 @@ def test_half_greedy_in_second_space():
         src, tgt = int(rng.integers(n)), int(rng.integers(n))
         if src == tgt:
             continue
-        out = route(g, a, RoutingMode("half-greedy", space=2), src, tgt)
+        out = route(g, a, RoutingMode("half-greedy-2"), src, tgt)
         assert out.success
         to_tgt = a.space2.distance_to(a.pi_list[tgt])
         trace = [to_tgt(a.pi_list[v]) for v in out.path]
@@ -282,7 +298,7 @@ def test_half_greedy_2_stays_on_a_thinned_graph():
     outcomes = []
     for _ in range(100):
         s, t = (int(v) for v in rng.choice(256, size=2, replace=False))
-        out = route(thinned, a, RoutingMode("half-greedy", space=2), s, t)
+        out = route(thinned, a, RoutingMode("half-greedy-2"), s, t)
         assert all(step in edges for step in zip(out.path, out.path[1:]))
         assert out.success == (out.failure is Failure.NONE)
         outcomes.append(out.failure)
@@ -326,7 +342,7 @@ def test_combined_ball_rule_differs_from_literal_distance_rule():
                    np.array([5, 1, 4, 3, 0, 6, 7, 2]))
     g = custom_graph(8, [(0, 2), (0, 7), (2, 4), (7, 4)])
     by_balls = route(g, a, RoutingMode("combined"), 0, 4)
-    literal = route(g, a, RoutingMode("combined", literal_m=True), 0, 4)
+    literal = route(g, a, RoutingMode("combined-literal-m"), 0, 4)
     assert by_balls.path[1] == 7
     assert literal.path[1] == 2
 
@@ -357,33 +373,97 @@ def test_combined_succeeds_on_double_cycles():
 # modes and determinism
 
 
+# each label's row of the mode table, written out
+MODE_ROWS = {
+    "greedy-1": ("greedy", 1, False),
+    "greedy-2": ("greedy", 2, False),
+    "half-greedy-1": ("half-greedy", 1, False),
+    "half-greedy-2": ("half-greedy", 2, False),
+    "combined": ("combined", 1, False),
+    "combined-literal-m": ("combined", 1, True),
+}
+
+
 def test_mode_parse_and_label_round_trip():
-    for label in ("greedy-1", "greedy-2", "half-greedy-1", "half-greedy-2",
-                  "combined", "combined-literal-m"):
-        assert RoutingMode.parse(label).label == label
-    assert RoutingMode.parse("greedy").label == "greedy-1"
-    with pytest.raises(ValueError):
-        RoutingMode.parse("quantum")
-    with pytest.raises(ValueError):
-        RoutingMode("greedy", space=3)
-    with pytest.raises(ValueError):
-        RoutingMode("greedy", literal_m=True)
+    assert MODE_LABELS == tuple(MODE_ROWS)
+    for label, row in MODE_ROWS.items():
+        mode = RoutingMode.parse(label)
+        assert (mode.label, mode.kind, mode.space, mode.literal_m) == (label, *row)
+        assert (mode.plateau, mode.max_steps) == (None, None)
+        assert mode == RoutingMode(label) == RoutingMode(mode.label)
+        assert hash(mode) == hash(RoutingMode(label))
     # half-greedy routing makes no plateau moves, so the flag would do nothing
-    for space in (1, 2):
+    for label in ("half-greedy-1", "half-greedy-2", "half-greedy"):
         for plateau in (True, False):
             with pytest.raises(ValueError, match="plateau applies to greedy "
                                                  "and combined routing only"):
-                RoutingMode("half-greedy", space, plateau)
+                RoutingMode(label, plateau=plateau)
+
+
+@pytest.mark.parametrize("alias,label", [
+    ("greedy", "greedy-1"), ("Greedy", "greedy-1"), (" GREEDY-2 ", "greedy-2"),
+    ("half-greedy", "half-greedy-1"), ("\tHalf-Greedy\n", "half-greedy-1"),
+    ("Combined-Literal-M", "combined-literal-m"), ("  COMBINED\t", "combined"),
+])
+def test_mode_aliases_case_and_whitespace_normalize(alias, label):
+    assert RoutingMode(alias) == RoutingMode.parse(alias) == RoutingMode(label)
+    assert RoutingMode(alias).label == label
+    assert RoutingMode(alias, max_steps=4) == RoutingMode(label, max_steps=4)
+
+
+@pytest.mark.parametrize("label", ["quantum", "", "greedy-3", "half-greedy-0",
+                                   "combined-1", "greedy 1", "literal-m"])
+def test_unknown_mode_label_is_refused(label):
+    with pytest.raises(ValueError, match="unknown routing mode"):
+        RoutingMode(label)
+    with pytest.raises(ValueError, match="unknown routing mode"):
+        RoutingMode.parse(label)
+
+
+def test_mode_fields_come_from_the_table():
+    # only the label, and keyword-only plateau and max_steps, are settable
+    with pytest.raises(TypeError):
+        RoutingMode("combined", space=2)
+    with pytest.raises(TypeError):
+        RoutingMode("greedy-1", literal_m=True)
+    with pytest.raises(TypeError):
+        RoutingMode("greedy-1", kind="combined")
+    with pytest.raises(TypeError):
+        RoutingMode("greedy-1", True)
+    with pytest.raises(TypeError):
+        RoutingMode("greedy-1", None, 5)
+    assert [f.name for f in dataclasses.fields(RoutingMode) if f.init] == [
+        "label", "plateau", "max_steps"]
+    mode = RoutingMode("greedy-2", plateau=True, max_steps=7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mode.space = 1
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        RoutingMode("combined", max_steps=0)
+
+
+def test_replacing_plateau_keeps_the_label():
+    for label in ("greedy-2", "combined-literal-m"):
+        mode = dataclasses.replace(RoutingMode(label), plateau=False)
+        assert (mode.label, mode.plateau) == (label, False)
+        assert (mode.kind, mode.space, mode.literal_m) == MODE_ROWS[label]
+        assert mode == RoutingMode(label, plateau=False)
+    mode = dataclasses.replace(RoutingMode("half-greedy-2"), max_steps=3)
+    assert (mode.label, mode.space, mode.max_steps) == ("half-greedy-2", 2, 3)
+    with pytest.raises(ValueError, match="plateau applies to greedy "
+                                         "and combined routing only"):
+        dataclasses.replace(mode, plateau=True)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(mode, space=1)
 
 
 def test_plateau_defaults():
     tree_a = Assignment.identity(UndirectedCycle(8), TreeLeaves(2, 3))
     cyc_a = Assignment.identity(UndirectedCycle(8))
     assert resolved_plateau(RoutingMode("combined"), cyc_a)
-    assert resolved_plateau(RoutingMode("greedy", space=2), tree_a)
-    assert not resolved_plateau(RoutingMode("greedy", space=1), tree_a)
-    assert not resolved_plateau(RoutingMode("greedy", space=1), cyc_a)
-    assert resolved_plateau(RoutingMode("greedy", space=1, plateau=True), cyc_a)
+    assert resolved_plateau(RoutingMode("greedy-2"), tree_a)
+    assert not resolved_plateau(RoutingMode("greedy-1"), tree_a)
+    assert not resolved_plateau(RoutingMode("greedy-1"), cyc_a)
+    assert resolved_plateau(RoutingMode("greedy-1", plateau=True), cyc_a)
 
 
 def test_routing_is_deterministic():
@@ -526,7 +606,7 @@ def phases_by_definition(path, d):
     distance d of the vertex it left."""
     phase = {}
     for v in path[:-1]:
-        key = phase_index(d[v]) if d[v] > 0 else PHASE_AT_ZERO
+        key = phase_by_definition(d[v])
         phase[key] = phase.get(key, 0) + 1
     return phase
 
@@ -673,8 +753,8 @@ def test_combined_matches_array_oracle(instance, data):
     max_steps = data.draw(st.none() | st.integers(1, 6))
     for literal_m in (False, True):
         for plateau in (None, True, False):
-            mode = RoutingMode("combined", plateau=plateau,
-                               max_steps=max_steps, literal_m=literal_m)
+            mode = RoutingMode("combined-literal-m" if literal_m else "combined",
+                               plateau=plateau, max_steps=max_steps)
             for s, t in pairs:
                 out = route(graph, a, mode, s, t)
                 assert out == combined_oracle(graph, a, mode, s, t)
