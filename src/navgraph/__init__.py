@@ -10,8 +10,7 @@ laws before scaling up.
 from .construction import (Assignment, NavGraph, Seed, build_double_clustering,
                            build_independent_interest, build_kleinberg,
                            edge_keep_probability, load_permutation,
-                           parse_permutation, read_edge_list, thin_edges,
-                           write_edge_list)
+                           read_edge_list, thin_edges, write_edge_list)
 from .harness import (ExperimentResult, ExperimentSpec, ScalingFit, build_model,
                       build_space, export_csv, fit_scaling,
                       load_experiment_config, run_experiment)
@@ -33,7 +32,6 @@ __all__ = [
     "build_space", "edge_keep_probability", "export_csv",
     "find_divergent_permutation", "fit_scaling", "load_experiment_config",
     "load_permutation", "marginal_edge_law", "monotonicity_check",
-    "parse_permutation", "random_disjoint_sets",
-    "read_edge_list", "route", "run_experiment", "tau_tail", "thin_edges",
-    "write_edge_list",
+    "random_disjoint_sets", "read_edge_list", "route", "run_experiment",
+    "tau_tail", "thin_edges", "write_edge_list",
 ]

@@ -95,6 +95,8 @@ def _build_from_args(args, seed: int):
 
 
 def _cmd_generate(args, argv) -> int:
+    # the model is checked before the build, which can take seconds
+    harness.check_model(args.model, _model_params(args), (args.n,))
     seed = _resolve_seed(args.seed)
     _echo(argv, seed)
     assignment, graph = _build_from_args(args, seed)
@@ -118,7 +120,7 @@ def _cmd_route(args, argv) -> int:
     for v in (args.source, args.target):
         if not 0 <= v < args.n:
             raise _UsageError(f"vertex {v} out of range [0, {args.n})")
-    harness.check_routing_modes(args.model, _model_params(args), args.n, (mode,))
+    harness.check_model(args.model, _model_params(args), (args.n,), (mode,))
     seed = _resolve_seed(args.seed)
     _echo(argv, seed)
     assignment, graph = _build_from_args(args, seed)

@@ -48,7 +48,6 @@ __all__ = [
     "build_kleinberg",
     "thin_edges",
     "edge_keep_probability",
-    "parse_permutation",
     "load_permutation",
     "write_edge_list",
     "read_edge_list",
@@ -243,28 +242,15 @@ class Assignment:
             raise ValueError("pi must be a permutation of 0..n-1")
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
-        inv = np.empty(n, dtype=np.int64)
-        inv[pi] = np.arange(n)
-        inv.setflags(write=False)
-        object.__setattr__(self, "_pi_inv", inv)
 
     @property
     def n(self) -> int:
         return self.space1.n
 
-    @property
-    def pi_inverse(self) -> np.ndarray:
-        return self._pi_inv  # type: ignore[attr-defined]
-
     @cached_property
     def pi_list(self) -> list[int]:
         """``pi`` as a list, for reading one position at a time."""
         return self.pi.tolist()
-
-    def base_neighbors2(self, x: int) -> list[int]:
-        """Vertices whose space-2 position neighbors x's space-2 position."""
-        inv = self.pi_inverse
-        return sorted(int(inv[p]) for p in self.space2.base_neighbors(int(self.pi[x])))
 
     @classmethod
     def identity(cls, space1: Space, space2: Space | None = None) -> "Assignment":
@@ -602,16 +588,13 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
 # text formats
 
 
-def parse_permutation(text: str) -> np.ndarray:
-    """Whitespace-separated integers -> validated permutation array."""
-    values = np.array([int(tok) for tok in text.split()], dtype=np.int64)
+def load_permutation(path: str | Path) -> np.ndarray:
+    """The permutation a file of whitespace-separated integers lists."""
+    values = np.array([int(tok) for tok in Path(path).read_text().split()],
+                      dtype=np.int64)
     if not np.array_equal(np.sort(values), np.arange(len(values))):
         raise ValueError("input is not a permutation of 0..n-1")
     return values
-
-
-def load_permutation(path: str | Path) -> np.ndarray:
-    return parse_permutation(Path(path).read_text())
 
 
 def edge_list_text(graph: NavGraph) -> str:

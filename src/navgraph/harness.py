@@ -45,7 +45,7 @@ __all__ = [
     "export_csv",
     "load_experiment_config",
     "experiment_spec_from_dict",
-    "check_routing_modes",
+    "check_model",
     "build_space",
     "build_model",
     "AGGREGATE_HEADER",
@@ -71,8 +71,8 @@ class ExperimentSpec:
     ``box1``/``box2`` extents (continuum), a ``space`` descriptor
     (baselines) and ``alpha``/``links`` (kleinberg).  Sizes above
     :data:`MAX_SIZE`, params keys the model does not read, and params,
-    sizes and modes that the model's spaces cannot take, are refused here,
-    before any trial runs.
+    sizes and modes that the model's spaces cannot take (through
+    :func:`check_model`), are refused here, before any trial runs.
     """
 
     model: str
@@ -87,7 +87,8 @@ class ExperimentSpec:
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "routing_modes", tuple(self.routing_modes))
-        builder, descriptors, _ = _preset(self.model, self.params)
+        # the params are refused before the sizes, the sizes' spaces after
+        _preset(self.model, self.params)
         if not self.sizes or list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be nonempty and strictly ascending")
         if self.sizes[-1] > MAX_SIZE:
@@ -104,23 +105,22 @@ class ExperimentSpec:
             raise ValueError("routes_per_size must be >= 1")
         if not self.routing_modes:
             raise ValueError("routing_modes must be nonempty")
-        # every size must fit the model's spaces, and the builder and every
-        # mode their kind of space
-        for n in self.sizes:
-            classes = _space_classes(descriptors, n)
-        _check_space_kinds(self.model, builder, classes, self.routing_modes)
+        check_model(self.model, self.params, self.sizes, self.routing_modes)
 
 
-def check_routing_modes(model: str, params: dict, n: int, modes) -> None:
-    """Refuse, before any build, the spaces of ``model`` at size ``n`` that
-    ``params`` does not describe, a kleinberg space without a base graph,
-    and a half-greedy mode in a space without a base graph."""
-    builder, descriptors, _ = _preset(model, params)
-    _check_space_kinds(model, builder, _space_classes(descriptors, n), modes)
+def check_model(model: str, params: dict, sizes,
+                modes=()) -> tuple[str, list, tuple]:
+    """The model's preset, ``(builder, space descriptors, builder
+    arguments)``, once every check that needs no build has passed.
 
-
-def _check_space_kinds(model: str, builder: str, classes: list[type[Space]],
-                       modes) -> None:
+    Refused, in this order: params that the model does not read or that
+    do not describe its spaces, a size in the nonempty ``sizes`` that one
+    of its spaces cannot take, a kleinberg space without a base graph, and
+    a mode in ``modes`` that is half-greedy in a space without one.
+    """
+    preset = builder, descriptors, _ = _preset(model, params)
+    for n in sizes:
+        classes = _space_classes(descriptors, n)
     # kleinberg augments a base graph, and half-greedy steps along one;
     # tree leaves and point clouds have none
     if builder == "kleinberg" and not classes[0].is_graph_kind:
@@ -133,6 +133,7 @@ def _check_space_kinds(model: str, builder: str, classes: list[type[Space]],
         if mode.kind == "half-greedy" and not graph_kind[mode.space - 1]:
             raise ValueError(f"{mode.label} needs a graph-kind space {mode.space}; "
                              f"model {model!r} has no base graph there")
+    return preset
 
 
 def _is_int(value) -> bool:
@@ -389,7 +390,8 @@ def _preset(model: str, params: dict) -> tuple[str, list, tuple]:
 
 def build_model(model: str, params: dict, n: int, seed: Seed,
                 pi: np.ndarray | None = None) -> tuple[Assignment, NavGraph]:
-    """Instantiate the model's spaces at size n and build its graph.
+    """Instantiate the model's spaces at size n and build its graph, once
+    :func:`check_model` has passed the model at that size.
 
     Double clustering pairs its two spaces by a permutation from the seed's
     stream, or by ``pi`` where given (to replay explicit permutations).
@@ -397,7 +399,7 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
     identity, and a baseline's one space with itself: neither takes a
     ``pi``.
     """
-    builder, descriptors, args = _preset(model, params)
+    builder, descriptors, args = check_model(model, params, (n,))
     clouds = any(isinstance(d, _Cloud) for d in descriptors)
     if pi is not None and (clouds or len(descriptors) == 1):
         raise ValueError(f"model {model!r} takes no explicit permutation")

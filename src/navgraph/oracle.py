@@ -157,11 +157,19 @@ class MonotonicityReport:
                      self.violations]])
 
 
-def _enumerated_graphs(space, n: int):
-    """(pi, graph) of the double cycle over ``space`` for every permutation
-    of range(n), lexicographically, built lazily chunk by chunk."""
+def _greedy_routes(space: DirectedCycle):
+    """``(pi, greedy-1 outcome, greedy-2 outcome)`` of every ordered pair
+    of distinct vertices, in order, on the double cycle over ``space`` of
+    every permutation of its ids, lexicographically; the graphs are built
+    lazily, chunk by chunk."""
+    n = space.n
+    mode1, mode2 = RoutingMode("greedy-1"), RoutingMode("greedy-2")
     mine, built = itertools.tee(itertools.permutations(range(n)))
-    return zip(mine, _graphs(space, space, built))
+    for pi, graph in zip(mine, _graphs(space, space, built)):
+        a = Assignment(space, space, np.array(pi, dtype=np.int64))
+        for source, target in itertools.permutations(range(n), 2):
+            yield (pi, route(graph, a, mode1, source, target),
+                   route(graph, a, mode2, source, target))
 
 
 def monotonicity_check(n: int) -> MonotonicityReport:
@@ -174,33 +182,24 @@ def monotonicity_check(n: int) -> MonotonicityReport:
     space = DirectedCycle(n)
     # the kernel toward each position, for both cycles: d(v, t) = to[t](v)
     to = [space.distance_to(t) for t in range(n)]
-    mode1, mode2 = RoutingMode("greedy-1"), RoutingMode("greedy-2")
-    perms = paths = violations = 0
+    paths = violations = 0
     examples: list[MonotonicityViolation] = []
-    for pi_tuple, graph in _enumerated_graphs(space, n):
-        perms += 1
-        a = Assignment(space, space, np.array(pi_tuple, dtype=np.int64))
-        place = pi_tuple.__getitem__
-        for source in range(n):
-            for target in range(n):
-                if source == target:
-                    continue
-                for mode in (mode1, mode2):
-                    outcome = route(graph, a, mode, source, target)
-                    paths += 1
-                    # the distances toward the target in the other cycle
-                    if mode is mode1:
-                        trace = list(map(to[pi_tuple[target]],
-                                         map(place, outcome.path)))
-                    else:
-                        trace = list(map(to[target], outcome.path))
-                    if not (outcome.success and all(map(gt, trace, trace[1:]))):
-                        violations += 1
-                        if len(examples) < 100:
-                            examples.append(MonotonicityViolation(
-                                pi_tuple, source, target, mode.space,
-                                tuple(outcome.path)))
-    return MonotonicityReport(n, perms, paths, violations, examples)
+    for pi, one, two in _greedy_routes(space):
+        for routed, outcome in (1, one), (2, two):
+            paths += 1
+            # the distances toward the target in the other cycle
+            if routed == 1:
+                trace = list(map(to[pi[outcome.target]],
+                                 map(pi.__getitem__, outcome.path)))
+            else:
+                trace = list(map(to[outcome.target], outcome.path))
+            if not (outcome.success and all(map(gt, trace, trace[1:]))):
+                violations += 1
+                if len(examples) < 100:
+                    examples.append(MonotonicityViolation(
+                        pi, outcome.source, outcome.target, routed,
+                        tuple(outcome.path)))
+    return MonotonicityReport(n, math.factorial(n), paths, violations, examples)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +237,11 @@ def find_divergent_permutation(n_max: int) -> DivergenceWitness | None:
     """
     if n_max > _MAX_DIVERGENCE_N:
         raise ValueError(f"exhaustive search supports n_max <= {_MAX_DIVERGENCE_N}")
-    mode1, mode2 = RoutingMode("greedy-1"), RoutingMode("greedy-2")
     for n in range(2, n_max + 1):
-        space = DirectedCycle(n)
-        for pi_tuple, graph in _enumerated_graphs(space, n):
-            a = Assignment(space, space, np.array(pi_tuple, dtype=np.int64))
-            for source in range(n):
-                for target in range(n):
-                    if source == target:
-                        continue
-                    p1 = route(graph, a, mode1, source, target).path
-                    p2 = route(graph, a, mode2, source, target).path
-                    if p1 != p2:
-                        return DivergenceWitness(n, pi_tuple, source, target,
-                                                 tuple(p1), tuple(p2))
+        for pi, one, two in _greedy_routes(DirectedCycle(n)):
+            if one.path != two.path:
+                return DivergenceWitness(n, pi, one.source, one.target,
+                                         tuple(one.path), tuple(two.path))
     return None
 
 

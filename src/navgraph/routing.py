@@ -242,7 +242,10 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
             "half-greedy routing needs a graph-kind space (no base neighbors "
             f"on {space.kind})")
     get = _dist_getter(a, space_sel, target)
-    base_of = space.base_neighbors if space_sel == 1 else a.base_neighbors2
+    # each vertex's position in space 2, where its base neighbors lie; in
+    # space 1 a vertex is its own position, read without a lookup
+    pos = a.pi_list if space_sel == 2 else None
+    base_of = space.base_neighbors
     out = graph.out_edges
     path, trace = [source], []
     x, dx = source, get(source)
@@ -258,12 +261,17 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
             if dv == dx - 1:
                 one_closer.append(v)
         # very big step to the closest neighbor if dx > 2 d(w); otherwise a
-        # small step to the smallest-id base neighbor exactly one closer
-        # that is an out-neighbor too (thinning keeps only space-1 base
-        # edges)
+        # small step to the smallest-id out-neighbor exactly one closer
+        # whose position is a base neighbor of x's (thinning keeps only
+        # space-1 base edges)
         if not dx > 2 * dw:
             dw = dx - 1
-            w = next((b for b in base_of(x) if b in one_closer), -1)
+            if pos is None:
+                base = base_of(x)
+                w = next((v for v in one_closer if v in base), -1)
+            else:
+                base = base_of(pos[x])
+                w = next((v for v in one_closer if pos[v] in base), -1)
             if w < 0:
                 return RouteOutcome(source, target, path, trace, Failure.STUCK)
         trace.append(dx)

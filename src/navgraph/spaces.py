@@ -17,6 +17,12 @@ of sources (one row each), so that builders read a block of rows in one
 call.  Grid and Euclidean override rows to read whole coordinate columns
 with no gather.
 
+Ids are checked once per call, where they enter: the pairwise form checks
+both of its arguments and rows check their sources, then call each kind's
+unchecked pairwise kernel, ``_between``; balls check their centers, and
+the scalar forms check the target when they prepare it and each vertex
+they are asked about.
+
 Base adjacency is stated once per kind, by :meth:`Space.base_edges`, which
 lists every base edge at once: the ball of radius 1 without its center on
 the kinds with integer distances, each point's nearest other points on a
@@ -135,14 +141,18 @@ class Space:
 
     def distances_from(self, x) -> np.ndarray:
         """Vector of ``distance(x, y)`` for every ``y``; for a 1-D array of
-        sources, one such row per source: :meth:`distances_between`
-        broadcast over every id."""
-        return self.distances_between(self._sources(x), np.arange(self.n))
+        sources, one such row per source: the pairwise kernel broadcast
+        over every id."""
+        return self._between(self._sources(x), np.arange(self.n))
 
     def distances_between(self, xs, ys) -> np.ndarray:
         """Array of ``distance(xs[k], ys[k])`` for every k, each entry
         equal, bit for bit, to the matching entry of :meth:`distances_from`;
         ``xs`` and ``ys`` broadcast against each other."""
+        return self._between(self._check_vertices(xs), self._check_vertices(ys))
+
+    def _between(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The pairwise kernel on int64 arrays of checked ids."""
         raise NotImplementedError
 
     # -- adjacency and balls ----------------------------------------------
@@ -208,7 +218,8 @@ class Space:
         raise NotImplementedError
 
     def diameter(self):
-        """Maximum kernel distance between any ordered pair."""
+        """Maximum kernel distance between any ordered pair, in closed form
+        on the kinds with integer distances; a point cloud has none."""
         raise NotImplementedError
 
     # -- helpers ------------------------------------------------------------
@@ -217,12 +228,12 @@ class Space:
         if not 0 <= x < self.n:
             raise _out_of_range(x, self.n)
 
-    def _sources(self, x):
-        """``x`` checked: an id as it is, or a 1-D array of ids as a
-        column, against which a row of every id broadcasts."""
+    def _sources(self, x) -> np.ndarray:
+        """``x`` checked, as int64: an id as a 0-d array, or a 1-D array of
+        ids as a column, against which a row of every id broadcasts."""
         if np.ndim(x) == 0:
             self._check_vertex(x)
-            return x
+            return np.asarray(x, dtype=np.int64)
         return self._check_vertices(x)[:, None]
 
     def _check_vertices(self, xs) -> np.ndarray:
@@ -282,8 +293,8 @@ class DirectedCycle(Space):
             return (y - v) % n
         return d
 
-    def distances_between(self, xs, ys) -> np.ndarray:
-        return (self._check_vertices(ys) - self._check_vertices(xs)) % self.n
+    def _between(self, xs, ys) -> np.ndarray:
+        return (ys - xs) % self.n
 
     def ball_members(self, centers, radii):
         # the forward arc x, x+1, ..., x+r, nearest first as it stands
@@ -323,8 +334,8 @@ class UndirectedCycle(Space):
             return a if a <= half else n - a
         return d
 
-    def distances_between(self, xs, ys) -> np.ndarray:
-        a = np.abs(self._check_vertices(xs) - self._check_vertices(ys))
+    def _between(self, xs, ys) -> np.ndarray:
+        a = np.abs(xs - ys)
         return np.minimum(a, self.n - a)
 
     def ball_members(self, centers, radii):
@@ -416,8 +427,7 @@ class Grid(Space):
         x = self._sources(x)
         return self._l1(column - column[x] for column in self._columns)
 
-    def distances_between(self, xs, ys) -> np.ndarray:
-        xs, ys = self._check_vertices(xs), self._check_vertices(ys)
+    def _between(self, xs, ys) -> np.ndarray:
         # a 0-d array where both ids are scalars: _l1 writes into its inputs
         return self._l1(np.asarray(column[ys] - column[xs])
                         for column in self._columns)
@@ -519,8 +529,7 @@ class TreeLeaves(Space):
         b = self.branching
         return b.bit_length() - 1 if b & (b - 1) == 0 else 0
 
-    def distances_between(self, xs, ys) -> np.ndarray:
-        xs, ys = self._check_vertices(xs), self._check_vertices(ys)
+    def _between(self, xs, ys) -> np.ndarray:
         if self._bits:
             # the bit length of x ^ y, the exponent that frexp reads, over
             # s bits a digit, rounded up: the digits up to the highest one
@@ -664,7 +673,7 @@ class Euclidean(Space):
         lo = starts[row + first[owner, -1]]
         entry, pos = _ranges(lo, starts[row + last[owner, -1] + 1] - lo)
         owner, member = owner[entry], order[pos]
-        d = self.distances_between(centers[owner], member)
+        d = self._between(centers[owner], member)
         inside = d <= radii[owner]
         return owner[inside], member[inside], d[inside]
 
@@ -732,8 +741,7 @@ class Euclidean(Space):
             return bisect.bisect_right(ranked, r)
         return dist, count
 
-    def distances_between(self, xs, ys) -> np.ndarray:
-        xs, ys = self._check_vertices(xs), self._check_vertices(ys)
+    def _between(self, xs, ys) -> np.ndarray:
         return _norms(column[ys] - column[xs] for column in self._columns)
 
     @cached_property
@@ -763,6 +771,3 @@ class Euclidean(Space):
 
     def base_edges(self) -> tuple[np.ndarray, np.ndarray]:
         return self._nearest // self.n, self._nearest % self.n
-
-    def diameter(self) -> float:
-        return max(float(self.distances_from(x).max()) for x in range(self.n))

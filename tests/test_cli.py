@@ -297,6 +297,25 @@ def test_route_refuses_kleinberg_on_tree_leaves_before_building(monkeypatch,
     assert "'kleinberg'" in err and "'space'" in err
 
 
+def test_generate_refuses_kleinberg_on_tree_leaves_before_building(
+        monkeypatch, tmp_path, capsys):
+    # generate refuses through the model check that route runs, before its
+    # invocation line
+    def build_model(*args, **kwargs):
+        raise AssertionError("built before the space was checked")
+    monkeypatch.setattr(cli.harness, "build_model", build_model)
+    out = tmp_path / "g.edges"
+    code = run_cli("generate", "--model", "kleinberg", "--n", "16", "--seed",
+                   "0", "--space-kind", "tree", "--out", str(out))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: model 'kleinberg' needs a graph-kind "
+                            "space; its params 'space' is 'tree-leaves', "
+                            "which has no base graph\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

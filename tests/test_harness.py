@@ -471,6 +471,32 @@ def test_spec_rejects_kleinberg_without_a_base_graph(space):
                           params={"space": {"kind": "undirected-cycle"}})
 
 
+def test_build_model_refuses_kleinberg_on_tree_leaves_before_building(
+        monkeypatch):
+    # the one model check runs first: the message the spec and the route
+    # command give, not the builder's own
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the space was checked")
+    monkeypatch.setattr(harness, "build_kleinberg", no_build)
+    with pytest.raises(ValueError, match="^model 'kleinberg' needs a graph-kind "
+                                         "space; its params 'space' is "
+                                         "'tree-leaves', which has no base graph$"):
+        build_model("kleinberg", {"space": {"kind": "tree"}}, 16, Seed(0))
+
+
+def test_check_model_returns_the_preset_and_refuses_in_order():
+    assert harness.check_model("kleinberg", {"alpha": 2}, (16, 64)) == \
+        ("kleinberg", [{"kind": "grid"}], (2.0, 1))
+    # params first, then every size's spaces, then the spaces' kinds
+    for params, sizes, message in (
+            ({"space": {"kind": "tree"}, "alpha": -1}, (12,), "'alpha' must be"),
+            ({"space": {"kind": "tree"}}, (16, 12), "n=12 is not a power"),
+            ({"space": {"kind": "tree"}}, (16,), "needs a graph-kind space;")):
+        with pytest.raises(ValueError, match=message):
+            harness.check_model("kleinberg", params, sizes,
+                                (RoutingMode("half-greedy-1"),))
+
+
 def test_budget_refusal(monkeypatch):
     # one ceiling for every model, checked when the spec is made
     def no_build(*args, **kwargs):

@@ -36,6 +36,12 @@ def distance(space, x, y):
     return space.distance_to(y)(x)
 
 
+def diameter(space):
+    """The largest distance between any two points, read from the rows:
+    the closed forms' oracle, and the only diameter a cloud has."""
+    return space.distances_from(np.arange(space.n)).max().item()
+
+
 def space_id(space):
     if isinstance(space, Euclidean):
         return f"Euclidean(n={space.n})"
@@ -328,7 +334,7 @@ def test_ball_members_matches_enumeration(space):
     # radius 0, every radius at which a ball changes, the values between
     # them, beyond the diameter and infinity, several centers in one call
     n = space.n
-    beyond = space.diameter() + 3
+    beyond = diameter(space) + 3
     for x in range(n):
         d = space.distances_from(x)
         shells = np.unique(d)
@@ -419,15 +425,23 @@ def test_prepared_target_matches_enumeration(space):
             space.distances_between(np.arange(n), x).tolist()
         d = space.distances_from(x)
         shells = np.unique(d)
-        diameter = space.diameter()
-        for r in [0, *shells.tolist(), *(shells + 0.25).tolist(), diameter,
-                  diameter + 0.5, diameter + 3, math.inf]:
+        largest = diameter(space)
+        for r in [0, *shells.tolist(), *(shells + 0.25).tolist(), largest,
+                  largest + 0.5, largest + 3, math.inf]:
             assert count(r) == np.count_nonzero(d <= r)
             assert type(count(r)) is int
         with pytest.raises(ValueError):
             count(-0.5)
         with pytest.raises(ValueError):
             count(math.nan)
+
+
+@pytest.mark.parametrize(
+    "space", [s for s in tie_heavy_spaces() + grid_shapes()
+              if not isinstance(s, Euclidean)], ids=space_id)
+def test_closed_form_diameter_is_the_largest_distance(space):
+    # the closed-form balls cap their radii at the diameter
+    assert space.diameter() == diameter(space)
 
 
 def test_ball_members_rejects_bad_arguments():
@@ -455,7 +469,7 @@ def test_ball_monotone_and_saturates(space, data):
     r2 = data.draw(st.floats(0, 10))
     lo, hi = sorted((r1, r2))
     assert ball_count(space, x, lo) <= ball_count(space, x, hi)
-    assert ball_count(space, x, space.diameter()) == space.n
+    assert ball_count(space, x, diameter(space)) == space.n
 
 
 # ---------------------------------------------------------------------------
