@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 oracle/assertion failure, 3 I/O
 error, so the oracles double as CI gates.  The master seed comes from
---seed, falling back to the NAVGRAPH_SEED environment variable, then 0;
-every run echoes an invocation line it can be reproduced from.
+--seed, falling back to the NAVGRAPH_SEED environment variable, then 0.
+Every run echoes an invocation line it can be reproduced from, once its
+inputs are accepted: a command checks its flags, model, input files and
+config, and an oracle returns, before the first line of output, so a
+refused input prints nothing on stdout.
 """
 
 from __future__ import annotations
@@ -76,18 +79,22 @@ def _model_params(args) -> dict:
     return params
 
 
-def _explicit_pi(args, n: int) -> np.ndarray | None:
-    if getattr(args, "identity_pi", False):
-        return np.arange(n)
-    if getattr(args, "pi_file", None):
-        return load_permutation(args.pi_file)
-    return None
-
-
-def _build_from_args(args, seed: int):
+def _checked_model(args, modes=(), thinning: bool = False):
+    """The model's params and explicit permutation (None where the seed
+    draws one), once the model check has passed and --pi-file is read."""
     params = _model_params(args)
-    pi = _explicit_pi(args, args.n)
-    return harness.build_model(args.model, params, args.n, Seed(seed), pi=pi)
+    harness.check_model(args.model, params, (args.n,), modes,
+                        thinning=thinning,
+                        explicit_pi=args.identity_pi or bool(args.pi_file))
+    if args.identity_pi:
+        return params, np.arange(args.n)
+    if not args.pi_file:
+        return params, None
+    pi = load_permutation(args.pi_file)
+    if len(pi) != args.n:
+        raise _UsageError(f"--pi-file lists {len(pi)} entries, but --n is "
+                          f"{args.n}")
+    return params, pi
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +102,12 @@ def _build_from_args(args, seed: int):
 
 
 def _cmd_generate(args, argv) -> int:
-    # the model is checked before the build, which can take seconds
-    harness.check_model(args.model, _model_params(args), (args.n,))
+    # every input is checked before the build, which can take seconds
+    params, pi = _checked_model(args, thinning=args.thin)
     seed = _resolve_seed(args.seed)
     _echo(argv, seed)
-    assignment, graph = _build_from_args(args, seed)
+    assignment, graph = harness.build_model(args.model, params, args.n,
+                                            Seed(seed), pi=pi)
     if args.thin:
         graph = thin_edges(graph, assignment.space1, Seed(seed))
     write_edge_list(graph, args.out)
@@ -112,21 +120,22 @@ def _cmd_generate(args, argv) -> int:
 
 
 def _cmd_route(args, argv) -> int:
-    # the mode, the endpoints and the model's spaces are checked before the
-    # build, which can take seconds
+    # the mode, the model, the endpoints and the input files are checked
+    # before the build, which can take seconds
     mode = RoutingMode(
         args.mode, max_steps=args.max_steps,
         plateau=None if args.plateau == "auto" else args.plateau == "on")
+    params, pi = _checked_model(args, (mode,))
     for v in (args.source, args.target):
         if not 0 <= v < args.n:
             raise _UsageError(f"vertex {v} out of range [0, {args.n})")
-    harness.check_model(args.model, _model_params(args), (args.n,), (mode,))
+    edges = read_edge_list(args.edges, n=args.n) if args.edges else None
     seed = _resolve_seed(args.seed)
     _echo(argv, seed)
-    assignment, graph = _build_from_args(args, seed)
-    if args.edges:
-        graph = read_edge_list(args.edges, n=args.n)
-    outcome = route(graph, assignment, mode, args.source, args.target)
+    assignment, graph = harness.build_model(args.model, params, args.n,
+                                            Seed(seed), pi=pi)
+    outcome = route(graph if edges is None else edges, assignment, mode,
+                    args.source, args.target)
     print(f"mode: {mode.label}")
     print("path: " + " -> ".join(str(v) for v in outcome.path))
     print(f"steps: {outcome.steps}")
@@ -143,48 +152,51 @@ def _fail(message: str) -> int:
     return EXIT_ASSERTION
 
 
-def _report(args, text: str, write_csv, failure: str | None) -> int:
-    """Print a report, write its CSV where --csv asks, and turn a failure
+def _report(args, argv, seed: int | None, text: str | None, write_csv,
+            failure: str | None) -> int:
+    """Echo the invocation line of an oracle that has returned, print its
+    report (if any), write its CSV where --csv asks, and turn a failure
     message into exit 2."""
-    print(text)
-    if args.csv:
-        write_csv(args.csv)
+    _echo(argv, seed)
+    if text is not None:
+        print(text)
+        if args.csv:
+            write_csv(args.csv)
     return _fail(failure) if failure else EXIT_OK
 
 
 def _cmd_oracle(args, argv) -> int:
     if args.oracle_cmd == "marginal":
-        _echo(argv, None)
         report = oracle.marginal_edge_law(args.n)
         if report.all_exact:
-            return _report(args, report.table(), report.write_csv, None)
+            return _report(args, argv, None, report.table(),
+                           report.write_csv, None)
         bad = [r for r in report.rows if not r.exact][0]
-        return _report(args, report.table(), report.write_csv,
+        return _report(args, argv, None, report.table(), report.write_csv,
                        f"edge frequency to y={bad.head} is {bad.probability}, "
                        f"expected {bad.expected}")
     if args.oracle_cmd == "monotonicity":
-        _echo(argv, None)
         report = oracle.monotonicity_check(args.n)
         if not report.violations:
-            return _report(args, report.table() + "\n0 violations",
+            return _report(args, argv, None, report.table() + "\n0 violations",
                            report.write_csv, None)
         ex = report.examples[0]
-        return _report(args, report.table(), report.write_csv,
+        return _report(args, argv, None, report.table(), report.write_csv,
                        f"{report.violations} monotonicity violations, e.g. "
                        f"pi={ex.pi} {ex.source}->{ex.target}")
     if args.oracle_cmd == "divergence":
-        _echo(argv, None)
         witness = oracle.find_divergent_permutation(args.n_max)
         if witness is None:
-            return _fail(f"no divergent permutation up to n={args.n_max}")
-        return _report(args, witness.table(), witness.write_csv, None)
+            return _report(args, argv, None, None, None,
+                           f"no divergent permutation up to n={args.n_max}")
+        return _report(args, argv, None, witness.table(), witness.write_csv,
+                       None)
     if args.oracle_cmd == "tau":
         seed = _resolve_seed(args.seed)
-        _echo(argv, seed)
         set_a, set_b = oracle.random_disjoint_sets(args.n, args.set_size,
                                                    args.set_size, Seed(seed))
         report = oracle.tau_tail(args.n, set_a, set_b, args.samples, Seed(seed))
-        return _report(args, report.table(), report.write_csv,
+        return _report(args, argv, seed, report.table(), report.write_csv,
                        None if report.passed else
                        f"tau tail checks failed: P(tau=1)={report.tau1_probability:.4f} "
                        f"needs >= {report.p_lower:.4f}, "
@@ -197,7 +209,6 @@ def _cmd_oracle(args, argv) -> int:
         if not args.tolerance >= 0:  # NaN too: it would pass any deviation
             raise _UsageError(f"--tolerance must be >= 0, got {args.tolerance}")
         seed = _resolve_seed(args.seed)
-        _echo(argv, seed)
         expected = sum(1.0 / k for k in range(1, args.n))  # harmonic oracle first
         means = []
         for i in range(args.seeds):
@@ -208,7 +219,7 @@ def _cmd_oracle(args, argv) -> int:
         observed = sum(means) / len(means)
         rel = abs(observed - expected) / expected
         return _report(
-            args,
+            args, argv, seed,
             f"independent interest on a directed cycle, n={args.n}, "
             f"{args.seeds} seeds\n"
             f"mean out-degree: {observed:.4f} (harmonic oracle {expected:.4f}, "
@@ -226,8 +237,8 @@ def _cmd_oracle(args, argv) -> int:
 def _cmd_experiment(args, argv) -> int:
     if args.workers < 0:
         raise _UsageError(f"--workers must be >= 0, got {args.workers}")
-    _echo(argv, None)
     spec = harness.load_experiment_config(args.config)
+    _echo(argv, None)
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     result = harness.run_experiment(spec, workers=workers,
                                     dump_edges_dir=args.dump_edges)

@@ -557,11 +557,9 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
     and removing base edges would break greedy termination guarantees.
     Vertex x draws one uniform from its stream ("thin", x) per non-base
     head, in the order of its list, and keeps the heads whose uniform is
-    below the keep probability.
+    below the keep probability, which refuses n <= 2.
     """
     n = graph.n
-    if n <= 2:
-        raise ValueError(f"thinning needs n >= 3, got {n}")
     if base_space.n != n:
         raise ValueError("base space size does not match graph")
     keep_p = edge_keep_probability(n)
@@ -590,11 +588,11 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
 
 def load_permutation(path: str | Path) -> np.ndarray:
     """The permutation a file of whitespace-separated integers lists."""
-    values = np.array([int(tok) for tok in Path(path).read_text().split()],
-                      dtype=np.int64)
-    if not np.array_equal(np.sort(values), np.arange(len(values))):
+    # compared as Python ints, so that no entry overflows int64 unchecked
+    values = [int(tok) for tok in Path(path).read_text().split()]
+    if sorted(values) != list(range(len(values))):
         raise ValueError("input is not a permutation of 0..n-1")
-    return values
+    return np.array(values, dtype=np.int64)
 
 
 def edge_list_text(graph: NavGraph) -> str:

@@ -94,31 +94,41 @@ class ExperimentSpec:
         if self.sizes[-1] > MAX_SIZE:
             raise ValueError(f"sizes {[n for n in self.sizes if n > MAX_SIZE]} "
                              f"exceed the n <= {MAX_SIZE} ceiling")
-        # a trial needs a route pair, and thinning needs ln(n) > 1
-        smallest = 3 if self.thinning else 2
-        if self.sizes[0] < smallest:
-            raise ValueError(f"sizes must be >= {smallest}"
-                             + (" with thinning" if self.thinning else ""))
+        # a trial needs a route pair
+        if self.sizes[0] < 2:
+            raise ValueError("sizes must be >= 2")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         if self.routes_per_size < 1:
             raise ValueError("routes_per_size must be >= 1")
         if not self.routing_modes:
             raise ValueError("routing_modes must be nonempty")
-        check_model(self.model, self.params, self.sizes, self.routing_modes)
+        check_model(self.model, self.params, self.sizes, self.routing_modes,
+                    thinning=self.thinning)
 
 
-def check_model(model: str, params: dict, sizes,
-                modes=()) -> tuple[str, list, tuple]:
+def check_model(model: str, params: dict, sizes, modes=(), *,
+                thinning: bool = False,
+                explicit_pi: bool = False) -> tuple[str, list, tuple]:
     """The model's preset, ``(builder, space descriptors, builder
     arguments)``, once every check that needs no build has passed.
 
-    Refused, in this order: params that the model does not read or that
-    do not describe its spaces, a size in the nonempty ``sizes`` that one
-    of its spaces cannot take, a kleinberg space without a base graph, and
-    a mode in ``modes`` that is half-greedy in a space without one.
+    ``thinning`` and ``explicit_pi`` say whether the graphs are to be
+    thinned and whether the caller pairs the spaces by a permutation of
+    its own.  Refused, in this order: params that the model does not read
+    or that do not describe its spaces, a size below 1 in the nonempty
+    ``sizes``, or below 3 with thinning, a size that one of its spaces
+    cannot take, a kleinberg space without a base graph, a mode in
+    ``modes`` that is half-greedy in a space without one, and an explicit
+    permutation for a model that draws none.
     """
     preset = builder, descriptors, _ = _preset(model, params)
+    smallest = min(sizes)
+    if smallest < 1:
+        raise ValueError(f"n must be >= 1, got {smallest}")
+    # thinning keeps edges with probability 1/ln(n), which needs ln(n) > 1
+    if thinning and smallest < 3:
+        raise ValueError("sizes must be >= 3 with thinning")
     for n in sizes:
         classes = _space_classes(descriptors, n)
     # kleinberg augments a base graph, and half-greedy steps along one;
@@ -133,6 +143,8 @@ def check_model(model: str, params: dict, sizes,
         if mode.kind == "half-greedy" and not graph_kind[mode.space - 1]:
             raise ValueError(f"{mode.label} needs a graph-kind space {mode.space}; "
                              f"model {model!r} has no base graph there")
+    if explicit_pi and not _pairs_by_pi(descriptors):
+        raise ValueError(f"model {model!r} takes no explicit permutation")
     return preset
 
 
@@ -319,6 +331,14 @@ def _space_classes(descriptors: list, n: int) -> list[type[Space]]:
             for d in descriptors]
 
 
+def _pairs_by_pi(descriptors: list) -> bool:
+    """Whether the described spaces are paired by a permutation: point
+    clouds, whose points are drawn at random already, are paired by
+    identity, and a baseline's one space with itself."""
+    return len(descriptors) == 2 and not any(isinstance(d, _Cloud)
+                                             for d in descriptors)
+
+
 def _spaces(descriptors: list, n: int, seed: Seed) -> list[Space]:
     """The described spaces at size n; a cloud that is the k-th space draws
     its points from the seed's ("points", k) stream."""
@@ -399,18 +419,16 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
     identity, and a baseline's one space with itself: neither takes a
     ``pi``.
     """
-    builder, descriptors, args = check_model(model, params, (n,))
-    clouds = any(isinstance(d, _Cloud) for d in descriptors)
-    if pi is not None and (clouds or len(descriptors) == 1):
-        raise ValueError(f"model {model!r} takes no explicit permutation")
+    builder, descriptors, args = check_model(model, params, (n,),
+                                             explicit_pi=pi is not None)
     spaces = _spaces(descriptors, n, seed)
     if builder == "double-clustering":
         if pi is not None:
             assignment = Assignment(*spaces, pi)
-        elif clouds:
-            assignment = Assignment.identity(*spaces)
-        else:
+        elif _pairs_by_pi(descriptors):
             assignment = Assignment.random(*spaces, seed)
+        else:
+            assignment = Assignment.identity(*spaces)
         return assignment, build_double_clustering(assignment)
     space, = spaces
     if builder == "kleinberg":

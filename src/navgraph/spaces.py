@@ -49,13 +49,12 @@ kernel toward the target and a counter ``r -> |ball of radius r|`` around
 it.  The integer kinds count in closed form (an arc length, a subtree
 width, or the grid's per-axis offset counts convolved across axes), so a
 route pays nothing per vertex of the space; a point cloud enumerates the
-target's distance array once and sorts it, and reads its distances from
-that same array.
+target's distance array once, reads its distances from that array and
+counts a ball by comparing the array with the radius.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -726,10 +725,10 @@ class Euclidean(Space):
 
     def prepare_target(self, y: int):
         # no closed form: y's distances enumerated once, ``dist`` read
-        # from that array and ``count`` from its sorted copy
+        # from that array and ``count`` by comparison with it
         to_y = self.distances_from(y)
-        # memoryviews read Python scalars without copying the arrays
-        n, values, ranked = self.n, memoryview(to_y), memoryview(np.sort(to_y))
+        # a memoryview reads Python scalars without copying the array
+        n, values = self.n, memoryview(to_y)
 
         def dist(v):
             if not 0 <= v < n:
@@ -738,7 +737,7 @@ class Euclidean(Space):
 
         def count(r) -> int:
             _check_radius(r)
-            return bisect.bisect_right(ranked, r)
+            return int(np.count_nonzero(to_y <= r))
         return dist, count
 
     def _between(self, xs, ys) -> np.ndarray:

@@ -1,16 +1,22 @@
 import dataclasses
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from navgraph import cli, oracle
+from navgraph import cli, harness, oracle
 from navgraph.oracle import find_divergent_permutation
-from navgraph.routing import MODE_LABELS
+from navgraph.routing import MODE_LABELS, RoutingMode
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,6 +84,34 @@ def test_generate_usage_error(capsys):
                    "--out", "x") == 1
 
 
+# inputs that generate and route refuse before the invocation line, at
+# --n 4096 unless the flags repeat it; TMP is the test's temporary directory
+_REFUSED_MODEL_INPUTS = [
+    (("--model", "continuum", "--n", "0"), "n must be >= 1, got 0"),
+    (("--model", "grid-tree", "--n", "-4"), "n must be >= 1, got -4"),
+    (("--model", "independent-interest", "--space-kind", "tree", "--n", "0"),
+     "n must be >= 1, got 0"),
+    (("--model", "two-directed-cycles", "--pi-file", "TMP/repeat.pi"),
+     "input is not a permutation of 0..n-1"),
+    (("--model", "two-directed-cycles", "--pi-file", "TMP/short.pi"),
+     "--pi-file lists 3 entries, but --n is 4096"),
+    (("--model", "continuum", "--identity-pi"),
+     "model 'continuum' takes no explicit permutation"),
+    (("--model", "kleinberg", "--identity-pi"),
+     "model 'kleinberg' takes no explicit permutation"),
+]
+_REFUSED_MODEL_IDS = ["continuum-n-0", "grid-tree-n-negative",
+                      "interest-tree-n-0", "pi-file-repeat",
+                      "pi-file-wrong-length", "identity-pi-continuum",
+                      "identity-pi-kleinberg"]
+
+
+def _write_refused_inputs(directory: Path) -> None:
+    (directory / "repeat.pi").write_text("0 1 1 2\n")
+    (directory / "short.pi").write_text("2 0 1\n")
+    (directory / "out-of-range.edges").write_text("0\t1\n0\t4096\n")
+
+
 # ---------------------------------------------------------------------------
 # route
 
@@ -98,7 +132,9 @@ def test_generate_refuses_falsy_model_flags(tmp_path, capsys, flags, message):
     out = tmp_path / "g.edges"
     code = run_cli("generate", "--n", "16", "--out", str(out), *flags)
     assert code == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 
@@ -128,7 +164,9 @@ def test_generate_refuses_flags_the_model_does_not_read(tmp_path, capsys,
     code = run_cli("generate", "--n", "16", "--seed", "1", "--out", str(out),
                    *flags)
     assert code == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 
@@ -225,20 +263,52 @@ def test_route_unknown_vertex(capsys):
       "--plateau", "off"), "plateau applies to greedy and combined routing only"),
     (("--model", "two-undirected-cycles", "--branching", "3"),
      "model 'two-undirected-cycles': params key 'branching' is not read"),
+    *_REFUSED_MODEL_INPUTS,
+    (("--model", "two-directed-cycles", "--edges", "TMP/out-of-range.edges"),
+     "edge (0, 4096) out of range for n=4096"),
 ], ids=["max-steps-0", "source-out-of-range", "target-out-of-range",
         "half-greedy-on-continuum", "plateau-on-half-greedy",
-        "plateau-off-half-greedy", "unread-branching"])
-def test_route_refuses_bad_arguments_before_building(monkeypatch, capsys,
-                                                      flags, message):
+        "plateau-off-half-greedy", "unread-branching",
+        *_REFUSED_MODEL_IDS, "edge-out-of-range"])
+def test_route_refuses_bad_arguments_before_building(monkeypatch, tmp_path,
+                                                      capsys, flags, message):
     def build_model(*args, **kwargs):
         raise AssertionError("the graph was built")
     monkeypatch.setattr(cli.harness, "build_model", build_model)
+    _write_refused_inputs(tmp_path)
     # a repeated option takes its last value
     code = run_cli("route", "--n", "4096", "--seed", "0", "--source", "0",
-                   "--target", "1", *flags)
+                   "--target", "1",
+                   *(f.replace("TMP", str(tmp_path)) for f in flags))
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags,message", [
+    *_REFUSED_MODEL_INPUTS,
+    (("--model", "two-undirected-cycles", "--n", "2", "--thin"),
+     "sizes must be >= 3 with thinning"),
+], ids=[*_REFUSED_MODEL_IDS, "thin-n-2"])
+def test_generate_refuses_bad_arguments_before_building(
+        monkeypatch, tmp_path, capsys, flags, message):
+    # every refusal comes before the invocation line: nothing on stdout, no
+    # edge file, and no build
+    def build_model(*args, **kwargs):
+        raise AssertionError("the graph was built")
+    monkeypatch.setattr(cli.harness, "build_model", build_model)
+    _write_refused_inputs(tmp_path)
+    out = tmp_path / "g.edges"
+    code = run_cli("generate", "--n", "4096", "--seed", "0", "--out", str(out),
+                   *(f.replace("TMP", str(tmp_path)) for f in flags))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_route_divergence_witness_replay(tmp_path, capsys):
@@ -464,6 +534,22 @@ def test_failed_oracle_report_prints_writes_and_exits_two(
     assert path.read_bytes().count(b"\r\n") > 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("marginal --n 20", "exhaustive enumeration supports 2 <= n <= 8, got 20"),
+    ("monotonicity --n 1", "exhaustive enumeration supports 2 <= n <= 7, got 1"),
+    ("divergence --n-max 10", "exhaustive search supports n_max <= 9"),
+    ("tau --n 10 --set-size 6", "set sizes exceed the universe"),
+    ("tau --n 100 --set-size 5 --samples 0", "samples must be >= 1"),
+], ids=["marginal", "monotonicity", "divergence", "tau-sets", "tau-samples"])
+def test_oracle_refuses_out_of_range_sizes_before_output(tmp_path, capsys,
+                                                         argv, message):
+    # each oracle refuses what it cannot take before the invocation line
+    path = tmp_path / "report.csv"
+    assert run_cli("oracle", *argv.split(), "--csv", str(path)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()
+
+
 def test_oracle_degree_fails_with_impossible_tolerance(capsys):
     code = run_cli("oracle", "degree", "--n", "256", "--seeds", "2",
                    "--seed", "1", "--tolerance", "0.000001")
@@ -532,7 +618,8 @@ def test_experiment_runs_config(tmp_path, capsys):
     assert len(list((tmp_path / "edges").glob("*.edges"))) == 4
 
 
-@pytest.mark.parametrize("sizes,thinning", [([1, 8], False), ([2, 8], True)])
+@pytest.mark.parametrize("sizes,thinning", [([1, 8], False), ([2, 8], True),
+                                            ([1], False)])
 def test_experiment_rejects_too_small_sizes(tmp_path, capsys, sizes, thinning):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(json.dumps({"model": "two-directed-cycles", "sizes": sizes,
@@ -540,7 +627,10 @@ def test_experiment_rejects_too_small_sizes(tmp_path, capsys, sizes, thinning):
     code = run_cli("experiment", "--config", str(cfg),
                    "--out", str(tmp_path / "o.csv"))
     assert code == 1
-    assert "sizes must be >=" in capsys.readouterr().err
+    # the config is refused before the invocation line
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sizes must be >=" in captured.err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -685,6 +775,130 @@ def test_experiment_rejects_oversized_config(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == \
         "error: sizes [65537] exceed the n <= 65536 ceiling\n"
     assert not (tmp_path / "o.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the command input space
+
+# values of each model flag and of each params key, well-typed and not
+_FLAG_VALUES = {
+    "--branching": ["0", "1", "2", "3"],
+    "--grid-dims": ["", "x", "0,4", "-2,-2", "2,2", "4,4", "16"],
+    "--alpha": ["-1", "0", "2", "nan", "inf"],
+    "--links": ["0", "1", "2"],
+    "--space-kind": ["directed-cycle", "undirected-cycle", "grid", "tree"],
+}
+_PARAM_VALUES = {
+    "grid_dims": [None, [2, 2], [4, 4], [0, 4], [-2, -2], [4, 4.0], "4"],
+    "toric": [True, False, 0],
+    "branching": [1, 2, 3, 2.0],
+    "box1": [[1.33, 1.0], [2.0], [], [float("nan"), 1.0], "ab"],
+    "box2": [[1.0, 1.0, 1.0], [1.0], [0.0, 1.0]],
+    "space": [{"kind": "grid"}, {"kind": "grid", "dims": [2, 8], "toric": True},
+              {"kind": "tree", "branching": 3}, {"kind": "directed-cycle"},
+              {"kind": "undirected-cycle"}, {"kind": "sphere"}, "grid",
+              {"kind": "tree", "toric": True}],
+    "alpha": [0, 2, 2.5, -1, "2", float("inf")],
+    "links": [1, 2, 0, 1.5],
+}
+
+
+@st.composite
+def command_inputs(draw):
+    """One input to generate, route and the experiment spec: a model, its
+    flags (for the commands) and params (for the spec), a size, modes,
+    thinning, and an explicit permutation given by flag or by a file that
+    holds a drawn list of integers."""
+    n = draw(st.integers(-2, 300))
+    # at most two flags and keys, so that many inputs reach a build
+    flags = {k: draw(st.sampled_from(_FLAG_VALUES.get(k, [None])))
+             for k in draw(st.lists(st.sampled_from(
+                 [*_FLAG_VALUES, "--toric"]), max_size=2, unique=True))}
+    params = {k: draw(st.sampled_from(_PARAM_VALUES[k]))
+              for k in draw(st.lists(st.sampled_from(list(_PARAM_VALUES)),
+                                     max_size=2, unique=True))}
+    return dict(
+        model=draw(st.sampled_from(harness.MODELS)), n=n,
+        seed=draw(st.integers(0, 3)),
+        flags=[k if v is None else f"{k}={v}" for k, v in flags.items()],
+        params=params,
+        modes=draw(st.lists(st.sampled_from(MODE_LABELS), min_size=1,
+                            max_size=3)),
+        plateau=draw(st.sampled_from([None, True, False])),
+        max_steps=draw(st.sampled_from([None, 0, 1, 50])),
+        thin=draw(st.booleans()), identity_pi=draw(st.booleans()),
+        pi=draw(st.one_of(st.none(), st.permutations(range(max(n, 0))),
+                          st.lists(st.integers(), max_size=4))),
+        source=draw(st.integers(-1, 300)), target=draw(st.integers(-1, 300)),
+        edges=draw(st.booleans()))
+
+
+def _run_command(*argv) -> int:
+    """Run one command: it exits 0, or exits 1 with nothing on stdout and
+    one error line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    if code == 1:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert code == 0, err.getvalue()
+    return code
+
+
+_INPUT = dict(model="two-directed-cycles", n=8, seed=0, flags=[], params={},
+              modes=["greedy-1"], plateau=None, max_steps=None, thin=False,
+              identity_pi=False, pi=None, source=0, target=1, edges=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_inputs())
+@example(dict(_INPUT, model="continuum", n=0))
+@example(dict(_INPUT, model="grid-tree", n=-4))
+@example(dict(_INPUT, model="independent-interest", n=0,
+              flags=["--space-kind=tree"], params={"space": {"kind": "tree"}}))
+@example(dict(_INPUT, n=2, thin=True))
+@example(dict(_INPUT, pi=[0, 1, 1, 2, 3, 4, 5, 6]))
+@example(dict(_INPUT, pi=[0, 2, 1]))
+@example(dict(_INPUT, pi=[0, 2**70, 1, 3, 4, 5, 6, 7]))
+@example(dict(_INPUT, model="kleinberg", identity_pi=True))
+@example(dict(_INPUT, model="grid-tree", n=16, thin=True, edges=True,
+              modes=["combined", "greedy-2"], pi=list(range(16))))
+def test_every_command_input_runs_or_is_refused_before_output(inputs):
+    # generate and route exit 0, or exit 1 before any output with one error
+    # line and no file; the spec is refused with ValueError, or runs
+    i = SimpleNamespace(**inputs)
+    with tempfile.TemporaryDirectory() as tmp:
+        common = ["--model", i.model, f"--n={i.n}", f"--seed={i.seed}",
+                  *i.flags, *(["--identity-pi"] if i.identity_pi else [])]
+        if i.pi is not None:
+            pi_file = Path(tmp) / "pi.txt"
+            pi_file.write_text(" ".join(map(str, i.pi)))
+            common += ["--pi-file", str(pi_file)]
+        out = Path(tmp) / "g.edges"
+        code = _run_command("generate", *common, "--out", str(out),
+                            *(["--thin"] if i.thin else []))
+        assert out.exists() == (code == 0)
+        plateau = {None: "auto", True: "on", False: "off"}[i.plateau]
+        _run_command("route", *common, f"--source={i.source}",
+                     f"--target={i.target}", f"--mode={i.modes[0]}",
+                     f"--plateau={plateau}",
+                     *([] if i.max_steps is None
+                       else [f"--max-steps={i.max_steps}"]),
+                     *(["--edges", str(out)] if i.edges and code == 0 else []))
+    try:
+        spec = harness.ExperimentSpec(
+            i.model, (i.n,), (i.seed,), routes_per_size=5,
+            routing_modes=tuple(RoutingMode(m, plateau=i.plateau,
+                                            max_steps=i.max_steps)
+                                for m in i.modes),
+            thinning=i.thin, params=i.params)
+    except ValueError:
+        return
+    result = harness.run_experiment(spec, workers=1)
+    assert len(result.rows) == len(i.modes)
 
 
 # ---------------------------------------------------------------------------

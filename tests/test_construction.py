@@ -759,3 +759,7 @@ def test_permutation_parsing(tmp_path):
         load_permutation(path)
     path.write_text("3 2 1 0\n")
     assert list(load_permutation(path)) == [3, 2, 1, 0]
+    # an entry beyond int64 is refused as a non-permutation, never overflows
+    path.write_text(f"0 {2**70} 1")
+    with pytest.raises(ValueError, match="not a permutation"):
+        load_permutation(path)

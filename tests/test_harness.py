@@ -497,6 +497,41 @@ def test_check_model_returns_the_preset_and_refuses_in_order():
                                 (RoutingMode("half-greedy-1"),))
 
 
+def test_check_model_refuses_sizes_thinning_and_explicit_pi_in_order():
+    # params, then the size floors, then the spaces, their kinds and modes,
+    # then the explicit permutation
+    half = (RoutingMode("half-greedy-2"),)
+    for model, params, sizes, modes, kwargs, message in (
+            ("continuum", {"box1": []}, (0,), (), {}, "box1 must be"),
+            ("continuum", {}, (0, 8), (), {"thinning": True},
+             "^n must be >= 1, got 0$"),
+            ("grid-tree", {}, (-4,), (), {}, "^n must be >= 1, got -4$"),
+            ("grid-tree", {}, (2, 6), (), {"thinning": True},
+             "^sizes must be >= 3 with thinning$"),
+            ("grid-tree", {}, (6,), (), {"thinning": True}, "n=6 is not a power"),
+            ("independent-interest", {"space": {"kind": "tree"}}, (16,), half,
+             {"explicit_pi": True}, "half-greedy-2 needs a graph-kind space"),
+            ("continuum", {}, (8,), (), {"explicit_pi": True},
+             "^model 'continuum' takes no explicit permutation$"),
+            ("kleinberg", {}, (16,), (), {"explicit_pi": True},
+             "^model 'kleinberg' takes no explicit permutation$")):
+        with pytest.raises(ValueError, match=message):
+            harness.check_model(model, params, sizes, modes, **kwargs)
+    assert harness.check_model("two-directed-cycles", {}, (3,), half,
+                               thinning=True, explicit_pi=True)[0] == \
+        "double-clustering"
+
+
+def test_build_model_refuses_explicit_pi_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the model was checked")
+    monkeypatch.setattr(harness, "_spaces", no_build)
+    for model in ("continuum", "kleinberg", "independent-interest"):
+        with pytest.raises(ValueError, match=f"^model {model!r} takes no "
+                                             "explicit permutation$"):
+            build_model(model, {}, 16, Seed(0), pi=np.arange(16))
+
+
 def test_budget_refusal(monkeypatch):
     # one ceiling for every model, checked when the spec is made
     def no_build(*args, **kwargs):
