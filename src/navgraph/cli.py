@@ -79,16 +79,23 @@ def _model_params(args) -> dict:
     return params
 
 
+def _check_file_flag(flag: str, value: str | None) -> None:
+    # an empty value names no file; it is refused, never read as absent
+    if value == "":
+        raise _UsageError(f"{flag} must name a file, got an empty value")
+
+
 def _checked_model(args, modes=(), thinning: bool = False):
     """The model's params and explicit permutation (None where the seed
     draws one), once the model check has passed and --pi-file is read."""
+    _check_file_flag("--pi-file", args.pi_file)
     params = _model_params(args)
     harness.check_model(args.model, params, (args.n,), modes,
                         thinning=thinning,
-                        explicit_pi=args.identity_pi or bool(args.pi_file))
+                        explicit_pi=args.identity_pi or args.pi_file is not None)
     if args.identity_pi:
         return params, np.arange(args.n)
-    if not args.pi_file:
+    if args.pi_file is None:
         return params, None
     pi = load_permutation(args.pi_file)
     if len(pi) != args.n:
@@ -125,17 +132,23 @@ def _cmd_route(args, argv) -> int:
     mode = RoutingMode(
         args.mode, max_steps=args.max_steps,
         plateau=None if args.plateau == "auto" else args.plateau == "on")
+    _check_file_flag("--edges", args.edges)
     params, pi = _checked_model(args, (mode,))
     for v in (args.source, args.target):
         if not 0 <= v < args.n:
             raise _UsageError(f"vertex {v} out of range [0, {args.n})")
-    edges = read_edge_list(args.edges, n=args.n) if args.edges else None
+    edges = None if args.edges is None else read_edge_list(args.edges, n=args.n)
     seed = _resolve_seed(args.seed)
     _echo(argv, seed)
-    assignment, graph = harness.build_model(args.model, params, args.n,
-                                            Seed(seed), pi=pi)
-    outcome = route(graph if edges is None else edges, assignment, mode,
-                    args.source, args.target)
+    # an edge list replaces the model's graph, which is then never built
+    if edges is None:
+        assignment, graph = harness.build_model(args.model, params, args.n,
+                                                Seed(seed), pi=pi)
+    else:
+        assignment = harness.build_assignment(args.model, params, args.n,
+                                              Seed(seed), pi=pi)
+        graph = edges
+    outcome = route(graph, assignment, mode, args.source, args.target)
     print(f"mode: {mode.label}")
     print("path: " + " -> ".join(str(v) for v in outcome.path))
     print(f"steps: {outcome.steps}")

@@ -587,9 +587,16 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
 
 
 def load_permutation(path: str | Path) -> np.ndarray:
-    """The permutation a file of whitespace-separated integers lists."""
+    """The permutation a file of whitespace-separated integers lists; any
+    other token is refused with the file's path."""
     # compared as Python ints, so that no entry overflows int64 unchecked
-    values = [int(tok) for tok in Path(path).read_text().split()]
+    values = []
+    for tok in Path(path).read_text().split():
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{path}: expected whitespace-separated "
+                             f"integers, got {tok!r}") from None
     if sorted(values) != list(range(len(values))):
         raise ValueError("input is not a permutation of 0..n-1")
     return np.array(values, dtype=np.int64)

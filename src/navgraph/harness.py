@@ -47,6 +47,7 @@ __all__ = [
     "experiment_spec_from_dict",
     "check_model",
     "build_space",
+    "build_assignment",
     "build_model",
     "AGGREGATE_HEADER",
     "RAW_HEADER",
@@ -408,10 +409,11 @@ def _preset(model: str, params: dict) -> tuple[str, list, tuple]:
     return make(params)
 
 
-def build_model(model: str, params: dict, n: int, seed: Seed,
-                pi: np.ndarray | None = None) -> tuple[Assignment, NavGraph]:
-    """Instantiate the model's spaces at size n and build its graph, once
-    :func:`check_model` has passed the model at that size.
+def build_assignment(model: str, params: dict, n: int, seed: Seed,
+                     pi: np.ndarray | None = None) -> Assignment:
+    """Instantiate the model's spaces at size n and pair them as
+    :func:`build_model` does, once :func:`check_model` has passed the model
+    at that size.
 
     Double clustering pairs its two spaces by a permutation from the seed's
     stream, or by ``pi`` where given (to replay explicit permutations).
@@ -419,21 +421,27 @@ def build_model(model: str, params: dict, n: int, seed: Seed,
     identity, and a baseline's one space with itself: neither takes a
     ``pi``.
     """
-    builder, descriptors, args = check_model(model, params, (n,),
-                                             explicit_pi=pi is not None)
+    _, descriptors, _ = check_model(model, params, (n,),
+                                    explicit_pi=pi is not None)
     spaces = _spaces(descriptors, n, seed)
+    if pi is not None:
+        return Assignment(*spaces, pi)
+    if _pairs_by_pi(descriptors):
+        return Assignment.random(*spaces, seed)
+    return Assignment.identity(*spaces)
+
+
+def build_model(model: str, params: dict, n: int, seed: Seed,
+                pi: np.ndarray | None = None) -> tuple[Assignment, NavGraph]:
+    """The model's assignment, from :func:`build_assignment`, and the graph
+    its builder builds on it."""
+    assignment = build_assignment(model, params, n, seed, pi)
+    builder, _, args = _preset(model, params)
     if builder == "double-clustering":
-        if pi is not None:
-            assignment = Assignment(*spaces, pi)
-        elif _pairs_by_pi(descriptors):
-            assignment = Assignment.random(*spaces, seed)
-        else:
-            assignment = Assignment.identity(*spaces)
         return assignment, build_double_clustering(assignment)
-    space, = spaces
     if builder == "kleinberg":
-        return Assignment.identity(space), build_kleinberg(space, *args, seed)
-    return Assignment.identity(space), build_independent_interest(space, seed)
+        return assignment, build_kleinberg(assignment.space1, *args, seed)
+    return assignment, build_independent_interest(assignment.space1, seed)
 
 
 def _build_trial(spec: ExperimentSpec, n: int, seed: Seed

@@ -25,8 +25,9 @@ Combined routing also counts balls around the target; it reads distances
 and ball sizes through each space's per-target preparation
 (:meth:`~navgraph.spaces.Space.prepare_target`).  On cycles, grids and
 tree leaves that is the scalar kernel plus a closed-form count, so the
-route cost follows the path there too; a point cloud enumerates and
-sorts the target's distances once per route.
+route cost follows the path there too; a point cloud computes the
+target's distance array once per route, reads its distances from it and
+counts a ball by comparing the array with the radius.
 
 Plateau moves (equal-distance steps to vertices not already on the path)
 are allowed when enabled; they default on for tree-distance and combined

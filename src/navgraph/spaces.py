@@ -17,6 +17,13 @@ of sources (one row each), so that builders read a block of rows in one
 call.  Grid and Euclidean override rows to read whole coordinate columns
 with no gather.
 
+Each scalar read is Python arithmetic on Python numbers, with no numpy
+call and no nested call: a cycle reads one difference; a 2-D grid reads
+its two coordinates unrolled, as a 2-D or 3-D point cloud does, and
+other grids and clouds loop over their axes; tree leaves read the bit
+length of ``v ^ y`` over s bits a digit, rounded up, when the branching
+is 2^s, and compare subtrees level by level for any other branching.
+
 Ids are checked once per call, where they enter: the pairwise form checks
 both of its arguments and rows check their sources, then call each kind's
 unchecked pairwise kernel, ``_between``; balls check their centers, and
@@ -46,11 +53,15 @@ point clouds sort each ball on the distances they computed.
 Ball sizes around one center are counted by :meth:`Space.prepare_target`,
 which prepares a target once for combined routing: it returns the scalar
 kernel toward the target and a counter ``r -> |ball of radius r|`` around
-it.  The integer kinds count in closed form (an arc length, a subtree
-width, or the grid's per-axis offset counts convolved across axes), so a
-route pays nothing per vertex of the space; a point cloud enumerates the
-target's distance array once, reads its distances from that array and
-counts a ball by comparing the array with the radius.
+it.  The integer kinds count in closed form, so a route pays nothing per
+vertex of the space: each counter is one closure that checks and floors
+the radius inline and returns an arc length or a subtree's width, or
+reads the grid's table of ball sizes at each integer radius up to the
+target's largest distance: the running sum of the per-axis offset counts
+convolved across axes, each axis's counts written down from where the
+target lies on it.  A point cloud computes the target's distance array
+once, reads its distances from that array and counts a ball by comparing
+the array with the radius.
 """
 
 from __future__ import annotations
@@ -97,9 +108,8 @@ def _owner_order(owner: np.ndarray, key: np.ndarray) -> np.ndarray:
     return order[np.argsort(small, kind="stable")]
 
 
-def _check_radius(r) -> None:
-    if not r >= 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
+def _bad_radius(r) -> ValueError:
+    return ValueError(f"radius must be >= 0, got {r}")
 
 
 def _norms(diffs) -> np.ndarray:
@@ -245,19 +255,8 @@ class Space:
         centers = self._check_vertices(np.atleast_1d(centers))
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), centers.shape)
         if not np.all(radii >= 0):
-            raise ValueError(f"radius must be >= 0, got {radii[~(radii >= 0)][0]}")
+            raise _bad_radius(radii[~(radii >= 0)][0])
         return centers, radii
-
-    def _closed_form_target(self, y: int, size_at, last: int):
-        """:meth:`prepare_target` for integer distances: the scalar kernel,
-        and ``size_at(k)``, the ball size at integer radius k, for every k
-        up to ``last``, the largest distance from ``y``."""
-        dist = self.distance_to(y)
-
-        def count(r) -> int:
-            _check_radius(r)
-            return size_at(math.floor(min(r, last)))
-        return dist, count
 
     def _ball_steps(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
         """Centers and, for integer distances, the largest distance each
@@ -302,8 +301,15 @@ class DirectedCycle(Space):
         return owner, (centers[owner] + ahead) % self.n, ahead
 
     def prepare_target(self, y: int):
-        # the forward arc y, ..., y + k
-        return self._closed_form_target(y, lambda k: k + 1, self.diameter())
+        # the forward arc y, ..., y + k, for k = floor(r) short of the
+        # whole cycle
+        last = self.diameter()
+
+        def count(r) -> int:
+            if not r >= 0:
+                raise _bad_radius(r)
+            return int(r) + 1 if r < last else last + 1
+        return self.distance_to(y), count
 
     def diameter(self) -> int:
         return self.n - 1
@@ -347,10 +353,15 @@ class UndirectedCycle(Space):
         return owner, (centers[owner] + np.where(t & 1, -d, d)) % self.n, d
 
     def prepare_target(self, y: int):
-        # the arc y - k, ..., y + k
-        n = self.n
-        return self._closed_form_target(y, lambda k: min(2 * k + 1, n),
-                                        self.diameter())
+        # the arc y - k, ..., y + k, for k = floor(r) short of the half
+        # cycle, from where it covers the whole cycle
+        n, half = self.n, self.diameter()
+
+        def count(r) -> int:
+            if not r >= 0:
+                raise _bad_radius(r)
+            return 2 * int(r) + 1 if r < half else n
+        return self.distance_to(y), count
 
     def diameter(self) -> int:
         return self.n // 2
@@ -411,6 +422,18 @@ class Grid(Space):
         # is still the short way (half the length around a toric axis)
         axes = [(c, length, length // 2 if self.toric else length)
                 for c, length in zip(rows[y], self.dims)]
+        if len(axes) == 2:
+            (y0, length0, reach0), (y1, length1, reach1) = axes
+
+            def d(v: int) -> int:
+                if not 0 <= v < n:
+                    raise _out_of_range(v, n)
+                v0, v1 = rows[v]
+                a0 = v0 - y0 if v0 >= y0 else y0 - v0
+                a1 = v1 - y1 if v1 >= y1 else y1 - v1
+                return ((a0 if a0 <= reach0 else length0 - a0)
+                        + (a1 if a1 <= reach1 else length1 - a1))
+            return d
 
         def d(v: int) -> int:
             if not 0 <= v < n:
@@ -458,19 +481,31 @@ class Grid(Space):
 
     def prepare_target(self, y: int):
         # the L1 shells around y: per axis, the number of coordinates at
-        # each offset from y's (wrapped on a toric axis), convolved across
-        # the axes; their running sums are the ball sizes
+        # each offset from y's, convolved across the axes; their running
+        # sums are the ball sizes.  On a clipped axis, offset 0 is y's
+        # coordinate, each offset up to the nearer edge has one coordinate
+        # on either side and each further one, out to the farther edge, one;
+        # around a toric axis of length L every offset short of L / 2 has
+        # two and offset L / 2 (L even) one, wherever y lies
         self._check_vertex(y)
-        shells = np.ones(1, dtype=np.int64)
+        shells = None
         for c, length in zip(self._coord_rows[y], self.dims):
-            coord = np.arange(length)
             if self.toric:
-                offset = np.minimum(coord, length - coord)
+                near, far = (length - 1) // 2, length // 2
             else:
-                offset = np.abs(coord - c)
-            shells = np.convolve(shells, np.bincount(offset))
-        sizes = np.cumsum(shells).tolist()
-        return self._closed_form_target(y, sizes.__getitem__, len(sizes) - 1)
+                near, far = min(c, length - 1 - c), max(c, length - 1 - c)
+            counts = np.ones(far + 1, dtype=np.int64)
+            counts[1:near + 1] = 2
+            shells = counts if shells is None else np.convolve(shells, counts)
+        # sizes[k] at integer radius k, up to the largest distance from y
+        sizes = shells.cumsum().tolist()
+        last, total = len(sizes) - 1, sizes[-1]
+
+        def count(r) -> int:
+            if not r >= 0:
+                raise _bad_radius(r)
+            return sizes[int(r)] if r < last else total
+        return self.distance_to(y), count
 
     def diameter(self) -> int:
         if self.toric:
@@ -506,7 +541,15 @@ class TreeLeaves(Space):
 
     def distance_to(self, y: int):
         self._check_vertex(y)
-        n, height = self.n, self.height
+        n, height, s = self.n, self.height, self._bits
+        if s:
+            # the bit length of v ^ y over s bits a digit, rounded up, as
+            # _between reads it
+            def d(v: int) -> int:
+                if not 0 <= v < n:
+                    raise _out_of_range(v, n)
+                return -(-(v ^ y).bit_length() // s)
+            return d
         widths = [self.branching**level for level in range(height)]
         subtree = [y // w for w in widths]  # y's subtree at each level
 
@@ -564,9 +607,15 @@ class TreeLeaves(Space):
         return owner, member, d
 
     def prepare_target(self, y: int):
-        # the leaves of y's subtree of height k
-        b = self.branching
-        return self._closed_form_target(y, lambda k: b**k, self.height)
+        # the leaves of y's subtree of height k, for k = floor(r) short of
+        # the whole tree
+        b, height, n = self.branching, self.height, self.n
+
+        def count(r) -> int:
+            if not r >= 0:
+                raise _bad_radius(r)
+            return b ** int(r) if r < height else n
+        return self.distance_to(y), count
 
     def diameter(self) -> int:
         return self.height
@@ -726,7 +775,8 @@ class Euclidean(Space):
     def prepare_target(self, y: int):
         # no closed form: y's distances enumerated once, ``dist`` read
         # from that array and ``count`` by comparison with it
-        to_y = self.distances_from(y)
+        self._check_vertex(y)
+        to_y = _norms(column - column[y] for column in self._columns)
         # a memoryview reads Python scalars without copying the array
         n, values = self.n, memoryview(to_y)
 
@@ -736,7 +786,8 @@ class Euclidean(Space):
             return values[v]
 
         def count(r) -> int:
-            _check_radius(r)
+            if not r >= 0:
+                raise _bad_radius(r)
             return int(np.count_nonzero(to_y <= r))
         return dist, count
 

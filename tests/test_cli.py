@@ -99,16 +99,26 @@ _REFUSED_MODEL_INPUTS = [
      "model 'continuum' takes no explicit permutation"),
     (("--model", "kleinberg", "--identity-pi"),
      "model 'kleinberg' takes no explicit permutation"),
+    # an empty value is refused by name, before the model check, which
+    # would otherwise refuse a permutation that continuum does not take
+    (("--model", "continuum", "--pi-file", ""),
+     "--pi-file must name a file, got an empty value"),
+    (("--model", "two-directed-cycles", "--pi-file", ""),
+     "--pi-file must name a file, got an empty value"),
+    (("--model", "two-directed-cycles", "--pi-file", "TMP/token.pi"),
+     "/token.pi: expected whitespace-separated integers, got 'x'"),
 ]
 _REFUSED_MODEL_IDS = ["continuum-n-0", "grid-tree-n-negative",
                       "interest-tree-n-0", "pi-file-repeat",
                       "pi-file-wrong-length", "identity-pi-continuum",
-                      "identity-pi-kleinberg"]
+                      "identity-pi-kleinberg", "pi-file-empty-continuum",
+                      "pi-file-empty", "pi-file-token"]
 
 
 def _write_refused_inputs(directory: Path) -> None:
     (directory / "repeat.pi").write_text("0 1 1 2\n")
     (directory / "short.pi").write_text("2 0 1\n")
+    (directory / "token.pi").write_text("0 x 1\n")
     (directory / "out-of-range.edges").write_text("0\t1\n0\t4096\n")
 
 
@@ -266,10 +276,12 @@ def test_route_unknown_vertex(capsys):
     *_REFUSED_MODEL_INPUTS,
     (("--model", "two-directed-cycles", "--edges", "TMP/out-of-range.edges"),
      "edge (0, 4096) out of range for n=4096"),
+    (("--model", "two-directed-cycles", "--edges", ""),
+     "--edges must name a file, got an empty value"),
 ], ids=["max-steps-0", "source-out-of-range", "target-out-of-range",
         "half-greedy-on-continuum", "plateau-on-half-greedy",
         "plateau-off-half-greedy", "unread-branching",
-        *_REFUSED_MODEL_IDS, "edge-out-of-range"])
+        *_REFUSED_MODEL_IDS, "edge-out-of-range", "edges-empty"])
 def test_route_refuses_bad_arguments_before_building(monkeypatch, tmp_path,
                                                       capsys, flags, message):
     def build_model(*args, **kwargs):
@@ -337,6 +349,37 @@ def test_route_from_edge_list_file(tmp_path, capsys):
                    "--source", "0", "--target", "9")
     assert code == 0
     assert "success: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model_args", [
+    ("--model", "two-directed-cycles"),
+    ("--model", "grid-tree", "--branching", "2"),
+    ("--model", "continuum"),
+    ("--model", "kleinberg"),
+    ("--model", "independent-interest", "--space-kind", "tree"),
+], ids=["double-cycles", "grid-tree", "continuum", "kleinberg", "interest"])
+def test_route_from_an_edge_list_builds_no_graph(monkeypatch, tmp_path,
+                                                 capsys, model_args):
+    # the edge list replaces the model's graph: no builder runs, and the
+    # route is the one taken on the built graph, with the same spaces
+    edges = tmp_path / "g.edges"
+    argv = [*model_args, "--n", "64", "--seed", "3", "--source", "5",
+            "--target", "60", "--mode", "greedy-1"]
+    assert run_cli("generate", *model_args, "--n", "64", "--seed", "3",
+                   "--out", str(edges)) == 0
+    capsys.readouterr()
+    assert run_cli("route", *argv) == 0
+    built = capsys.readouterr().out.splitlines()
+
+    def builder(*args, **kwargs):
+        raise AssertionError("a graph was built")
+    for name in ("build_double_clustering", "build_kleinberg",
+                 "build_independent_interest"):
+        monkeypatch.setattr(harness, name, builder)
+    assert run_cli("route", *argv, "--edges", str(edges)) == 0
+    read = capsys.readouterr().out.splitlines()
+    assert read[0] == built[0] + f" --edges {edges}"
+    assert read[1:] == built[1:]
 
 
 @pytest.mark.parametrize("bad", ["3\t4\t5", "3", "3\tx"],

@@ -763,3 +763,14 @@ def test_permutation_parsing(tmp_path):
     path.write_text(f"0 {2**70} 1")
     with pytest.raises(ValueError, match="not a permutation"):
         load_permutation(path)
+
+
+@pytest.mark.parametrize("text,token", [("0 x 1", "x"), ("0 1.0 2", "1.0"),
+                                        ("1 0\n2 -", "-")])
+def test_permutation_refuses_a_token_with_its_path(tmp_path, text, token):
+    path = tmp_path / "pi.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as refused:
+        load_permutation(path)
+    assert str(refused.value) == (f"{path}: expected whitespace-separated "
+                                  f"integers, got {token!r}")

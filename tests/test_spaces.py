@@ -201,7 +201,29 @@ def kernel_spaces():
     ]
 
 
-@pytest.mark.parametrize("space", kernel_spaces(), ids=space_id)
+def grid_shapes():
+    """Clipped and toric grids of one to three axes, with axes of length
+    1 and 2 and of odd and even length."""
+    dims = [(1,), (2,), (7,), (8,), (1, 1), (1, 5), (2, 2), (2, 7), (6, 4),
+            (3, 1, 4), (2, 2, 2), (3, 4, 5)]
+    return [Grid(d, toric=t) for t in (False, True) for d in dims]
+
+
+def scalar_form_spaces():
+    """Spaces whose scalar forms take each of their branches: 2-D grids
+    read unrolled and the other axis counts by the loop, clipped and
+    toric, with axes of length 1 and 2; trees read by bit length whose
+    distances span several digits of 1, 2 and 3 bits, and a branching
+    that is not a power of 2, read level by level; those that
+    :func:`tie_heavy_spaces` already lists are left out."""
+    known = tie_heavy_spaces()
+    return [s for s in grid_shapes() + [TreeLeaves(2, 6), TreeLeaves(4, 3),
+                                        TreeLeaves(8, 3), TreeLeaves(3, 4)]
+            if s not in known]
+
+
+@pytest.mark.parametrize("space", kernel_spaces() + scalar_form_spaces(),
+                         ids=space_id)
 def test_scalar_kernel_equals_arrays_bit_for_bit(space):
     # routers read the scalar kernel, builders the arrays: one distance
     # per pair, to the last bit, or greedy ties break differently
@@ -210,6 +232,8 @@ def test_scalar_kernel_equals_arrays_bit_for_bit(space):
         to_y = space.distance_to(y)
         assert [to_y(v) for v in range(n)] == \
             space.distances_between(np.arange(n), y).tolist()
+        if not isinstance(space, Euclidean):
+            assert all(type(to_y(v)) is int for v in range(n))
         assert [distance(space, y, v) for v in range(n)] == space.distances_from(y).tolist()
     for bad in (-1, n):
         with pytest.raises(ValueError):
@@ -255,14 +279,6 @@ def test_distances_between_broadcasts(space):
     assert np.array_equal(space.distances_between(ids[:, None], ids), rows)
     assert np.array_equal(space.distances_between(ids[:, None], ids[::-1]),
                           rows[:, ::-1])
-
-
-def grid_shapes():
-    """Clipped and toric grids of one to three axes, with axes of length
-    1 and 2 and of odd and even length."""
-    dims = [(1,), (2,), (7,), (8,), (1, 1), (1, 5), (2, 2), (2, 7), (6, 4),
-            (3, 1, 4), (2, 2, 2), (3, 4, 5)]
-    return [Grid(d, toric=t) for t in (False, True) for d in dims]
 
 
 @pytest.mark.parametrize("grid", grid_shapes(), ids=repr)
@@ -412,7 +428,8 @@ def test_cloud_with_a_wide_finite_box_is_accepted():
     assert cloud.ball_members(2, 1.0)[1].tolist() == [2]
 
 
-@pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
+@pytest.mark.parametrize("space", tie_heavy_spaces() + scalar_form_spaces(),
+                         ids=space_id)
 def test_prepared_target_matches_enumeration(space):
     # the prepared distances equal the array kernel toward the target bit
     # for bit, and the counts equal the enumerated balls around it at 0,
@@ -430,10 +447,14 @@ def test_prepared_target_matches_enumeration(space):
                   largest + 0.5, largest + 3, math.inf]:
             assert count(r) == np.count_nonzero(d <= r)
             assert type(count(r)) is int
-        with pytest.raises(ValueError):
-            count(-0.5)
-        with pytest.raises(ValueError):
-            count(math.nan)
+        for bad in (-0.5, -1, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                count(bad)
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match="out of range"):
+            space.prepare_target(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            space.prepare_target(0)[0](bad)
 
 
 @pytest.mark.parametrize(
