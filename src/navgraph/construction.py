@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -226,11 +225,17 @@ class Assignment:
 
     Vertex ``v`` sits at position ``v`` in ``space1`` and position
     ``pi[v]`` in ``space2``; ``pi`` must be a bijection on [0, n).
+    ``spaces[s - 1]`` is space s and ``positions[s - 1][v]`` is ``v``'s
+    position there, as a tuple of ints built once with the assignment, so
+    a router reads either space the same way.
     """
 
     space1: Space
     space2: Space
     pi: np.ndarray
+    spaces: tuple[Space, Space] = field(init=False, repr=False)
+    positions: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False)
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=np.int64).copy()
@@ -242,15 +247,13 @@ class Assignment:
             raise ValueError("pi must be a permutation of 0..n-1")
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "spaces", (self.space1, self.space2))
+        object.__setattr__(self, "positions",
+                           (tuple(range(n)), tuple(pi.tolist())))
 
     @property
     def n(self) -> int:
         return self.space1.n
-
-    @cached_property
-    def pi_list(self) -> list[int]:
-        """``pi`` as a list, for reading one position at a time."""
-        return self.pi.tolist()
 
     @classmethod
     def identity(cls, space1: Space, space2: Space | None = None) -> "Assignment":
@@ -612,7 +615,7 @@ def write_edge_list(graph: NavGraph, path: str | Path) -> None:
     Path(path).write_text(edge_list_text(graph))
 
 
-def read_edge_list(path: str | Path, n: int | None = None) -> NavGraph:
+def read_edge_list(path: str | Path, n: int) -> NavGraph:
     """The graph of a file of `tail<TAB>head` lines; blank lines are
     skipped, and any other line is refused with its path and number."""
     pairs = []
@@ -626,8 +629,6 @@ def read_edge_list(path: str | Path, n: int | None = None) -> NavGraph:
             raise ValueError(f"{path}:{number}: expected 'tail<TAB>head' "
                              f"integers, got {line.strip()!r}") from None
         pairs.append((tail, head))
-    if n is None:
-        n = 1 + max((max(t, h) for t, h in pairs), default=-1)
     out: list[set[int]] = [set() for _ in range(n)]
     for tail, head in pairs:
         if not (0 <= tail < n and 0 <= head < n):

@@ -235,6 +235,8 @@ def find_divergent_permutation(n_max: int) -> DivergenceWitness | None:
     and target in both cycles with their order swapped, which first happens
     at small n; at n = 3 there is provably none.
     """
+    if n_max < 2:
+        raise ValueError(f"exhaustive search needs n_max >= 2, got {n_max}")
     if n_max > _MAX_DIVERGENCE_N:
         raise ValueError(f"exhaustive search supports n_max <= {_MAX_DIVERGENCE_N}")
     for n in range(2, n_max + 1):

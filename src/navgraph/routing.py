@@ -11,9 +11,12 @@ global space geometry:
 * combined: greedy over both spaces at once, at each step preferring the
   space whose best neighbor leaves the smaller ball around the target.
 
-Greedy and half-greedy read each distance through the space's scalar
-kernel toward the target (:meth:`~navgraph.spaces.Space.distance_to`), so
-a route costs its path length times the out-degree, at every size.  A step
+Greedy and half-greedy read either space one way: space s is
+``Assignment.spaces[s - 1]``, and a vertex is read there at its position in
+the tuple ``Assignment.positions[s - 1]``, which the assignment builds once.
+They read each distance through the space's scalar kernel toward the
+target (:meth:`~navgraph.spaces.Space.distance_to`), so a route costs its
+path length times the out-degree, at every size.  A step
 makes one kernel read per out-neighbor (combined routing one per space)
 and nothing else: the distance of the vertex a route stands on comes from
 the step that chose it.  A route returns those distances of the vertices
@@ -178,21 +181,7 @@ def resolved_plateau(mode: RoutingMode, assignment: Assignment) -> bool:
         return mode.plateau
     if mode.kind == "combined":
         return True
-    space = assignment.space1 if mode.space == 1 else assignment.space2
-    return isinstance(space, TreeLeaves)
-
-
-# ---------------------------------------------------------------------------
-# distance-to-target accessors
-
-
-def _dist_getter(a: Assignment, space_sel: int, target: int):
-    """``v -> distance(v, target)`` in the selected space."""
-    if space_sel == 1:
-        return a.space1.distance_to(target)
-    pos = a.pi_list
-    to_target = a.space2.distance_to(pos[target])
-    return lambda v: to_target(pos[v])
+    return isinstance(assignment.spaces[mode.space - 1], TreeLeaves)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +194,13 @@ def _dist_getter(a: Assignment, space_sel: int, target: int):
 # the smallest id on ties since out-neighbor lists ascend.
 
 
-def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
-    get = _dist_getter(a, space_sel, target)
+def _greedy(graph, a, s, plateau, max_steps, source, target):
+    pos = a.positions[s - 1]
+    to = a.spaces[s - 1].distance_to(pos[target])
     out = graph.out_edges
     path, trace = [source], []
     visited = {source} if plateau else None
-    x, dx = source, get(source)
+    x, dx = source, to(pos[source])
     while x != target:
         if len(trace) >= max_steps:
             return RouteOutcome(source, target, path, trace, Failure.STEP_LIMIT)
@@ -219,7 +209,7 @@ def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
         # only a plateau move could revisit one
         w, dw, level = -1, dx, -1
         for v in out[x]:
-            dv = get(v)
+            dv = to(pos[v])
             if dv < dw:
                 w, dw = v, dv
             elif plateau and dv == dx and level < 0 and v not in visited:
@@ -236,27 +226,24 @@ def _greedy(graph, a, space_sel, plateau, max_steps, source, target):
     return RouteOutcome(source, target, path, trace)
 
 
-def _half_greedy(graph, a, space_sel, max_steps, source, target):
-    space = a.space1 if space_sel == 1 else a.space2
+def _half_greedy(graph, a, s, max_steps, source, target):
+    space, pos = a.spaces[s - 1], a.positions[s - 1]
     if not space.is_graph_kind:
         raise ValueError(
             "half-greedy routing needs a graph-kind space (no base neighbors "
             f"on {space.kind})")
-    get = _dist_getter(a, space_sel, target)
-    # each vertex's position in space 2, where its base neighbors lie; in
-    # space 1 a vertex is its own position, read without a lookup
-    pos = a.pi_list if space_sel == 2 else None
+    to = space.distance_to(pos[target])
     base_of = space.base_neighbors
     out = graph.out_edges
     path, trace = [source], []
-    x, dx = source, get(source)
+    x, dx = source, to(pos[source])
     while x != target:
         if len(trace) >= max_steps:
             return RouteOutcome(source, target, path, trace, Failure.STEP_LIMIT)
         # the closest neighbor, and the neighbors exactly one closer
         w, dw, one_closer = -1, dx, []
         for v in out[x]:
-            dv = get(v)
+            dv = to(pos[v])
             if dv < dw:
                 w, dw = v, dv
             if dv == dx - 1:
@@ -267,12 +254,8 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
         # space-1 base edges)
         if not dx > 2 * dw:
             dw = dx - 1
-            if pos is None:
-                base = base_of(x)
-                w = next((v for v in one_closer if v in base), -1)
-            else:
-                base = base_of(pos[x])
-                w = next((v for v in one_closer if pos[v] in base), -1)
+            base = base_of(pos[x])
+            w = next((v for v in one_closer if pos[v] in base), -1)
             if w < 0:
                 return RouteOutcome(source, target, path, trace, Failure.STUCK)
         trace.append(dx)
@@ -282,7 +265,8 @@ def _half_greedy(graph, a, space_sel, max_steps, source, target):
 
 
 def _combined(graph, a, plateau, max_steps, literal_m, source, target):
-    pos = a.pi_list
+    # space 1 is read at each vertex's id, which is its position there
+    pos = a.positions[1]
     to1, count1 = a.space1.prepare_target(target)
     to2, count2 = a.space2.prepare_target(pos[target])
     out = graph.out_edges

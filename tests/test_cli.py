@@ -581,9 +581,12 @@ def test_failed_oracle_report_prints_writes_and_exits_two(
     ("marginal --n 20", "exhaustive enumeration supports 2 <= n <= 8, got 20"),
     ("monotonicity --n 1", "exhaustive enumeration supports 2 <= n <= 7, got 1"),
     ("divergence --n-max 10", "exhaustive search supports n_max <= 9"),
+    ("divergence --n-max 1", "exhaustive search needs n_max >= 2, got 1"),
+    ("divergence --n-max -3", "exhaustive search needs n_max >= 2, got -3"),
     ("tau --n 10 --set-size 6", "set sizes exceed the universe"),
     ("tau --n 100 --set-size 5 --samples 0", "samples must be >= 1"),
-], ids=["marginal", "monotonicity", "divergence", "tau-sets", "tau-samples"])
+], ids=["marginal", "monotonicity", "divergence", "divergence-1",
+        "divergence-negative", "tau-sets", "tau-samples"])
 def test_oracle_refuses_out_of_range_sizes_before_output(tmp_path, capsys,
                                                          argv, message):
     # each oracle refuses what it cannot take before the invocation line

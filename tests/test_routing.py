@@ -282,8 +282,8 @@ def test_half_greedy_in_second_space():
             continue
         out = route(g, a, RoutingMode("half-greedy-2"), src, tgt)
         assert out.success
-        to_tgt = a.space2.distance_to(a.pi_list[tgt])
-        trace = [to_tgt(a.pi_list[v]) for v in out.path]
+        to_tgt = a.space2.distance_to(a.positions[1][tgt])
+        trace = [to_tgt(a.positions[1][v]) for v in out.path]
         for before, after in zip(trace, trace[1:]):
             assert before > 2 * after or after == before - 1
 
@@ -547,7 +547,7 @@ def admitted_modes(a):
     """Every routing mode the assignment's spaces admit."""
     modes = [RoutingMode.parse(label) for label in MODE_LABELS]
     return [m for m in modes if m.kind != "half-greedy"
-            or (a.space1 if m.space == 1 else a.space2).is_graph_kind]
+            or a.spaces[m.space - 1].is_graph_kind]
 
 
 def check_route_invariants(graph, a, mode, s, t, out):
@@ -585,6 +585,21 @@ def test_routers_keep_invariants_on_random_instances(instance, data):
             for s, t in pairs:
                 out = route(graph, a, mode, s, t)
                 check_route_invariants(graph, a, mode, s, t, out)
+
+
+@pytest.mark.parametrize("model", ["two-undirected-cycles", "grid-tree",
+                                   "continuum"])
+def test_routing_leaves_the_assignment_as_built(model):
+    # routers read the positions the assignment built once, in either
+    # space, and store nothing on it
+    a, graph = build_model(model, {}, 64, Seed(3))
+    built = dict(vars(a))
+    for mode in admitted_modes(a):
+        for s, t in ((0, 63), (17, 5), (40, 41)):
+            route(graph, a, mode, s, t)
+    assert vars(a).keys() == built.keys()
+    assert all(vars(a)[key] is value for key, value in built.items())
+    assert a.positions == (tuple(range(a.n)), tuple(a.pi.tolist()))
 
 
 def target_distances(a, space, target):
