@@ -70,10 +70,11 @@ class ExperimentSpec:
     ``params`` carries the knobs that the model's entry in the model table
     reads: ``grid_dims``, ``toric`` and ``branching`` (grid-tree),
     ``box1``/``box2`` extents (continuum), a ``space`` descriptor
-    (baselines) and ``alpha``/``links`` (kleinberg).  Sizes above
-    :data:`MAX_SIZE`, params keys the model does not read, and params,
-    sizes and modes that the model's spaces cannot take (through
-    :func:`check_model`), are refused here, before any trial runs.
+    (baselines) and ``alpha``/``links`` (kleinberg).  A field of the
+    wrong type (a list may be a tuple), params keys the model does not
+    read, and params, sizes and modes that the model's spaces cannot take
+    or that exceed :data:`MAX_SIZE` (through :func:`check_model`), are
+    refused here, before any trial runs; no value is coerced.
     """
 
     model: str
@@ -85,16 +86,25 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "routing_modes", tuple(self.routing_modes))
+        # each field's type, in the words of the config it mirrors
+        def listed(valid):
+            return lambda v: isinstance(v, (list, tuple)) and all(map(valid, v))
+        for key, valid, expected in (
+                ("model", lambda v: isinstance(v, str), "a string"),
+                ("sizes", listed(_is_int), "a list of integers"),
+                ("seeds", listed(_is_int), "a list of integers"),
+                ("routes_per_size", _is_int, "an integer"),
+                ("routing_modes", listed(lambda m: isinstance(m, RoutingMode)),
+                 "a list of mode labels"),
+                ("thinning", lambda v: isinstance(v, bool), "true or false"),
+                ("params", lambda v: isinstance(v, dict), "an object")):
+            _config_value(vars(self), key, None, valid, expected)
+        for key in ("sizes", "seeds", "routing_modes"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         # the params are refused before the sizes, the sizes' spaces after
         _preset(self.model, self.params)
         if not self.sizes or list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be nonempty and strictly ascending")
-        if self.sizes[-1] > MAX_SIZE:
-            raise ValueError(f"sizes {[n for n in self.sizes if n > MAX_SIZE]} "
-                             f"exceed the n <= {MAX_SIZE} ceiling")
         # a trial needs a route pair
         if self.sizes[0] < 2:
             raise ValueError("sizes must be >= 2")
@@ -118,15 +128,18 @@ def check_model(model: str, params: dict, sizes, modes=(), *,
     thinned and whether the caller pairs the spaces by a permutation of
     its own.  Refused, in this order: params that the model does not read
     or that do not describe its spaces, a size below 1 in the nonempty
-    ``sizes``, or below 3 with thinning, a size that one of its spaces
-    cannot take, a kleinberg space without a base graph, a mode in
-    ``modes`` that is half-greedy in a space without one, and an explicit
-    permutation for a model that draws none.
+    ``sizes``, a size above :data:`MAX_SIZE`, a size below 3 with thinning,
+    a size that one of its spaces cannot take, a kleinberg space without a
+    base graph, a mode in ``modes`` that is half-greedy in a space without
+    one, and an explicit permutation for a model that draws none.
     """
     preset = builder, descriptors, _ = _preset(model, params)
     smallest = min(sizes)
     if smallest < 1:
         raise ValueError(f"n must be >= 1, got {smallest}")
+    if max(sizes) > MAX_SIZE:
+        raise ValueError(f"sizes {[n for n in sizes if n > MAX_SIZE]} "
+                         f"exceed the n <= {MAX_SIZE} ceiling")
     # thinning keeps edges with probability 1/ln(n), which needs ln(n) > 1
     if thinning and smallest < 3:
         raise ValueError("sizes must be >= 3 with thinning")
@@ -170,8 +183,9 @@ def _config_value(data: dict, key: str, default, valid, expected: str,
 
 
 def experiment_spec_from_dict(data: dict) -> ExperimentSpec:
-    """The spec a JSON config describes; a value of the wrong JSON type is
-    refused, never coerced."""
+    """The spec a JSON config describes: the keys it gives, with the mode
+    labels parsed, passed to :class:`ExperimentSpec`, which refuses a value
+    of the wrong JSON type and never coerces one."""
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {data!r}")
     known = {"model", "sizes", "seeds", "routes_per_size", "routing_modes",
@@ -182,29 +196,11 @@ def experiment_spec_from_dict(data: dict) -> ExperimentSpec:
     missing = {"model", "sizes", "seeds"} - set(data)
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-
-    def int_list(value) -> bool:
-        return isinstance(value, list) and all(map(_is_int, value))
-
-    modes = _config_value(data, "routing_modes", ["greedy-1"],
-                          lambda v: isinstance(v, list)
-                          and all(isinstance(m, str) for m in v),
-                          "a list of mode labels")
-    return ExperimentSpec(
-        model=_config_value(data, "model", None, lambda v: isinstance(v, str),
-                            "a string"),
-        sizes=tuple(_config_value(data, "sizes", None, int_list,
-                                  "a list of integers")),
-        seeds=tuple(_config_value(data, "seeds", None, int_list,
-                                  "a list of integers")),
-        routes_per_size=_config_value(data, "routes_per_size", 1000, _is_int,
-                                      "an integer"),
-        routing_modes=tuple(RoutingMode.parse(m) for m in modes),
-        thinning=_config_value(data, "thinning", False,
-                               lambda v: isinstance(v, bool), "true or false"),
-        params=dict(_config_value(data, "params", {},
-                                  lambda v: isinstance(v, dict), "an object")),
-    )
+    data = dict(data)
+    modes = data.get("routing_modes")
+    if isinstance(modes, list) and all(isinstance(m, str) for m in modes):
+        data["routing_modes"] = [RoutingMode.parse(m) for m in modes]
+    return ExperimentSpec(**data)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentSpec:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .construction import Assignment, Seed, _graphs
 from .routing import RoutingMode, route
-from .spaces import DirectedCycle
+from .spaces import DirectedCycle, UndirectedCycle
 
 __all__ = [
     "MarginalLawReport",
@@ -307,7 +307,7 @@ def tau_tail(n: int, a_order, b_set, samples: int, seed: Seed) -> TauTailReport:
     tau is the first index t (in the supplied enumeration a_1..a_k) whose
     permuted position is at least as close to B as to the rest of A, or k
     if that never happens.  Distances are wrap-around on a cycle of n
-    positions.
+    positions, read from :class:`~navgraph.spaces.UndirectedCycle`'s kernel.
     """
     a_idx = [int(v) for v in a_order]
     b_idx = [int(v) for v in b_set]
@@ -324,10 +324,7 @@ def tau_tail(n: int, a_order, b_set, samples: int, seed: Seed) -> TauTailReport:
     rng = seed.rng("tau")
     a_arr = np.array(a_idx)
     b_arr = np.array(b_idx)
-
-    def circ(delta: np.ndarray) -> np.ndarray:
-        d = np.abs(delta)
-        return np.minimum(d, n - d)
+    circ = UndirectedCycle(n).distances_between
 
     tau_counts = np.zeros(k + 1, dtype=np.int64)
     for _ in range(samples):
@@ -335,12 +332,12 @@ def tau_tail(n: int, a_order, b_set, samples: int, seed: Seed) -> TauTailReport:
         pos_a = perm[a_arr]
         pos_b = perm[b_arr]
         if k > 1:
-            d_aa = circ(pos_a[:, None] - pos_a[None, :]).astype(np.float64)
+            d_aa = circ(pos_a[:, None], pos_a).astype(np.float64)
             np.fill_diagonal(d_aa, np.inf)
             min_a = d_aa.min(axis=1)
         else:
             min_a = np.array([np.inf])
-        min_b = circ(pos_a[:, None] - pos_b[None, :]).min(axis=1)
+        min_b = circ(pos_a[:, None], pos_b).min(axis=1)
         hits = np.flatnonzero(min_a >= min_b)
         tau = int(hits[0]) + 1 if hits.size else k
         tau_counts[tau] += 1

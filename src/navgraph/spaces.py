@@ -53,15 +53,17 @@ point clouds sort each ball on the distances they computed.
 Ball sizes around one center are counted by :meth:`Space.prepare_target`,
 which prepares a target once for combined routing: it returns the scalar
 kernel toward the target and a counter ``r -> |ball of radius r|`` around
-it.  The integer kinds count in closed form, so a route pays nothing per
-vertex of the space: each counter is one closure that checks and floors
-the radius inline and returns an arc length or a subtree's width, or
-reads the grid's table of ball sizes at each integer radius up to the
-target's largest distance: the running sum of the per-axis offset counts
-convolved across axes, each axis's counts written down from where the
-target lies on it.  A point cloud computes the target's distance array
-once, reads its distances from that array and counts a ball by comparing
-the array with the radius.
+it.  The integer kinds share one counter, stated once on the base class,
+so a route pays nothing per vertex of the space: it checks and floors the
+radius and reads the kind's table of ball sizes at each integer radius up
+to the target's largest distance, and counts every vertex from there on.
+Each kind supplies only its table: the arc lengths 1, 2, 3, ... on the
+directed cycle and 1, 3, 5, ... on the undirected one, the subtree widths
+b^k on tree leaves (one table per tree), and on the grid the running sum
+of the per-axis offset counts convolved across axes, each axis's counts
+written down from where the target lies on it.  A point cloud computes
+the target's distance array once, reads its distances from that array and
+counts a ball by comparing the array with the radius.
 """
 
 from __future__ import annotations
@@ -223,7 +225,23 @@ class Space:
         bit for bit, and ``count(r)`` is ``|{u : distance(y, u) <= r}|``
         for any ``r >= 0``, infinity included; a negative or NaN ``r``
         raises ValueError.
+
+        This version serves the kinds with integer distances: one counter
+        reads the kind's table of ball sizes, :meth:`_ball_sizes`, at
+        floor(r), and counts all n vertices from y's largest distance on.
         """
+        dist, sizes, n = self.distance_to(y), self._ball_sizes(y), self.n
+        last = len(sizes) - 1
+
+        def count(r) -> int:
+            if not r >= 0:
+                raise _bad_radius(r)
+            return sizes[int(r)] if r < last else n
+        return dist, count
+
+    def _ball_sizes(self, y: int):
+        """``sizes[k]``, the size of the ball of radius k around the
+        checked ``y``, for every integer k up to y's largest distance."""
         raise NotImplementedError
 
     def diameter(self):
@@ -300,16 +318,9 @@ class DirectedCycle(Space):
         owner, ahead = _ranges(np.zeros_like(steps), steps + 1)
         return owner, (centers[owner] + ahead) % self.n, ahead
 
-    def prepare_target(self, y: int):
-        # the forward arc y, ..., y + k, for k = floor(r) short of the
-        # whole cycle
-        last = self.diameter()
-
-        def count(r) -> int:
-            if not r >= 0:
-                raise _bad_radius(r)
-            return int(r) + 1 if r < last else last + 1
-        return self.distance_to(y), count
+    def _ball_sizes(self, y: int):
+        # the forward arc y, ..., y + k
+        return range(1, self.n + 1)
 
     def diameter(self) -> int:
         return self.n - 1
@@ -352,16 +363,10 @@ class UndirectedCycle(Space):
         d = (t + 1) >> 1
         return owner, (centers[owner] + np.where(t & 1, -d, d)) % self.n, d
 
-    def prepare_target(self, y: int):
-        # the arc y - k, ..., y + k, for k = floor(r) short of the half
-        # cycle, from where it covers the whole cycle
-        n, half = self.n, self.diameter()
-
-        def count(r) -> int:
-            if not r >= 0:
-                raise _bad_radius(r)
-            return 2 * int(r) + 1 if r < half else n
-        return self.distance_to(y), count
+    def _ball_sizes(self, y: int):
+        # the arc y - k, ..., y + k; at the half cycle it covers the whole
+        # cycle, counted as n rather than read (2k + 1 is n + 1 for even n)
+        return range(1, 2 * (self.n // 2) + 2, 2)
 
     def diameter(self) -> int:
         return self.n // 2
@@ -479,7 +484,7 @@ class Grid(Space):
         order = _owner_order(owner, d)
         return owner[order], member[order], d[order]
 
-    def prepare_target(self, y: int):
+    def _ball_sizes(self, y: int):
         # the L1 shells around y: per axis, the number of coordinates at
         # each offset from y's, convolved across the axes; their running
         # sums are the ball sizes.  On a clipped axis, offset 0 is y's
@@ -487,7 +492,6 @@ class Grid(Space):
         # on either side and each further one, out to the farther edge, one;
         # around a toric axis of length L every offset short of L / 2 has
         # two and offset L / 2 (L even) one, wherever y lies
-        self._check_vertex(y)
         shells = None
         for c, length in zip(self._coord_rows[y], self.dims):
             if self.toric:
@@ -497,15 +501,7 @@ class Grid(Space):
             counts = np.ones(far + 1, dtype=np.int64)
             counts[1:near + 1] = 2
             shells = counts if shells is None else np.convolve(shells, counts)
-        # sizes[k] at integer radius k, up to the largest distance from y
-        sizes = shells.cumsum().tolist()
-        last, total = len(sizes) - 1, sizes[-1]
-
-        def count(r) -> int:
-            if not r >= 0:
-                raise _bad_radius(r)
-            return sizes[int(r)] if r < last else total
-        return self.distance_to(y), count
+        return shells.cumsum().tolist()
 
     def diameter(self) -> int:
         if self.toric:
@@ -550,7 +546,7 @@ class TreeLeaves(Space):
                     raise _out_of_range(v, n)
                 return -(-(v ^ y).bit_length() // s)
             return d
-        widths = [self.branching**level for level in range(height)]
+        widths = self._widths
         subtree = [y // w for w in widths]  # y's subtree at each level
 
         def d(v: int) -> int:
@@ -563,6 +559,15 @@ class TreeLeaves(Space):
                 level -= 1
             return level
         return d
+
+    @cached_property
+    def _widths(self) -> list[int]:
+        """b^k, the leaves of a subtree of height k, for k = 0..height."""
+        return [self.branching**k for k in range(self.height + 1)]
+
+    def _ball_sizes(self, y: int):
+        # the leaves of y's subtree of height k
+        return self._widths
 
     @cached_property
     def _bits(self) -> int:
@@ -605,17 +610,6 @@ class TreeLeaves(Space):
                 width *= b
         d = np.searchsorted(b ** np.arange(self.height), k, side="right")
         return owner, member, d
-
-    def prepare_target(self, y: int):
-        # the leaves of y's subtree of height k, for k = floor(r) short of
-        # the whole tree
-        b, height, n = self.branching, self.height, self.n
-
-        def count(r) -> int:
-            if not r >= 0:
-                raise _bad_radius(r)
-            return b ** int(r) if r < height else n
-        return self.distance_to(y), count
 
     def diameter(self) -> int:
         return self.height

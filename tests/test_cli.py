@@ -107,12 +107,19 @@ _REFUSED_MODEL_INPUTS = [
      "--pi-file must name a file, got an empty value"),
     (("--model", "two-directed-cycles", "--pi-file", "TMP/token.pi"),
      "/token.pi: expected whitespace-separated integers, got 'x'"),
+    # the size ceiling comes before an O(n^2) build, and before the spaces'
+    # own checks: 65537 is no power of the tree's branching
+    (("--model", "kleinberg", "--n", "65537"),
+     "sizes [65537] exceed the n <= 65536 ceiling"),
+    (("--model", "grid-tree", "--n", "65537"),
+     "sizes [65537] exceed the n <= 65536 ceiling"),
 ]
 _REFUSED_MODEL_IDS = ["continuum-n-0", "grid-tree-n-negative",
                       "interest-tree-n-0", "pi-file-repeat",
                       "pi-file-wrong-length", "identity-pi-continuum",
                       "identity-pi-kleinberg", "pi-file-empty-continuum",
-                      "pi-file-empty", "pi-file-token"]
+                      "pi-file-empty", "pi-file-token",
+                      "kleinberg-n-above-ceiling", "grid-tree-n-above-ceiling"]
 
 
 def _write_refused_inputs(directory: Path) -> None:
@@ -614,6 +621,21 @@ def test_oracle_degree_refuses_empty_studies(capsys, flags, message):
     assert code == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {message}, got {flags[1]}"]
+
+
+def test_oracle_degree_refuses_sizes_above_the_ceiling_before_building(
+        monkeypatch, tmp_path, capsys):
+    # the model check holds the ceiling for every command that builds
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built")
+    monkeypatch.setattr(harness, "build_independent_interest", no_build)
+    path = tmp_path / "degree.csv"
+    code = run_cli("oracle", "degree", "--n", "65537", "--seeds", "1",
+                   "--csv", str(path))
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: sizes [65537] exceed the n <= 65536 ceiling\n")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "-0.01", "nan"])

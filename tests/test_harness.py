@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from navgraph import harness
 from navgraph.construction import Seed, build_kleinberg, edge_list_text
@@ -177,6 +181,92 @@ def test_config_requires_model_sizes_and_seeds():
                                       "routes_per_size": 7})
     assert (spec.sizes, spec.seeds, spec.thinning, spec.routes_per_size) == \
         ((4, 8), (1, 2), True, 7)
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"routes_per_size": 2.5}, "'routes_per_size' must be an integer, got 2.5"),
+    ({"routes_per_size": True}, "'routes_per_size' must be an integer, got True"),
+    ({"thinning": "no"}, "'thinning' must be true or false, got 'no'"),
+    ({"sizes": (64.7,)}, "'sizes' must be a list of integers, got (64.7,)"),
+    ({"seeds": ("3",)}, "'seeds' must be a list of integers, got ('3',)"),
+], ids=["routes-float", "routes-bool", "thinning-string", "sizes-float",
+        "seeds-string"])
+def test_spec_refuses_field_types_as_its_config_does(override, message):
+    # the spec states each field's type once, in the config's words: no
+    # value is coerced, whether it comes from a config or a direct call
+    with pytest.raises(ValueError, match="^" + re.escape(f"config key {message}") + "$"):
+        make_spec(**override)
+    # a list or a tuple, each kept as a tuple
+    spec = make_spec(sizes=[32, 64], seeds=(1,),
+                     routing_modes=[RoutingMode("greedy-2")])
+    assert (spec.sizes, spec.seeds, spec.routing_modes) == \
+        ((32, 64), (1,), (RoutingMode("greedy-2"),))
+
+
+# values of each config key: well-typed, then ill-typed; every well-typed
+# size is small, or above the ceiling and so refused before any build
+_CONFIG_VALUES = {
+    "model": (harness.MODELS, [["grid-tree"], 3, None]),
+    "sizes": ([[2], [8], [16], [4, 16], [9, 27], [1, 8], [16, 8], [],
+               [2**16 + 1]],
+              [[4, 8.0], [64.7], [True], ["3"], "48", 16]),
+    "seeds": ([[1], [1, 2], []], [[1.7], [True], ["3"], "12", 1]),
+    "routes_per_size": ([1, 5, 0, -1], [2.5, True, "10", None]),
+    "routing_modes": ([["greedy-1"], ["combined", "greedy-2"],
+                       ["half-greedy-1"], [], ["greedy-3"]],
+                      ["greedy-1", [1], [None]]),
+    "thinning": ([False, True], ["no", "false", 0, 1, None]),
+    "params": ([{}, {"branching": 3}, {"space": {"kind": "tree"}},
+                {"alpha": 2}, {"grid_dims": [2, 8]}], [[1], "x", None]),
+}
+
+
+@st.composite
+def experiment_configs(draw):
+    """A JSON config: model, sizes and seeds, and any of the other keys,
+    each value ill-typed one time in five."""
+    optional = draw(st.lists(st.sampled_from(list(_CONFIG_VALUES)[3:]),
+                             unique=True))
+    config = {}
+    for key in ["model", "sizes", "seeds", *optional]:
+        well, ill = _CONFIG_VALUES[key]
+        config[key] = draw(st.sampled_from(
+            ill if draw(st.sampled_from([False] * 4 + [True])) else well))
+    return config
+
+
+def _spec_directly(config: dict) -> ExperimentSpec:
+    """The spec made straight from the config's values, the mode labels
+    parsed."""
+    fields = dict(config)
+    modes = fields.get("routing_modes")
+    if isinstance(modes, list) and all(isinstance(m, str) for m in modes):
+        fields["routing_modes"] = [RoutingMode.parse(m) for m in modes]
+    return ExperimentSpec(**fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiment_configs())
+@example(dict(CONFIG, routes_per_size=2.5))
+@example(dict(CONFIG, routes_per_size=True))
+@example(dict(CONFIG, thinning="no"))
+@example(dict(CONFIG, sizes=[64.7]))
+@example(dict(CONFIG, seeds=["3"]))
+@example(dict(CONFIG, sizes=[1, 2**16 + 1]))
+def test_every_config_runs_or_is_refused_on_both_paths(config):
+    # a config and a direct call refuse the same inputs with ValueError;
+    # an accepted one runs
+    try:
+        spec = experiment_spec_from_dict(config)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _spec_directly(config)
+        return
+    assert _spec_directly(config) == spec
+    small = dataclasses.replace(spec, routes_per_size=5)
+    result = run_experiment(small, workers=1)
+    assert len(result.rows) == \
+        len(spec.sizes) * len(spec.seeds) * len(spec.routing_modes)
 
 
 @pytest.mark.parametrize("model,params,message", [
@@ -498,14 +588,17 @@ def test_check_model_returns_the_preset_and_refuses_in_order():
 
 
 def test_check_model_refuses_sizes_thinning_and_explicit_pi_in_order():
-    # params, then the size floors, then the spaces, their kinds and modes,
-    # then the explicit permutation
+    # params, then the size floor, the ceiling and the thinning floor, then
+    # the spaces, their kinds and modes, then the explicit permutation
     half = (RoutingMode("half-greedy-2"),)
     for model, params, sizes, modes, kwargs, message in (
             ("continuum", {"box1": []}, (0,), (), {}, "box1 must be"),
             ("continuum", {}, (0, 8), (), {"thinning": True},
              "^n must be >= 1, got 0$"),
             ("grid-tree", {}, (-4,), (), {}, "^n must be >= 1, got -4$"),
+            ("grid-tree", {}, (0, 2**16 + 1), (), {}, "^n must be >= 1, got 0$"),
+            ("grid-tree", {}, (2, 2**16 + 1), (), {"thinning": True},
+             r"^sizes \[65537\] exceed the n <= 65536 ceiling$"),
             ("grid-tree", {}, (2, 6), (), {"thinning": True},
              "^sizes must be >= 3 with thinning$"),
             ("grid-tree", {}, (6,), (), {"thinning": True}, "n=6 is not a power"),
@@ -543,6 +636,9 @@ def test_budget_refusal(monkeypatch):
         with pytest.raises(ValueError, match=r"sizes \[65537\] exceed the "
                                              r"n <= 65536 ceiling"):
             make_spec(model=model, sizes=(2**16, 2**16 + 1))
+    # the spec's own floor comes before the model check's ceiling
+    with pytest.raises(ValueError, match="^sizes must be >= 2$"):
+        make_spec(sizes=(1, 2**16 + 1))
 
 
 def test_determinism_and_worker_independence():
