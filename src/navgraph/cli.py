@@ -137,17 +137,18 @@ def _cmd_route(args, argv) -> int:
     for v in (args.source, args.target):
         if not 0 <= v < args.n:
             raise _UsageError(f"vertex {v} out of range [0, {args.n})")
-    edges = None if args.edges is None else read_edge_list(args.edges, n=args.n)
     seed = _resolve_seed(args.seed)
-    _echo(argv, seed)
-    # an edge list replaces the model's graph, which is then never built
-    if edges is None:
+    # an edge list replaces the model's graph, which is then never built;
+    # it is read over the assignment's space 1, before the invocation line
+    if args.edges is None:
+        _echo(argv, seed)
         assignment, graph = harness.build_model(args.model, params, args.n,
                                                 Seed(seed), pi=pi)
     else:
         assignment = harness.build_assignment(args.model, params, args.n,
                                               Seed(seed), pi=pi)
-        graph = edges
+        graph = read_edge_list(args.edges, assignment.space1)
+        _echo(argv, seed)
     outcome = route(graph, assignment, mode, args.source, args.target)
     print(f"mode: {mode.label}")
     print("path: " + " -> ".join(str(v) for v in outcome.path))
@@ -205,6 +206,10 @@ def _cmd_oracle(args, argv) -> int:
         return _report(args, argv, None, witness.table(), witness.write_csv,
                        None)
     if args.oracle_cmd == "tau":
+        if args.set_size < 1:
+            raise _UsageError(f"--set-size must be >= 1, got {args.set_size}")
+        if args.samples < 1:
+            raise _UsageError(f"--samples must be >= 1, got {args.samples}")
         seed = _resolve_seed(args.seed)
         set_a, set_b = oracle.random_disjoint_sets(args.n, args.set_size,
                                                    args.set_size, Seed(seed))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -226,8 +227,10 @@ class Assignment:
     Vertex ``v`` sits at position ``v`` in ``space1`` and position
     ``pi[v]`` in ``space2``; ``pi`` must be a bijection on [0, n).
     ``spaces[s - 1]`` is space s and ``positions[s - 1][v]`` is ``v``'s
-    position there, as a tuple of ints built once with the assignment, so
-    a router reads either space the same way.
+    position there, as a tuple built once with the assignment, so a router
+    reads either space the same way.  Each position is the entry of its
+    space's id table (:attr:`Space.ids`): space 1's table itself, and space
+    2's table read at ``pi``.
     """
 
     space1: Space
@@ -249,7 +252,8 @@ class Assignment:
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "spaces", (self.space1, self.space2))
         object.__setattr__(self, "positions",
-                           (tuple(range(n)), tuple(pi.tolist())))
+                           (tuple(self.space1.ids.tolist()),
+                            tuple(self.space2.ids[pi].tolist())))
 
     @property
     def n(self) -> int:
@@ -266,7 +270,13 @@ class Assignment:
 
 @dataclass(eq=False)
 class NavGraph:
-    """Directed adjacency: per-vertex sorted lists of head ids."""
+    """Directed adjacency: per-vertex sorted lists of head ids.
+
+    Every builder, :func:`thin_edges` and :func:`read_edge_list` list each
+    head as the entry of space 1's id table (:attr:`Space.ids`), so a head
+    costs one list slot and refers to the int object that the assignment's
+    positions hold too.
+    """
 
     n: int
     out_edges: list[list[int]]
@@ -383,14 +393,29 @@ def _block_heads(space1: Space, rows: np.ndarray, radius, prefix, bounded
     n = space1.n
     codes = np.concatenate((owner1[keep1] * n + member1[keep1],
                             owner2[keep2] * n + member2[keep2]))
-    return _split_rows(np.sort(codes), len(rows), n)
+    return _split_rows(np.sort(codes), len(rows), space1.ids)
 
 
-def _split_rows(codes: np.ndarray, rows: int, span: int) -> list[list[int]]:
-    """The lists of ``rows`` rows from ascending codes ``row * span + head``."""
-    # row bounds and heads as Python ints once, then a list slice per row
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct codes, ascending: one sort, then the first of each run
+    of equal codes.  (numpy 2's ``np.unique`` hashes the codes before it
+    sorts them, which costs many times the sort.)"""
+    codes = np.sort(codes)
+    first = np.empty(codes.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return codes[first]
+
+
+def _split_rows(codes: np.ndarray, rows: int, ids: np.ndarray
+                ) -> list[list[int]]:
+    """The lists of ``rows`` rows from ascending codes ``row * n + head``,
+    each head the entry of the id table ``ids`` of n ids."""
+    # row bounds once, the heads read from the table, then a list slice
+    # per row
+    span = len(ids)
     ends = np.searchsorted(codes, np.arange(rows + 1) * span).tolist()
-    flat = (codes % span).tolist()
+    flat = ids[codes % span].tolist()
     return [flat[ends[k]:ends[k + 1]] for k in range(rows)]
 
 
@@ -542,7 +567,7 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
         lo, hi = np.searchsorted(base_tails, (start, start + len(rows)))
         codes = np.concatenate((base_tails[lo:hi] * n + base_heads[lo:hi],
                                 (rows[:, None] * n + draws).ravel()))
-        out += _split_rows(np.unique(codes) - start * n, len(rows), n)
+        out += _split_rows(_distinct(codes) - start * n, len(rows), space.ids)
     return NavGraph(n, out)
 
 
@@ -582,7 +607,7 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
     for k, x in enumerate(drawing.tolist()):
         streams.random(k, u[ends[x]:ends[x + 1]])
     keep[extras[u < keep_p]] = True
-    return NavGraph(n, _split_rows(np.unique(codes[keep]), n, n))
+    return NavGraph(n, _split_rows(_distinct(codes[keep]), n, base_space.ids))
 
 
 # ---------------------------------------------------------------------------
@@ -605,34 +630,58 @@ def load_permutation(path: str | Path) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def edge_list_text(graph: NavGraph) -> str:
-    lines = [f"{tail}\t{head}" for tail, head in graph.iter_edges()]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def write_edge_list(graph: NavGraph, path: str | Path) -> None:
-    """One `tail<TAB>head` line per edge, sorted by (tail, head)."""
-    Path(path).write_text(edge_list_text(graph))
+    """One `tail<TAB>head` line per edge, sorted by (tail, head), written
+    a vertex's lines at a time."""
+    with open(path, "w") as fh:
+        for tail, heads in enumerate(graph.out_edges):
+            fh.writelines(f"{tail}\t{head}\n" for head in heads)
 
 
-def read_edge_list(path: str | Path, n: int) -> NavGraph:
-    """The graph of a file of `tail<TAB>head` lines; blank lines are
-    skipped, and any other line is refused with its path and number."""
-    pairs = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
-        fields = line.split()
-        if not fields:
-            continue
-        try:
-            tail, head = map(int, fields)
-        except ValueError:
-            raise ValueError(f"{path}:{number}: expected 'tail<TAB>head' "
-                             f"integers, got {line.strip()!r}") from None
-        pairs.append((tail, head))
-    out: list[set[int]] = [set() for _ in range(n)]
-    for tail, head in pairs:
-        if not (0 <= tail < n and 0 <= head < n):
-            raise ValueError(f"edge ({tail}, {head}) out of range for n={n}")
-        if tail != head:
-            out[tail].add(head)
-    return NavGraph(n, [sorted(s) for s in out])
+def read_edge_list(path: str | Path, space: Space) -> NavGraph:
+    """The graph over ``space``'s ids of a file of `tail<TAB>head` lines.
+
+    Blank lines are skipped, and any other line is refused with its path
+    and number.  Once every line has parsed, the first edge out of range
+    for ``space.n`` is refused; self-loops and repeated edges are dropped.
+    The file is read 2^20 characters at a time into one int64 array of
+    (tail, head) pairs, whose heads become entries of the space's id table
+    (:attr:`Space.ids`).
+    """
+    n = space.n
+    pairs, outside, number, rest = array("q"), None, 0, ""
+    append = pairs.append
+    with open(path) as fh:
+        while True:
+            chunk = fh.read(1 << 20)
+            # the whole lines read so far, split as str.splitlines splits
+            # the file (vertical tabs and form feeds end lines too); a
+            # partial last line waits for the next chunk
+            text = rest + chunk
+            end = text.rfind("\n") + 1 if chunk else len(text)
+            rest = text[end:]
+            for line in text[:end].splitlines():
+                number += 1
+                fields = line.split()
+                if not fields:
+                    continue
+                try:
+                    tail, head = map(int, fields)
+                except ValueError:
+                    raise ValueError(f"{path}:{number}: expected "
+                                     "'tail<TAB>head' integers, got "
+                                     f"{line.strip()!r}") from None
+                if 0 <= tail < n and 0 <= head < n:
+                    append(tail)
+                    append(head)
+                elif outside is None:
+                    outside = tail, head
+            if not chunk:
+                break
+    if outside is not None:
+        raise ValueError(f"edge ({outside[0]}, {outside[1]}) out of range "
+                         f"for n={n}")
+    tails, heads = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2).T
+    loop = tails == heads
+    codes = _distinct(tails[~loop] * n + heads[~loop])
+    return NavGraph(n, _split_rows(codes, n, space.ids))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .construction import Assignment, Seed, _graphs
 from .routing import RoutingMode, route
-from .spaces import DirectedCycle, UndirectedCycle
+from .spaces import DirectedCycle, UndirectedCycle, _out_of_range
 
 __all__ = [
     "MarginalLawReport",
@@ -295,6 +295,8 @@ class TauTailReport:
 def random_disjoint_sets(n: int, size_a: int, size_b: int,
                          seed: Seed) -> tuple[list[int], list[int]]:
     """Disjoint vertex samples drawn from the seed's "sets" stream."""
+    if size_a < 0 or size_b < 0:
+        raise ValueError(f"set sizes must be >= 0, got {size_a} and {size_b}")
     if size_a + size_b > n:
         raise ValueError("set sizes exceed the universe")
     chosen = seed.rng("sets").choice(n, size=size_a + size_b, replace=False)
@@ -308,6 +310,8 @@ def tau_tail(n: int, a_order, b_set, samples: int, seed: Seed) -> TauTailReport:
     permuted position is at least as close to B as to the rest of A, or k
     if that never happens.  Distances are wrap-around on a cycle of n
     positions, read from :class:`~navgraph.spaces.UndirectedCycle`'s kernel.
+    Every id must lie in [0, n); the ids are checked once, so each sample
+    reads the unchecked kernel at a permutation's entries.
     """
     a_idx = [int(v) for v in a_order]
     b_idx = [int(v) for v in b_set]
@@ -317,6 +321,9 @@ def tau_tail(n: int, a_order, b_set, samples: int, seed: Seed) -> TauTailReport:
         raise ValueError("A and B must be nonempty")
     if len(set(a_idx)) != len(a_idx) or len(set(b_idx)) != len(b_idx):
         raise ValueError("A and B must not contain duplicates")
+    for v in a_idx + b_idx:
+        if not 0 <= v < n:
+            raise _out_of_range(v, n)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     k = len(a_idx)
@@ -324,7 +331,7 @@ def tau_tail(n: int, a_order, b_set, samples: int, seed: Seed) -> TauTailReport:
     rng = seed.rng("tau")
     a_arr = np.array(a_idx)
     b_arr = np.array(b_idx)
-    circ = UndirectedCycle(n).distances_between
+    circ = UndirectedCycle(n)._between
 
     tau_counts = np.zeros(k + 1, dtype=np.int64)
     for _ in range(samples):

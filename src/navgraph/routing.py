@@ -14,6 +14,9 @@ global space geometry:
 Greedy and half-greedy read either space one way: space s is
 ``Assignment.spaces[s - 1]``, and a vertex is read there at its position in
 the tuple ``Assignment.positions[s - 1]``, which the assignment builds once.
+Heads and positions are the spaces' id objects
+(:attr:`~navgraph.spaces.Space.ids`); a route's source becomes space 1's,
+so every vertex on a path is one, and greedy-1's ``pos[v]`` is ``v`` itself.
 They read each distance through the space's scalar kernel toward the
 target (:meth:`~navgraph.spaces.Space.distance_to`), so a route costs its
 path length times the out-degree, at every size.  A step
@@ -325,6 +328,8 @@ def route(graph: NavGraph, assignment: Assignment, mode: RoutingMode,
     if not 0 <= source < n > target >= 0:
         v = target if 0 <= source < n else source
         raise ValueError(f"vertex id {v} out of range [0, {n})")
+    # a path starts at space 1's id object, as the heads it steps to are
+    source = assignment.positions[0][source]
     if source == target:
         return RouteOutcome(source, target, [source], [])
     max_steps = mode.max_steps if mode.max_steps is not None else 10 * n

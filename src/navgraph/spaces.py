@@ -24,6 +24,13 @@ other grids and clouds loop over their axes; tree leaves read the bit
 length of ``v ^ y`` over s bits a digit, rounded up, when the branching
 is 2^s, and compare subtrees level by level for any other branching.
 
+Each space holds one table of its ids as Python ints, :attr:`Space.ids`,
+built once, and every id list the program holds reads its entries from
+that table: the heads of every graph over the space, the positions an
+assignment reads there and the base neighbours listed below.  An id list
+then costs one pointer per entry, and the process holds n int objects per
+space however many edges refer to them.
+
 Ids are checked once per call, where they enter: the pairwise form checks
 both of its arguments and rows check their sources, then call each kind's
 unchecked pairwise kernel, ``_between``; balls check their centers, and
@@ -168,9 +175,19 @@ class Space:
 
     # -- adjacency and balls ----------------------------------------------
 
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """Every id as a Python int, in an object array built once:
+        ``ids[idx].tolist()`` lists the ids at ``idx`` as the table's own
+        int objects, so every id list built that way shares them.  The
+        table is read-only."""
+        ids = np.arange(self.n).astype(object)
+        ids.setflags(write=False)
+        return ids
+
     def base_neighbors(self, x: int) -> list[int]:
         """Base-graph neighbors of ``x``, ascending: its slice of
-        :meth:`base_edges`, as a new list."""
+        :meth:`base_edges`, as a new list of entries of :attr:`ids`."""
         self._check_vertex(x)
         bounds, heads = self._base_view
         return heads[bounds[x]:bounds[x + 1]]
@@ -181,7 +198,7 @@ class Space:
         # call: vertex x's heads are heads[bounds[x]:bounds[x + 1]]
         tails, heads = self.base_edges()
         bounds = np.searchsorted(tails, np.arange(self.n + 1))
-        return bounds.tolist(), heads.tolist()
+        return bounds.tolist(), self.ids[heads].tolist()
 
     def base_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Every base-graph edge at once: ``(tail, head)`` arrays, tails

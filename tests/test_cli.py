@@ -591,9 +591,13 @@ def test_failed_oracle_report_prints_writes_and_exits_two(
     ("divergence --n-max 1", "exhaustive search needs n_max >= 2, got 1"),
     ("divergence --n-max -3", "exhaustive search needs n_max >= 2, got -3"),
     ("tau --n 10 --set-size 6", "set sizes exceed the universe"),
-    ("tau --n 100 --set-size 5 --samples 0", "samples must be >= 1"),
+    ("tau --n 100 --set-size 5 --samples 0", "--samples must be >= 1, got 0"),
+    ("tau --n 100 --set-size 5 --samples -2", "--samples must be >= 1, got -2"),
+    ("tau --n 200 --set-size -1 --seed 1", "--set-size must be >= 1, got -1"),
+    ("tau --n 200 --set-size 0", "--set-size must be >= 1, got 0"),
 ], ids=["marginal", "monotonicity", "divergence", "divergence-1",
-        "divergence-negative", "tau-sets", "tau-samples"])
+        "divergence-negative", "tau-sets", "tau-samples", "tau-samples-negative",
+        "tau-set-size-negative", "tau-set-size-0"])
 def test_oracle_refuses_out_of_range_sizes_before_output(tmp_path, capsys,
                                                          argv, message):
     # each oracle refuses what it cannot take before the invocation line

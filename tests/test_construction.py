@@ -743,8 +743,27 @@ def test_edge_list_round_trip(tmp_path):
     text = path.read_text()
     lines = [tuple(map(int, line.split("\t"))) for line in text.splitlines()]
     assert lines == sorted(lines)
-    back = read_edge_list(path, n=6)
+    back = read_edge_list(path, DirectedCycle(6))
     assert back.out_edges == g.out_edges
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0\t99\n1\t2\n3\tx\n",
+     "{path}:3: expected 'tail<TAB>head' integers, got '3\\tx'"),
+    ("0\t99\n1\t2\n-3\t4\n", "edge (0, 99) out of range for n=16"),
+    (f"1\t2\n{2**70}\t1\n0\t16\n", f"edge ({2**70}, 1) out of range for n=16"),
+    ("0\t1\x0c2\tx\n", "{path}:2: expected 'tail<TAB>head' integers, got '2\\tx'"),
+], ids=["syntax-after-range", "first-range", "beyond-int64", "form-feed-line"])
+def test_edge_list_refuses_every_syntax_error_before_any_range_error(
+        tmp_path, text, message):
+    # every line parses before an edge is checked against n, and the first
+    # edge out of range in file order is named; lines are numbered as
+    # str.splitlines numbers them
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError) as refused:
+        read_edge_list(path, DirectedCycle(16))
+    assert str(refused.value) == message.format(path=path)
 
 
 def test_permutation_parsing(tmp_path):

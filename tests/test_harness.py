@@ -11,13 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navgraph import harness
-from navgraph.construction import Seed, build_kleinberg, edge_list_text
+from navgraph.construction import (Seed, _graphs, build_kleinberg,
+                                   read_edge_list, thin_edges, write_edge_list)
 from navgraph.harness import (AggregateRow, ExperimentResult, ExperimentSpec,
                               aggregate_csv_text, build_model, build_space,
                               experiment_spec_from_dict, export_csv,
                               fit_scaling, load_experiment_config,
                               raw_csv_text, run_experiment)
-from navgraph.routing import RoutingMode
+from navgraph.routing import MODE_LABELS, RoutingMode, route
 from navgraph.spaces import DirectedCycle, Grid, TreeLeaves, UndirectedCycle
 
 # the aggregate CSV's timing columns, its only nondeterministic ones
@@ -447,10 +448,53 @@ def test_build_model_rejects_pi_for_baselines():
     ("two-undirected-cycles", {}, 3, "x5",
      "3d5ac31cb84c0561017dc6365ace1d142d082fea5620dd53651fa0f9446f1c45"),
 ])
-def test_build_model_edges_are_pinned(model, params, master, pi, digest):
+def test_build_model_edges_are_pinned(tmp_path, model, params, master, pi,
+                                      digest):
     pi = None if pi is None else np.arange(64) * 5 % 64
     _, graph = build_model(model, params, 64, Seed(master), pi=pi)
-    assert hashlib.sha256(edge_list_text(graph).encode()).hexdigest() == digest
+    path = tmp_path / "g.edges"
+    write_edge_list(graph, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def assert_table_entries(ids, lists):
+    """Every id in ``lists`` is the entry of the id table ``ids`` at it."""
+    bad = [v for row in lists for v in row if v is not ids[v]]
+    assert not bad, f"{len(bad)} ids are not their table's, e.g. {bad[:3]}"
+
+
+@pytest.mark.parametrize("model", harness.MODELS)
+def test_every_id_list_shares_its_space_id_table(tmp_path, model):
+    # at n = 1024 most ids lie past CPython's cached small ints (-5..256),
+    # so an id is its table's object only if it was read from the table
+    n = 1024
+    a, graph = build_model(model, {}, n, Seed(2))
+    ids1, ids2 = a.space1.ids, a.space2.ids
+    assert len(ids1) == len(ids2) == n
+    assert not ids1.flags.writeable and not ids2.flags.writeable
+    assert_table_entries(ids1, graph.out_edges)
+    assert_table_entries(ids1, [a.positions[0]])
+    assert all(p is ids2[v] for p, v in zip(a.positions[1], a.pi.tolist()))
+    for space in a.spaces:
+        assert_table_entries(space.ids, map(space.base_neighbors, range(n)))
+    thinned = thin_edges(graph, a.space1, Seed(2))
+    assert_table_entries(ids1, thinned.out_edges)
+    path = tmp_path / "g.edges"
+    write_edge_list(graph, path)
+    read = read_edge_list(path, a.space1)
+    assert read.out_edges == graph.out_edges
+    assert_table_entries(ids1, read.out_edges)
+    if model.startswith("two-"):
+        perms = [Seed(k).permutation(n) for k in (3, 4)]
+        for built in _graphs(a.space1, a.space2, perms):
+            assert_table_entries(ids1, built.out_edges)
+    # endpoints drawn as fresh ints: a path holds the table's objects
+    pairs = np.random.default_rng(5).integers(300, n, size=(10, 2)).tolist()
+    for mode in map(RoutingMode, MODE_LABELS):
+        if mode.kind == "half-greedy" and not a.spaces[mode.space - 1].is_graph_kind:
+            continue
+        outcomes = [route(graph, a, mode, s, t) for s, t in pairs]
+        assert_table_entries(ids1, [out.path for out in outcomes])
 
 
 # ---------------------------------------------------------------------------

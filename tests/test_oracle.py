@@ -154,6 +154,25 @@ def test_random_disjoint_sets_disjoint():
         random_disjoint_sets(10, 6, 6, Seed(1))
 
 
+@pytest.mark.parametrize("sizes", [(-1, 3), (3, -1)])
+def test_random_disjoint_sets_refuses_a_negative_size(sizes):
+    # a negative size used to shorten the other set: (10, -1, 3) gave
+    # ([1], [2])
+    with pytest.raises(ValueError, match="set sizes must be >= 0"):
+        random_disjoint_sets(10, *sizes, Seed(1))
+
+
+@pytest.mark.parametrize("a_order,b_set,bad", [
+    ([-1, 2], [3], -1), ([2, 10], [3], 10), ([2], [3, -4], -4),
+    ([2], [10], 10)])
+def test_tau_refuses_ids_outside_the_cycle(a_order, b_set, bad):
+    # -1 used to read the permutation's last entry, and n died in numpy's
+    # bare IndexError
+    with pytest.raises(ValueError) as refused:
+        tau_tail(10, a_order, b_set, samples=50, seed=Seed(0))
+    assert str(refused.value) == f"vertex id {bad} out of range [0, 10)"
+
+
 # ---------------------------------------------------------------------------
 # mean out-degree
 
