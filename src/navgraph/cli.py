@@ -12,6 +12,7 @@ refused input prints nothing on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -292,7 +293,10 @@ def _add_model_args(p: _Parser) -> None:
                    help="base space for the baseline models")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The whole argparse tree, built once per process: parsing keeps no
+    state on it, so every :func:`main` call reuses it."""
     parser = _Parser(prog="navgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 

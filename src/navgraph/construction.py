@@ -19,11 +19,16 @@ randomness is drawn from per-vertex streams derived from (master seed,
 stream label, vertex id), so edge sets do not depend on evaluation order.
 The baselines and thinning seed all the streams of their label at once,
 in one array pass of :meth:`Seed.streams` that gives each vertex exactly
-the draws of ``Seed.rng(label, v)``, and do the rest of their work as
-array passes over blocks of vertices: Kleinberg's d^-alpha law and its
-draws, the interest values (held one block of rows at a time) and their
-bounds, and the base and kept edges of thinning.  The Kleinberg and
-independent-interest baselines still do O(n) work per vertex.
+the draws of ``Seed.rng(label, v)``.  Kleinberg and thinning, which draw
+a few uniforms per vertex, draw them from those arrays too: PCG64's step
+and output over uint64 halves, one array step per draw index for every
+vertex that still draws (:meth:`Streams.uniforms`).  The rest of their
+work is array passes over blocks of vertices: Kleinberg's d^-alpha law,
+read from a table indexed by the integer distance, its running sums and
+one ``searchsorted`` per row; the interest values (held one block of rows
+at a time) and their bounds; and the base and kept edges of thinning,
+the base edges found by search in their ascending codes.  The Kleinberg
+and independent-interest baselines still do O(n) work per vertex.
 """
 
 from __future__ import annotations
@@ -63,9 +68,16 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
 
-# candidate entries per block of rows, whichever permutations they belong to
+# candidate entries per block of rows, whichever permutations they belong
+# to.  Kleinberg's blocks hold four times as many: its few temporaries per
+# entry stay near 1 MiB a block, and fewer blocks cost less per row; the
+# other builders hold more temporaries per entry, and 2^15 raised their
+# peak memory by 15% on 1024-vertex studies for no clear gain in time
 _BLOCK_ENTRIES = 1 << 13
+_KLEINBERG_ENTRIES = 1 << 15
 
 
 def _entropy_words(labels) -> list[int]:
@@ -121,7 +133,7 @@ class Seed:
         return self.rng("pi").permutation(n)
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
     """The high 64 bits of each 128-bit product ``a * b``, from 32-bit
     halves."""
     low = np.uint64(_MASK32)
@@ -133,9 +145,11 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
             + (mid >> np.uint64(32)))
 
 
-def _pcg64_seeds(prefix: list[int], ids: np.ndarray) -> tuple[list[int], list[int]]:
-    """The PCG64 (state, inc) that ``SeedSequence(prefix + [id])`` seeds,
-    for each uint32 ``id`` in ``ids``.
+def _pcg64_seeds(prefix: list[int], ids: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The PCG64 state and inc that ``SeedSequence(prefix + [id])`` seeds,
+    for each uint32 ``id`` in ``ids``, as uint64 halves: (state high,
+    state low, inc high, inc low).
 
     Every step is fixed uint32 or uint128 arithmetic, so it runs over all
     ids at once: SeedSequence's pool mixing, including the loop for the
@@ -185,37 +199,73 @@ def _pcg64_seeds(prefix: list[int], ids: np.ndarray) -> tuple[list[int], list[in
     inc_lo = seq_lo << one | one
     sum_lo = inc_lo + seed_lo
     sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
-    mult_hi, mult_lo = _PCG_MULT >> 64, _PCG_MULT & _MASK64
-    prod_lo = sum_lo * np.uint64(mult_lo)
-    prod_hi = (sum_hi * np.uint64(mult_lo) + sum_lo * np.uint64(mult_hi)
-               + _mulhi64(sum_lo, mult_lo))
-    state_lo = prod_lo + inc_lo
-    state_hi = prod_hi + inc_hi + (state_lo < prod_lo)
+    return (*_pcg64_step(sum_hi, sum_lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
-    def ints(hi, lo):
-        return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
 
-    return ints(state_hi, state_lo), ints(inc_hi, inc_lo)
+def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, ``state * mult + inc`` mod 2^128, on uint64
+    halves."""
+    prod_lo = lo * _PCG_MULT_LO
+    prod_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi64(lo, _PCG_MULT_LO)
+    new_lo = prod_lo + inc_lo
+    return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
+
+
+def _pcg64_double(hi, lo) -> np.ndarray:
+    """The uniform that PCG64 outputs from a stepped state: XSL-RR, the
+    xor of the halves rotated right by the state's top 6 bits, then its
+    top 53 bits times 2^-53, as ``Generator.random`` reads it."""
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+    return (x >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
 class Streams:
     """Per-vertex streams of one label, seeded together by
-    :meth:`Seed.streams`.
+    :meth:`Seed.streams`: each stream's PCG64 state and increment, held
+    as uint64 halves.
 
-    ``random(k, out)`` fills ``out`` with the first uniforms of the k-th
-    stream, exactly as ``Seed.rng(label, ids[k]).random(out=out)`` would:
-    one PCG64, owned by this object, is set to that stream's start.
+    ``uniforms(counts)`` draws the first ``counts[k]`` uniforms of every
+    stream k at once, in one array step of PCG64 per draw index over the
+    streams that still draw.  ``random(k, out)`` fills ``out`` with the
+    first uniforms of the k-th stream, exactly as
+    ``Seed.rng(label, ids[k]).random(out=out)`` would, through one PCG64
+    owned by this object that is set to that stream's start; it serves
+    the streams that draw many uniforms each.
     """
 
-    def __init__(self, states: list[int], incs: list[int]):
-        self._states, self._incs = states, incs
+    def __init__(self, state_hi, state_lo, inc_hi, inc_lo):
+        self._halves = state_hi, state_lo, inc_hi, inc_lo
         self._bits = np.random.PCG64(0)
         self._generator = np.random.Generator(self._bits)
 
+    def uniforms(self, counts) -> np.ndarray:
+        """The first ``counts[k]`` uniforms of every stream k, stream after
+        stream in one array; an int count holds for every stream."""
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64),
+                                 self._halves[0].shape)
+        out = np.empty(int(counts.sum()))
+        # the streams in descending order of count, so that those still
+        # drawing at each draw index are a prefix
+        order = np.argsort(-counts, kind="stable")
+        ranked = counts[order]
+        starts = (np.cumsum(counts) - counts)[order]
+        hi, lo, inc_hi, inc_lo = (half[order] for half in self._halves)
+        most = int(ranked[0]) if ranked.size else 0
+        active = np.searchsorted(-ranked, -np.arange(most)).tolist()
+        for j, a in enumerate(active):
+            hi, lo = _pcg64_step(hi[:a], lo[:a], inc_hi[:a], inc_lo[:a])
+            out[starts[:a] + j] = _pcg64_double(hi, lo)
+        return out
+
     def random(self, k: int, out: np.ndarray) -> np.ndarray:
+        state_hi, state_lo, inc_hi, inc_lo = (
+            int(half[k]) for half in self._halves)
         self._bits.state = {
             "bit_generator": "PCG64",
-            "state": {"state": self._states[k], "inc": self._incs[k]},
+            "state": {"state": state_hi << 64 | state_lo,
+                      "inc": inc_hi << 64 | inc_lo},
             "has_uint32": 0, "uinteger": 0}
         return self._generator.random(out=out)
 
@@ -515,17 +565,25 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
 def _candidate_distances(space: Space, rows: np.ndarray) -> np.ndarray:
     """(len(rows), n - 1) array: each row's distances to every y != x in
     ascending order of y, for the row's vertex x."""
-    n = space.n
-    others = np.arange(n) != rows[:, None]
-    return space.distances_from(rows)[others].reshape(-1, n - 1)
+    d = space.distances_from(rows)
+    # column j is y = j below x and y = j + 1 from x on
+    return np.where(np.arange(space.n - 1) < rows[:, None], d[:, :-1], d[:, 1:])
 
 
-def _link_probabilities(d: np.ndarray, alpha: float) -> np.ndarray:
-    """Rows of d^-alpha, each normalized by its exact sum."""
-    weights = d.astype(np.float64)
-    weights **= -alpha
-    weights /= weights.sum(axis=1, keepdims=True)
+def _link_weights(space: Space, alpha: float) -> np.ndarray:
+    """d^-alpha at every integer distance d up to the diameter, indexed by
+    d; entry 0 is never read, since no vertex is its own candidate."""
+    weights = np.zeros(space.diameter() + 1)
+    weights[1:] = np.arange(1, len(weights), dtype=np.float64) ** -alpha
     return weights
+
+
+def _link_probabilities(d: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows of d^-alpha, read from the table ``weights``, each normalized
+    by its exact sum."""
+    probs = weights[d]
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGraph:
@@ -536,10 +594,12 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
     Vertex x's draws are ``Generator.choice(cand, size=links, p=probs)``
     on its stream ("kleinberg", x), where ``cand`` lists every y != x in
     ascending order and ``probs`` their d(x, y)^-alpha normalized by exact
-    summation.  A block of rows, as many as keep their candidates near
-    ``_BLOCK_ENTRIES``, computes them as ``choice`` does: the running
-    sums of the probabilities divided by their last, and each uniform's
-    candidate the number of those sums at most it.
+    summation.  Every stream's uniforms are drawn at once
+    (:meth:`Streams.uniforms`), and a block of rows, as many as keep their
+    candidates near ``_KLEINBERG_ENTRIES``, computes the rest as
+    ``choice`` does: the running sums of the probabilities divided by
+    their last, and each uniform's candidate the number of those sums at
+    most it, found by ``searchsorted``.
     """
     if not space.is_graph_kind:
         raise ValueError("lattice augmentation needs a graph-kind space")
@@ -551,18 +611,18 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
     if n == 1:
         return NavGraph(n, [[]])
     base_tails, base_heads = space.base_edges()
-    block = max(1, _BLOCK_ENTRIES // n)
-    streams = seed.streams("kleinberg", np.arange(n))
+    weights = _link_weights(space, alpha)
+    u = seed.streams("kleinberg", np.arange(n)).uniforms(links).reshape(n, links)
+    block = max(1, _KLEINBERG_ENTRIES // n)
     out: list[list[int]] = []
     for start in range(0, n, block):
         rows = np.arange(start, min(n, start + block))
-        cdf = _link_probabilities(_candidate_distances(space, rows), alpha).cumsum(axis=1)
+        cdf = _link_probabilities(_candidate_distances(space, rows), weights)
+        np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        u = np.empty((len(rows), links))
-        for k, x in enumerate(rows.tolist()):
-            streams.random(x, u[k])
-        # searchsorted(cdf, u, side="right") per row, then candidate -> id
-        draws = (cdf[:, None, :] <= u[:, :, None]).sum(axis=2)
+        draws = np.array([row.searchsorted(v, side="right")
+                          for row, v in zip(cdf, u[start:start + len(rows)])])
+        # candidate -> id
         draws += draws >= rows[:, None]
         lo, hi = np.searchsorted(base_tails, (start, start + len(rows)))
         codes = np.concatenate((base_tails[lo:hi] * n + base_heads[lo:hi],
@@ -585,7 +645,8 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
     and removing base edges would break greedy termination guarantees.
     Vertex x draws one uniform from its stream ("thin", x) per non-base
     head, in the order of its list, and keeps the heads whose uniform is
-    below the keep probability, which refuses n <= 2.
+    below the keep probability, which refuses n <= 2.  Every vertex that
+    draws draws at once (:meth:`Streams.uniforms`).
     """
     n = graph.n
     if base_space.n != n:
@@ -596,16 +657,14 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
                         dtype=np.int64, count=int(degrees.sum()))
     tails = np.repeat(np.arange(n), degrees)
     codes = tails * n + heads
+    # base edges by search in their ascending codes
     base_tails, base_heads = base_space.base_edges()
-    keep = np.isin(codes, base_tails * n + base_heads)
+    base_codes = np.append(base_tails * n + base_heads, -1)
+    keep = base_codes[np.searchsorted(base_codes[:-1], codes)] == codes
     extras = np.flatnonzero(~keep)
-    u = np.empty(len(extras))
-    ends = np.searchsorted(tails[extras], np.arange(n + 1))
-    drawing = np.flatnonzero(np.diff(ends))
-    streams = seed.streams("thin", drawing)
-    ends = ends.tolist()
-    for k, x in enumerate(drawing.tolist()):
-        streams.random(k, u[ends[x]:ends[x + 1]])
+    counts = np.bincount(tails[extras], minlength=n)
+    drawing = np.flatnonzero(counts)
+    u = seed.streams("thin", drawing).uniforms(counts[drawing])
     keep[extras[u < keep_p]] = True
     return NavGraph(n, _split_rows(_distinct(codes[keep]), n, base_space.ids))
 

@@ -22,6 +22,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,8 @@ MAX_SIZE = 2**16
 AGGREGATE_HEADER = ("model,n,seed,mode,routes,successes,success_rate,"
                     "mean_len,median_len,mean_outdeg,thin_ms,build_ms,wall_ms")
 RAW_HEADER = "n,seed,mode,source,target,steps,success,failure"
+# one raw line from a RouteRecord; %d writes the success flag as 0 or 1
+_RAW_ROW = "%d,%d,%s,%d,%d,%d,%d,%s"
 
 
 @dataclass(frozen=True)
@@ -231,8 +234,9 @@ class AggregateRow:
     wall_ms: float
 
 
-@dataclass(frozen=True)
-class RouteRecord:
+class RouteRecord(NamedTuple):
+    """One routed pair, its fields in :data:`RAW_HEADER` order."""
+
     n: int
     seed: int
     mode: str
@@ -575,28 +579,22 @@ def fit_scaling(result: ExperimentResult) -> dict[str, ScalingFit]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _csv_text(header: str, records) -> str:
-    """``header`` and one line per record, the record's fields read by the
-    header's names."""
-    fields = attrgetter(*header.split(","))
-    lines = [header]
-    lines += [",".join(map(_fmt, fields(r))) for r in records]
+def aggregate_csv_text(result: ExperimentResult) -> str:
+    fields = attrgetter(*AGGREGATE_HEADER.split(","))
+    lines = [AGGREGATE_HEADER]
+    lines += [",".join(map(_fmt, fields(row))) for row in result.rows]
     return "\n".join(lines) + "\n"
 
 
-def aggregate_csv_text(result: ExperimentResult) -> str:
-    return _csv_text(AGGREGATE_HEADER, result.rows)
-
-
 def raw_csv_text(result: ExperimentResult) -> str:
-    return _csv_text(RAW_HEADER, result.raw)
+    lines = [RAW_HEADER]
+    lines += [_RAW_ROW % record for record in result.raw]
+    return "\n".join(lines) + "\n"
 
 
 def export_csv(result: ExperimentResult, path: str | Path,

@@ -14,8 +14,9 @@ target once and then reads one distance per call, for routers that visit
 a few vertices per step.  Rows, :meth:`Space.distances_from`, are the
 pairwise kernel broadcast over every id, for one source or for a 1-D array
 of sources (one row each), so that builders read a block of rows in one
-call.  Grid and Euclidean override rows to read whole coordinate columns
-with no gather.
+call.  Euclidean overrides rows to read whole coordinate columns with no
+gather, and Grid to broadcast-add each source's per-axis offset tables
+over the grid's shape, one pass over the rows.
 
 Each scalar read is Python arithmetic on Python numbers, with no numpy
 call and no nested call: a cycle reads one difference; a 2-D grid reads
@@ -468,8 +469,22 @@ class Grid(Space):
         return d
 
     def distances_from(self, x) -> np.ndarray:
+        # per axis, each source's offset to every coordinate of the axis,
+        # taken the short way round a toric axis; the rows are those
+        # tables broadcast-added over the grid's shape
         x = self._sources(x)
-        return self._l1(column - column[x] for column in self._columns)
+        sources = x.reshape(-1, 1)
+        shape = [len(sources)] + [1] * len(self.dims)
+        total = None
+        for axis, length in enumerate(self.dims):
+            offset = np.abs(np.arange(length) - self._columns[axis][sources])
+            if self.toric:
+                np.minimum(offset, length - offset, out=offset)
+            shape[axis + 1] = length
+            offset = offset.reshape(shape)
+            shape[axis + 1] = 1
+            total = offset if total is None else total + offset
+        return total.reshape(x.shape[:-1] + (self.n,))
 
     def _between(self, xs, ys) -> np.ndarray:
         # a 0-d array where both ids are scalars: _l1 writes into its inputs

@@ -116,23 +116,40 @@ def test_streams_equal_one_generator_per_vertex(master, label):
     n = 9
     ids = [5, 0, 3, 3, 2**32 - 1, 8, 1, 5]  # unsorted, repeated, the largest
     counts = [0, 1, n, 1, 3, 0, n, 2]
-    assert np.array_equal(stream_draws(seed, label, ids, counts),
-                          rng_draws(seed, label, ids, counts))
-    assert np.array_equal(stream_draws(seed, label, np.arange(n), [n] * n),
-                          rng_draws(seed, label, range(n), [n] * n))
+    want = rng_draws(seed, label, ids, counts)
+    assert np.array_equal(stream_draws(seed, label, ids, counts), want)
+    # the array draws, PCG64 stepped over uint64 halves: ragged counts, and
+    # one count for every stream
+    streams = seed.streams(label, ids)
+    assert np.array_equal(streams.uniforms(counts), want)
+    for k in (0, 1, 3):
+        assert np.array_equal(streams.uniforms(k),
+                              rng_draws(seed, label, ids, [k] * len(ids)))
+    # drawing leaves every stream at its start
+    assert np.array_equal(streams.random(4, np.empty(n)),
+                          seed.rng(label, 2**32 - 1).random(n))
+    want = rng_draws(seed, label, range(n), [n] * n)
+    assert np.array_equal(stream_draws(seed, label, np.arange(n), [n] * n), want)
+    assert np.array_equal(seed.streams(label, np.arange(n)).uniforms(n), want)
     assert stream_draws(seed, label, [], []).size == 0
+    assert seed.streams(label, []).uniforms(2).size == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(master=st.integers(-2**70, 2**70),
        label=st.one_of(st.text(max_size=20), st.integers(-2**66, 2**66)),
        drawn=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 6)),
-                      max_size=8))
-def test_streams_property(master, label, drawn):
+                      max_size=8),
+       fixed=st.integers(0, 4))
+def test_streams_property(master, label, drawn, fixed):
     seed = Seed(master)
     ids, counts = [v for v, _ in drawn], [c for _, c in drawn]
-    assert np.array_equal(stream_draws(seed, label, ids, counts),
-                          rng_draws(seed, label, ids, counts))
+    want = rng_draws(seed, label, ids, counts)
+    assert np.array_equal(stream_draws(seed, label, ids, counts), want)
+    streams = seed.streams(label, ids)
+    assert np.array_equal(streams.uniforms(counts), want)
+    assert np.array_equal(streams.uniforms(fixed),
+                          rng_draws(seed, label, ids, [fixed] * len(ids)))
 
 
 def test_streams_refuse_ids_outside_one_word():
@@ -574,17 +591,20 @@ def test_long_range_law_equals_its_rows_written_out(space):
         return
     for alpha in (0.0, 1.0, 1.5, 2.0, 50.0):
         block = cons._link_probabilities(
-            cons._candidate_distances(space, np.arange(n)), alpha)
+            cons._candidate_distances(space, np.arange(n)),
+            cons._link_weights(space, alpha))
         for x in range(n):
             _, want_probs = long_range_row(space, x, alpha)
             assert np.array_equal(block[x], want_probs)
 
 
 @pytest.mark.parametrize("space", lattice_shapes(), ids=repr)
-def test_kleinberg_matches_per_vertex_choice(space):
+def test_kleinberg_matches_per_vertex_choice(monkeypatch, space):
+    # blocks of 2^13 entries, so that n = 100 takes several and a ragged last
+    monkeypatch.setattr(cons, "_KLEINBERG_ENTRIES", 1 << 13)
     n = space.n
     if n == 100:
-        block = cons._BLOCK_ENTRIES // n
+        block = cons._KLEINBERG_ENTRIES // n
         assert 1 < block < n and n % block  # several blocks, a ragged last
     for alpha in (0.0, 1.5, 2.0, 50.0):
         for links in (1, 2, 3, 4):
@@ -595,10 +615,10 @@ def test_kleinberg_matches_per_vertex_choice(space):
 
 @pytest.mark.parametrize("space", [Grid((91, 91)), UndirectedCycle(8193)], ids=repr)
 def test_kleinberg_rows_longer_than_a_block_match_per_vertex_choice(space):
-    # one row per block, each longer than numpy's summation blocks: the
+    # a few rows per block, each longer than numpy's summation blocks: the
     # sampled vertices' heads equal the per-vertex loop's
     n = space.n
-    assert cons._BLOCK_ENTRIES // n == 0
+    assert 1 <= cons._KLEINBERG_ENTRIES // n < 4
     seed = Seed(4)
     graph = build_kleinberg(space, 2.0, 2, seed)
     picked = np.random.default_rng(0).choice(n, 40, replace=False)
@@ -607,6 +627,22 @@ def test_kleinberg_rows_longer_than_a_block_match_per_vertex_choice(space):
         cand, probs = long_range_row(space, x, 2.0)
         heads.update(seed.rng("kleinberg", x).choice(cand, size=2, p=probs).tolist())
         assert graph.out_edges[x] == sorted(heads)
+
+
+@pytest.mark.parametrize("space, ragged", [
+    (UndirectedCycle(1000), True), (Grid((33, 31)), True),
+    (Grid((16, 16), toric=True), False)], ids=repr)
+def test_kleinberg_blocks_of_many_rows_match_per_vertex_choice(space, ragged):
+    # the production block size: many rows per block, and a ragged last
+    # block where the rows do not divide n
+    n = space.n
+    block = cons._KLEINBERG_ENTRIES // n
+    assert 16 <= block < n and (n % block != 0) == ragged
+    for alpha in (0.0, 1.3, 2.0):
+        for links in (1, 2, 3):
+            seed = Seed(int(10 * alpha) + links)
+            graph = build_kleinberg(space, alpha, links, seed)
+            assert graph.out_edges == kleinberg_per_vertex(space, alpha, links, seed)
 
 
 @pytest.mark.parametrize("entries", [1, 40, 300])
@@ -618,6 +654,7 @@ def test_baselines_do_not_depend_on_block_size(monkeypatch, entries):
                  build_kleinberg(s, 2.0, 2, Seed(6)).out_edges
                  if s.is_graph_kind else None) for s in spaces]
     monkeypatch.setattr(cons, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(cons, "_KLEINBERG_ENTRIES", entries)
     for s, (interest, kleinberg) in zip(spaces, expected):
         assert build_independent_interest(s, Seed(6)).out_edges == interest
         if s.is_graph_kind:

@@ -457,6 +457,40 @@ def test_build_model_edges_are_pinned(tmp_path, model, params, master, pi,
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# a small study per model, thinned where the model is double clustering,
+# and the SHA-256 of its aggregate CSV (timing columns excluded) and of its
+# raw CSV
+@pytest.mark.parametrize("model, params, thinning, modes, agg, raw", [
+    ("two-undirected-cycles", {}, True,
+     ("greedy-1", "greedy-2", "half-greedy-1", "combined"),
+     "2a6b8b5e7832cd43b43e408421c2e71c5e9e0dbec132b4a37a5eeb3ed623437d",
+     "86769661537f8eef24e27c4bceddf28392dda48d995c94b80251e7de0f724f50"),
+    ("grid-tree", {"branching": 2}, True,
+     ("greedy-1", "greedy-2", "combined", "combined-literal-m"),
+     "03c289512533aa634fb7ea951cd5257819c5ee6738c28f206e04b8583cabc1a2",
+     "023e7986a558a6d293ce716068da68554fb2deef71c78812aa03c9ce3a702a1b"),
+    ("continuum", {}, False, ("greedy-1", "greedy-2", "combined"),
+     "958fdf0235e104ca14cbf72f5434ee64a465182315fe712024f5feab9a382cef",
+     "89ed72de3ac4c7782782dc3d2a2eea3e2072bfd0396a6323e11c8c670a420136"),
+    ("kleinberg", {"alpha": 2.0, "links": 2}, False,
+     ("greedy-1", "half-greedy-1"),
+     "9fc6f9baaa44dec2729bdc004484081f07f3dfdae72c4eb5aa7aceeb16973ab3",
+     "cfa3eebf1e91d739e1849079a9a3c27a88121659e9805e3a3ed5539ec7c1a316"),
+    ("independent-interest", {"space": {"kind": "undirected-cycle"}}, False,
+     ("greedy-1",),
+     "baee7af8975f123e3e3c6ebc0866f206e72624dfcbc038abb23a257ad52768b1",
+     "159e9920c4a730d9a8f284038dd89ce74cefc0375770a2800eeb82381aa569d9"),
+])
+def test_study_csvs_are_pinned(model, params, thinning, modes, agg, raw):
+    spec = ExperimentSpec(model, (64, 256), (1, 2), routes_per_size=30,
+                          thinning=thinning, params=params,
+                          routing_modes=tuple(map(RoutingMode.parse, modes)))
+    result = run_experiment(spec)
+    assert hashlib.sha256(csv_without_timing(
+        aggregate_csv_text(result)).encode()).hexdigest() == agg
+    assert hashlib.sha256(raw_csv_text(result).encode()).hexdigest() == raw
+
+
 def assert_table_entries(ids, lists):
     """Every id in ``lists`` is the entry of the id table ``ids`` at it."""
     bad = [v for row in lists for v in row if v is not ids[v]]

@@ -301,6 +301,13 @@ def test_grid_kernels_equal_the_coordinate_row_form(grid):
         assert np.array_equal(grid.distances_from(x), rows[x])
         to_x = grid.distance_to(x)
         assert [to_x(v) for v in range(n)] == rows[:, x].tolist()
+    # rows of a block of sources, broadcast from per-axis offset tables:
+    # unordered, repeated and empty blocks
+    ids = np.arange(n)
+    for sources in (ids, ids[::-1], np.array([n - 1, 0, n // 2, n // 2]), ids[:0]):
+        block = grid.distances_from(sources)
+        assert block.dtype == np.int64 and block.shape == (len(sources), n)
+        assert np.array_equal(block, rows[sources])
     assert grid._coord_rows == coords.tolist()
 
 
