@@ -10,9 +10,12 @@ candidates form two sets, the space-1 prefix ball and the second ball
 that the prefix bounds (less the prefix), and each comes nearest first
 from its own ball, as :meth:`Space.ball_members` lists it.  The rule is
 the same with the two spaces swapped, so the kernel reads each set in
-that order and sorts nothing.  Rows go to the kernel in blocks;
-the exhaustive oracles' enumerations put the rows of many permutations in
-one block.
+that order and sorts nothing.  Rows go to the kernel in blocks.  A
+double-clustering row is one chosen vertex under one permutation: a build
+lists every vertex of its permutation, and the exhaustive oracles'
+enumerations put the rows of many permutations in one block, every vertex
+of each for the graphs they route on and only vertex 0 of each for the
+marginal law.
 
 All builders are pure functions of their parameters and a :class:`Seed`;
 randomness is drawn from per-vertex streams derived from (master seed,
@@ -469,40 +472,53 @@ def _split_rows(codes: np.ndarray, rows: int, ids: np.ndarray
     return [flat[ends[k]:ends[k + 1]] for k in range(rows)]
 
 
-def _graphs(space1: Space, space2: Space, perms):
-    """The double-clustering graph of each permutation in ``perms``, in
-    order, from the pruned candidates of :func:`build_double_clustering`.
+def _chosen_rows(space1: Space, space2: Space, perms, vertices):
+    """The sorted heads of each vertex in ``vertices`` on the
+    double-clustering graph of each permutation in ``perms``, in order:
+    one list of rows per permutation, from the pruned candidates of
+    :func:`build_double_clustering`.
 
-    Row ``p*n + i`` is vertex i under permutation p; each block of rows
-    from :func:`_prefix_plan` is one record-kernel call, however many
-    permutations it spans.  ``perms`` is read a block's worth of whole
-    permutations at a time, so a caller that stops early pays only for
-    the chunks it took.
+    Row ``p*m + k`` is ``vertices[k]`` under permutation p (m vertices);
+    each block of rows from :func:`_prefix_plan` is one record-kernel
+    call, however many permutations it spans.  ``perms`` is read a
+    block's worth of whole permutations at a time, so a caller that stops
+    early pays only for the chunks it took.
     """
     n = space1.n
+    chosen = np.asarray(vertices, dtype=np.int64)
+    m = len(chosen)
     radius, block = _prefix_plan(space1)
     perms = iter(perms)
-    while chunk := list(itertools.islice(perms, max(1, block // n))):
+    while chunk := list(itertools.islice(perms, max(1, block // m))):
         pis = np.array(chunk, dtype=np.int64).reshape(len(chunk), n)
         # a vertex's space-2 position, and a position's vertex (the inverse)
         pos, vertex = pis.ravel(), np.argsort(pis, axis=1).ravel()
         out = []
-        for start in range(0, pis.size, block):
-            rows = np.arange(start, min(pis.size, start + block))
-            verts = rows % n
-            base = rows - verts  # row of each permutation's vertex 0
+        for start in range(0, len(chunk) * m, block):
+            rows = np.arange(start, min(len(chunk) * m, start + block))
+            verts = chosen[rows % m]
+            base = rows // m * n  # entry of each row's permutation's vertex 0
+            here = pos[base + verts]  # each row's own space-2 position
             owner1, member1, d1 = _prefix(space1, verts, radius)
-            value1 = space2.distances_between(pos[rows[owner1]],
+            value1 = space2.distances_between(here[owner1],
                                               pos[base[owner1] + member1])
             bound = np.full(len(rows), np.inf)
             # (float values: ufunc.at scatters them far faster than int64)
             np.minimum.at(bound, owner1, value1.astype(np.float64))
-            owner2, pos2, value2 = space2.ball_members(pos[rows], bound)
+            owner2, pos2, value2 = space2.ball_members(here, bound)
             out += _block_heads(space1, verts, radius,
                                 (owner1, member1, d1, value1),
                                 (owner2, vertex[base[owner2] + pos2], value2))
         for p in range(len(chunk)):
-            yield NavGraph(n, out[p * n:(p + 1) * n])
+            yield out[p * m:(p + 1) * m]
+
+
+def _graphs(space1: Space, space2: Space, perms):
+    """The double-clustering graph of each permutation in ``perms``, in
+    order: :func:`_chosen_rows` over every vertex."""
+    n = space1.n
+    for rows in _chosen_rows(space1, space2, perms, range(n)):
+        yield NavGraph(n, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -341,12 +341,19 @@ def _pairs_by_pi(descriptors: list) -> bool:
 
 
 def _spaces(descriptors: list, n: int, seed: Seed) -> list[Space]:
-    """The described spaces at size n; a cloud that is the k-th space draws
-    its points from the seed's ("points", k) stream."""
-    return [Euclidean(seed.rng("points", k).random((n, len(d.box)))
-                      * np.asarray(d.box), d.box)
-            if isinstance(d, _Cloud) else build_space(d, n)
-            for k, d in enumerate(descriptors, 1)]
+    """The described spaces at size n.  Equal descriptors share one space
+    object, with its one id table and cached views; a cloud that is the
+    k-th space draws its own points from the seed's ("points", k) stream."""
+    spaces: list[Space] = []
+    for k, d in enumerate(descriptors, 1):
+        if isinstance(d, _Cloud):
+            spaces.append(Euclidean(seed.rng("points", k).random((n, len(d.box)))
+                                    * np.asarray(d.box), d.box))
+        elif d in descriptors[:k - 1]:
+            spaces.append(spaces[descriptors.index(d)])
+        else:
+            spaces.append(build_space(d, n))
+    return spaces
 
 
 def _boxes(params: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -4,10 +4,14 @@ These run the production builders and routers over exhaustively enumerated
 permutations (or seeded Monte Carlo samples) and compare the outcome
 against independently stated expectations, using exact integer/rational
 arithmetic wherever the claim is exact.  They are cheap enough to run
-before trusting any large-scale simulation.  Enumerated graphs come from
-the one build path of :func:`~navgraph.construction.build_double_clustering`,
-the rows of many permutations per record-kernel call; routes go through
-:func:`~navgraph.routing.route`.
+before trusting any large-scale simulation.  Each exhaustive oracle
+computes only what it checks, through the one block loop of
+:func:`~navgraph.construction.build_double_clustering`, which puts the
+rows of many permutations in one record-kernel call: the marginal law
+lists vertex 0's row of each permutation and no other, and the greedy
+checks build whole graphs and route on them through
+:func:`~navgraph.routing.route`, reading each path's distances from
+tables filled once per permutation.
 """
 
 from __future__ import annotations
@@ -17,12 +21,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import gt
 from pathlib import Path
 
 import numpy as np
 
-from .construction import Assignment, Seed, _graphs
+from .construction import Assignment, Seed, _chosen_rows, _graphs
 from .routing import RoutingMode, route
 from .spaces import DirectedCycle, UndirectedCycle, _out_of_range
 
@@ -102,6 +105,8 @@ def marginal_edge_law(n: int) -> MarginalLawReport:
     The edge set is invariant under rotating all permuted positions, so
     enumeration fixes pi(0) = 0 and covers (n-1)! rotation classes; the
     returned frequencies are exact rationals that must equal 1/d(0, y).
+    Only vertex 0's row is built for each class, many classes to a
+    record-kernel call.
     """
     if not 2 <= n <= _MAX_MARGINAL_N:
         raise ValueError(
@@ -110,8 +115,8 @@ def marginal_edge_law(n: int) -> MarginalLawReport:
     total = math.factorial(n - 1)
     counts = [0] * n
     perms = ((0,) + tail for tail in itertools.permutations(range(1, n)))
-    for graph in _graphs(space, space, perms):
-        for head in graph.out_edges[0]:
+    for (heads,) in _chosen_rows(space, space, perms, [0]):
+        for head in heads:
             counts[head] += 1
     rows = [MarginalLawRow(head=y, distance=y, count=counts[y], total=total,
                            probability=Fraction(counts[y], total),
@@ -158,47 +163,69 @@ class MonotonicityReport:
 
 
 def _greedy_routes(space: DirectedCycle):
-    """``(pi, greedy-1 outcome, greedy-2 outcome)`` of every ordered pair
-    of distinct vertices, in order, on the double cycle over ``space`` of
-    every permutation of its ids, lexicographically; the graphs are built
+    """``(pi, routes)`` for every permutation of ``space``'s ids,
+    lexicographically, on the double cycle over ``space``: ``routes``
+    yields the (greedy-1, greedy-2) outcomes of every ordered pair of
+    distinct vertices, in order, as it is read.  The graphs are built
     lazily, chunk by chunk."""
     n = space.n
     mode1, mode2 = RoutingMode("greedy-1"), RoutingMode("greedy-2")
+    pairs = list(itertools.permutations(range(n), 2))
     mine, built = itertools.tee(itertools.permutations(range(n)))
     for pi, graph in zip(mine, _graphs(space, space, built)):
         a = Assignment(space, space, np.array(pi, dtype=np.int64))
-        for source, target in itertools.permutations(range(n), 2):
-            yield (pi, route(graph, a, mode1, source, target),
-                   route(graph, a, mode2, source, target))
+        yield pi, ((route(graph, a, mode1, source, target),
+                    route(graph, a, mode2, source, target))
+                   for source, target in pairs)
+
+
+def _translations(d: np.ndarray) -> list[bytes]:
+    """Column t of the distance table ``d[v, t]`` as a ``bytes.translate``
+    table, for each t: byte v of a path becomes d[v, t]."""
+    table = np.zeros((d.shape[1], 256), dtype=np.uint8)
+    table[:, :d.shape[0]] = d.T
+    return [row.tobytes() for row in table]
 
 
 def monotonicity_check(n: int) -> MonotonicityReport:
     """Walk every greedy path of every permutation of the double cycle and
     count violations of strict descent in the *other* cycle's distance
-    (full enumeration over all n! permutations)."""
+    (full enumeration over all n! permutations).
+
+    Each path is read against a table of the other cycle's distances to
+    its target: d(v, t) for greedy-2 paths, one table for every
+    permutation, and d(pi v, pi t) for greedy-1 paths, read from the first
+    once per permutation.  Ids and distances are below n < 256, so a path's
+    distances are its bytes translated through the table's column, and
+    they descend strictly iff they spell one of the 2^n strictly
+    descending strings over 0..n-1.
+    """
     if not 2 <= n <= _MAX_MONOTONE_N:
         raise ValueError(
             f"exhaustive enumeration supports 2 <= n <= {_MAX_MONOTONE_N}, got {n}")
     space = DirectedCycle(n)
-    # the kernel toward each position, for both cycles: d(v, t) = to[t](v)
-    to = [space.distance_to(t) for t in range(n)]
+    ids = np.arange(n)
+    descending = frozenset(
+        bytes(c) for k in range(1, n + 1)
+        for c in itertools.combinations(range(n - 1, -1, -1), k))
+    d = space.distances_between(ids[:, None], ids)
+    own = _translations(d)
     paths = violations = 0
     examples: list[MonotonicityViolation] = []
-    for pi, one, two in _greedy_routes(space):
-        for routed, outcome in (1, one), (2, two):
-            paths += 1
-            # the distances toward the target in the other cycle
-            if routed == 1:
-                trace = list(map(to[pi[outcome.target]],
-                                 map(pi.__getitem__, outcome.path)))
-            else:
-                trace = list(map(to[outcome.target], outcome.path))
-            if not (outcome.success and all(map(gt, trace, trace[1:]))):
-                violations += 1
-                if len(examples) < 100:
-                    examples.append(MonotonicityViolation(
-                        pi, outcome.source, outcome.target, routed,
-                        tuple(outcome.path)))
+    for pi, routes in _greedy_routes(space):
+        pos = np.array(pi)
+        other = _translations(d[pos[:, None], pos])
+        for one, two in routes:
+            for routed, outcome, table in (1, one, other), (2, two, own):
+                paths += 1
+                path = outcome.path
+                if not (outcome.success and bytes(path).translate(
+                        table[outcome.target]) in descending):
+                    violations += 1
+                    if len(examples) < 100:
+                        examples.append(MonotonicityViolation(
+                            pi, outcome.source, outcome.target, routed,
+                            tuple(path)))
     return MonotonicityReport(n, math.factorial(n), paths, violations, examples)
 
 
@@ -240,10 +267,11 @@ def find_divergent_permutation(n_max: int) -> DivergenceWitness | None:
     if n_max > _MAX_DIVERGENCE_N:
         raise ValueError(f"exhaustive search supports n_max <= {_MAX_DIVERGENCE_N}")
     for n in range(2, n_max + 1):
-        for pi, one, two in _greedy_routes(DirectedCycle(n)):
-            if one.path != two.path:
-                return DivergenceWitness(n, pi, one.source, one.target,
-                                         tuple(one.path), tuple(two.path))
+        for pi, routes in _greedy_routes(DirectedCycle(n)):
+            for one, two in routes:
+                if one.path != two.path:
+                    return DivergenceWitness(n, pi, one.source, one.target,
+                                             tuple(one.path), tuple(two.path))
     return None
 
 

@@ -446,6 +446,34 @@ def test_every_permutation_matches_rule(space):
             Assignment(space, space, np.array(pi)))
 
 
+def chosen_rows_cases():
+    for n in range(2, 7):
+        perms = list(itertools.permutations(range(n)))
+        for space in DirectedCycle(n), UndirectedCycle(n):
+            yield pytest.param(space, space, perms, id=f"{space.kind}-{n}")
+    rng = np.random.default_rng(3)
+    yield pytest.param(Grid((4, 4)), TreeLeaves(2, 4),
+                       [rng.permutation(16) for _ in range(5)], id="grid-tree")
+
+
+@pytest.mark.parametrize("rows", [2, 7])
+@pytest.mark.parametrize("space1,space2,perms", chosen_rows_cases())
+def test_chosen_rows_are_rows_of_whole_graphs(monkeypatch, space1, space2,
+                                              perms, rows):
+    # blocks of 2 rows spread a permutation's chosen rows over several
+    # blocks; blocks of 7 hold rows of several permutations, the last
+    # ragged where 7 does not divide the count
+    n = space1.n
+    graphs = [g.out_edges for g in cons._graphs(space1, space2, perms)]
+    monkeypatch.setattr(cons, "_BLOCK_ENTRIES",
+                        2 * (math.isqrt(n - 1) + 1) * rows)
+    assert cons._prefix_plan(space1)[1] == rows
+    assert [g.out_edges for g in cons._graphs(space1, space2, perms)] == graphs
+    for chosen in [0], list(range(n - 1, -1, -2)):
+        assert list(cons._chosen_rows(space1, space2, perms, chosen)) == [
+            [heads[v] for v in chosen] for heads in graphs]
+
+
 def test_no_self_loops_or_duplicates():
     rng = np.random.default_rng(11)
     for _ in range(10):

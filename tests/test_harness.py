@@ -400,6 +400,10 @@ def test_build_model_continuum_uses_boxes():
     assert assignment.space1.points[:, 0].max() <= 1.33
     assert assignment.space1.points[:, 1].max() <= 1.0
     assert graph.n == 50
+    # equal boxes still draw two clouds, from ("points", 1) and ("points", 2)
+    same, _ = build_model("continuum", {"box1": [1, 1], "box2": [1, 1]}, 50,
+                          Seed(3))
+    assert not np.array_equal(same.space1.points, same.space2.points)
 
 
 def test_build_model_rejects_pi_for_baselines():
@@ -503,6 +507,9 @@ def test_every_id_list_shares_its_space_id_table(tmp_path, model):
     # so an id is its table's object only if it was read from the table
     n = 1024
     a, graph = build_model(model, {}, n, Seed(2))
+    # equal descriptors build one space, so both cycles share one table;
+    # clouds draw their own points, and a baseline pairs its one space
+    assert (a.space1 is a.space2) == (model not in ("grid-tree", "continuum"))
     ids1, ids2 = a.space1.ids, a.space2.ids
     assert len(ids1) == len(ids2) == n
     assert not ids1.flags.writeable and not ids2.flags.writeable

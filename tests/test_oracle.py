@@ -5,10 +5,10 @@ import pytest
 
 from navgraph.construction import Assignment, Seed, build_double_clustering
 from navgraph.harness import build_model
-from navgraph.oracle import (DivergenceWitness, find_divergent_permutation,
-                             marginal_edge_law, monotonicity_check,
-                             random_disjoint_sets, tau_tail)
-from navgraph.routing import RoutingMode, route
+from navgraph.oracle import (DivergenceWitness, MonotonicityViolation,
+                             find_divergent_permutation, marginal_edge_law,
+                             monotonicity_check, random_disjoint_sets, tau_tail)
+from navgraph.routing import Failure, RouteOutcome, RoutingMode, route
 from navgraph.spaces import DirectedCycle, Grid, TreeLeaves, UndirectedCycle
 
 
@@ -67,6 +67,30 @@ def test_monotonicity_n6_exhaustive_counts():
     report = monotonicity_check(6)
     assert (report.permutations, report.paths_checked, report.violations) == \
         (720, 43200, 0)
+
+
+def test_monotonicity_counts_stuck_and_rising_paths(monkeypatch):
+    # the double cycle never violates the law, so two routes are replaced:
+    # a stuck greedy-2 route under the identity, and a greedy-1 path under
+    # pi = (0, 2, 1, 3) that descends in cycle 1 but whose cycle-2
+    # distances to pi(3) = 3 read 3, 1, 2, 0
+    faked = {((0, 1, 2, 3), "greedy-2", 1, 0): ([1], [], Failure.STUCK),
+             ((0, 2, 1, 3), "greedy-1", 0, 3): ([0, 1, 2, 3], [3, 2, 1],
+                                                Failure.NONE)}
+
+    def routed(graph, a, mode, source, target):
+        key = (tuple(a.pi.tolist()), mode.label, source, target)
+        if key in faked:
+            return RouteOutcome(source, target, *faked[key])
+        return route(graph, a, mode, source, target)
+
+    monkeypatch.setattr("navgraph.oracle.route", routed)
+    report = monotonicity_check(4)
+    assert (report.permutations, report.paths_checked, report.violations) == \
+        (24, 24 * 12 * 2, 2)
+    assert report.examples == [
+        MonotonicityViolation((0, 1, 2, 3), 1, 0, 2, (1,)),
+        MonotonicityViolation((0, 2, 1, 3), 0, 3, 1, (0, 1, 2, 3))]
 
 
 def test_monotonicity_identity_permutation_follows_cycle():
