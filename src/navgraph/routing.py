@@ -170,13 +170,15 @@ PHASE_AT_ZERO = -math.inf
 
 def _phase(d) -> int | float:
     """The phase of a distance d > 0, the smallest integer i with
-    d <= 2^i (1 is in phase 0), and PHASE_AT_ZERO at 0."""
-    if type(d) is not int:
-        d = float(d)
-        if not d.is_integer():
-            return math.ceil(math.log2(d))
-        d = int(d)
-    return (d - 1).bit_length() if d else PHASE_AT_ZERO
+    d <= 2^i (1 is in phase 0), and PHASE_AT_ZERO at 0.  A d that is not
+    an int is read exactly as a float d = m * 2^e with 1/2 <= m < 1: phase
+    e, or e - 1 when d is the power of two 2^(e - 1)."""
+    if type(d) is int:
+        return (d - 1).bit_length() if d else PHASE_AT_ZERO
+    m, e = math.frexp(d)
+    if not m:
+        return PHASE_AT_ZERO
+    return e - 1 if m == 0.5 else e
 
 
 def resolved_plateau(mode: RoutingMode, assignment: Assignment) -> bool:

@@ -15,15 +15,23 @@ a few vertices per step.  Rows, :meth:`Space.distances_from`, are the
 pairwise kernel broadcast over every id, for one source or for a 1-D array
 of sources (one row each), so that builders read a block of rows in one
 call.  Euclidean overrides rows to read whole coordinate columns with no
-gather, and Grid to broadcast-add each source's per-axis offset tables
-over the grid's shape, one pass over the rows.
+gather, and Grid to broadcast-add each source's per-axis distances over
+the grid's shape, one pass over the rows.
+
+The grid states its axis metric once, in one table per axis: the
+distance along the axis across a coordinate difference k, k on a clipped
+axis and min(k, L - k) on a toric one.  Every kernel form, the ball sizes
+and the diameter read those tables; only balls, which enumerate a window
+of each axis, state the wrap again.
 
 Each scalar read is Python arithmetic on Python numbers, with no numpy
-call and no nested call: a cycle reads one difference; a 2-D grid reads
-its two coordinates unrolled, as a 2-D or 3-D point cloud does, and
-other grids and clouds loop over their axes; tree leaves read the bit
+call and no nested call: a cycle reads one difference; a grid adds one
+entry per axis of its lists of distances from the target's coordinate,
+unrolled on a 2-D grid; a 2-D or 3-D point cloud reads its coordinates
+unrolled and other clouds loop over their axes; tree leaves read the bit
 length of ``v ^ y`` over s bits a digit, rounded up, when the branching
-is 2^s, and compare subtrees level by level for any other branching.
+is 2^s (a tree holds at most 2^53 leaves, so float64 reads ``x ^ y``
+exactly), and compare subtrees level by level for any other branching.
 
 Each space holds one table of its ids as Python ints, :attr:`Space.ids`,
 built once, and every id list the program holds reads its entries from
@@ -68,17 +76,18 @@ to the target's largest distance, and counts every vertex from there on.
 Each kind supplies only its table: the arc lengths 1, 2, 3, ... on the
 directed cycle and 1, 3, 5, ... on the undirected one, the subtree widths
 b^k on tree leaves (one table per tree), and on the grid the running sum
-of the per-axis offset counts convolved across axes, each axis's counts
-written down from where the target lies on it.  A point cloud computes
-the target's distance array once, reads its distances from that array and
-counts a ball by comparing the array with the radius.
+of the shell counts: per axis, how many coordinates lie at each distance
+from the target's (a bincount of the list its scalar read uses),
+convolved across axes.  A point cloud computes the target's row once,
+reads its distances from that array and counts a ball by comparing the
+array with the radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 import numpy as np
 
 __all__ = [
@@ -426,70 +435,60 @@ class Grid(Space):
     def _coord_rows(self) -> list[list[int]]:
         return np.column_stack(self._columns).tolist()
 
-    def _l1(self, diffs) -> np.ndarray:
-        """L1 distances from one new array of coordinate differences per
-        axis, each taken the short way round a toric axis; the arrays are
-        overwritten."""
-        total = None
-        for diff, length in zip(diffs, self.dims):
-            np.abs(diff, out=diff)
-            if self.toric:
-                np.minimum(diff, length - diff, out=diff)
-            total = diff if total is None else np.add(total, diff, out=total)
-        return total
+    @cached_property
+    def _offsets(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the distance along it across each coordinate
+        difference k = 0..L-1: k on a clipped axis, min(k, L - k) on a
+        toric one."""
+        return tuple(np.minimum(k, len(k) - k) if self.toric else k
+                     for k in map(np.arange, self.dims))
+
+    def _axis_distances(self, y: int) -> list[list[int]]:
+        """Per axis, the distance along it from y's coordinate c to each
+        coordinate: the axis's offset table read back from c to 1, then
+        forward from 0."""
+        return [t[c:0:-1] + t[:len(t) - c]
+                for t, c in zip(map(np.ndarray.tolist, self._offsets),
+                                self._coord_rows[y])]
 
     def distance_to(self, y: int):
         self._check_vertex(y)
-        n, rows = self.n, self._coord_rows
-        # per axis: y's coordinate, the length, and the longest offset that
-        # is still the short way (half the length around a toric axis)
-        axes = [(c, length, length // 2 if self.toric else length)
-                for c, length in zip(rows[y], self.dims)]
-        if len(axes) == 2:
-            (y0, length0, reach0), (y1, length1, reach1) = axes
+        n, rows, tables = self.n, self._coord_rows, self._axis_distances(y)
+        if len(tables) == 2:
+            t0, t1 = tables
 
             def d(v: int) -> int:
                 if not 0 <= v < n:
                     raise _out_of_range(v, n)
                 v0, v1 = rows[v]
-                a0 = v0 - y0 if v0 >= y0 else y0 - v0
-                a1 = v1 - y1 if v1 >= y1 else y1 - v1
-                return ((a0 if a0 <= reach0 else length0 - a0)
-                        + (a1 if a1 <= reach1 else length1 - a1))
+                return t0[v0] + t1[v1]
             return d
 
         def d(v: int) -> int:
             if not 0 <= v < n:
                 raise _out_of_range(v, n)
-            total = 0
-            for c, (cy, length, reach) in zip(rows[v], axes):
-                a = c - cy if c >= cy else cy - c
-                total += a if a <= reach else length - a
-            return total
+            return sum(map(list.__getitem__, tables, rows[v]))
         return d
 
     def distances_from(self, x) -> np.ndarray:
-        # per axis, each source's offset to every coordinate of the axis,
-        # taken the short way round a toric axis; the rows are those
-        # tables broadcast-added over the grid's shape
+        # per axis, each source's offset table read at its difference from
+        # every coordinate of the axis; the rows are those tables
+        # broadcast-added over the grid's shape
         x = self._sources(x)
         sources = x.reshape(-1, 1)
         shape = [len(sources)] + [1] * len(self.dims)
         total = None
-        for axis, length in enumerate(self.dims):
-            offset = np.abs(np.arange(length) - self._columns[axis][sources])
-            if self.toric:
-                np.minimum(offset, length - offset, out=offset)
-            shape[axis + 1] = length
+        for axis, (table, column) in enumerate(zip(self._offsets, self._columns)):
+            offset = table[np.abs(np.arange(len(table)) - column[sources])]
+            shape[axis + 1] = len(table)
             offset = offset.reshape(shape)
             shape[axis + 1] = 1
             total = offset if total is None else total + offset
         return total.reshape(x.shape[:-1] + (self.n,))
 
     def _between(self, xs, ys) -> np.ndarray:
-        # a 0-d array where both ids are scalars: _l1 writes into its inputs
-        return self._l1(np.asarray(column[ys] - column[xs])
-                        for column in self._columns)
+        return sum(table[np.abs(column[ys] - column[xs])]
+                   for table, column in zip(self._offsets, self._columns))
 
     def ball_members(self, centers, radii):
         # the L1 diamond, one axis at a time: each partial member spends
@@ -518,27 +517,13 @@ class Grid(Space):
 
     def _ball_sizes(self, y: int):
         # the L1 shells around y: per axis, the number of coordinates at
-        # each offset from y's, convolved across the axes; their running
-        # sums are the ball sizes.  On a clipped axis, offset 0 is y's
-        # coordinate, each offset up to the nearer edge has one coordinate
-        # on either side and each further one, out to the farther edge, one;
-        # around a toric axis of length L every offset short of L / 2 has
-        # two and offset L / 2 (L even) one, wherever y lies
-        shells = None
-        for c, length in zip(self._coord_rows[y], self.dims):
-            if self.toric:
-                near, far = (length - 1) // 2, length // 2
-            else:
-                near, far = min(c, length - 1 - c), max(c, length - 1 - c)
-            counts = np.ones(far + 1, dtype=np.int64)
-            counts[1:near + 1] = 2
-            shells = counts if shells is None else np.convolve(shells, counts)
+        # each distance from y's, convolved across the axes; their running
+        # sums are the ball sizes
+        shells = reduce(np.convolve, map(np.bincount, self._axis_distances(y)))
         return shells.cumsum().tolist()
 
     def diameter(self) -> int:
-        if self.toric:
-            return sum(d // 2 for d in self.dims)
-        return sum(d - 1 for d in self.dims)
+        return sum(int(table.max()) for table in self._offsets)
 
 
 @dataclass(frozen=True)
@@ -562,6 +547,10 @@ class TreeLeaves(Space):
             raise ValueError("branching must be >= 2")
         if self.height < 0:
             raise ValueError("height must be >= 0")
+        # the 2^s kernel reads x ^ y through float64, exact below 2^53
+        if self.height > 53 or self.branching**self.height > 2**53:
+            raise ValueError(f"a tree holds at most 2^53 leaves, got "
+                             f"{self.branching}^{self.height}")
 
     @cached_property
     def n(self) -> int:
@@ -801,8 +790,7 @@ class Euclidean(Space):
     def prepare_target(self, y: int):
         # no closed form: y's distances enumerated once, ``dist`` read
         # from that array and ``count`` by comparison with it
-        self._check_vertex(y)
-        to_y = _norms(column - column[y] for column in self._columns)
+        to_y = self.distances_from(y)
         # a memoryview reads Python scalars without copying the array
         n, values = self.n, memoryview(to_y)
 

@@ -981,6 +981,13 @@ def test_no_command_prints_help(capsys):
     assert run_cli() == 1
 
 
+def test_oracle_without_a_subcommand_is_refused(capsys):
+    assert run_cli("oracle") == 1
+    assert capsys.readouterr() == (
+        "", "error: choose an oracle: marginal | monotonicity | divergence "
+        "| tau | degree\n")
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.edges"
     proc = subprocess.run(

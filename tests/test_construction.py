@@ -709,6 +709,14 @@ def test_kleinberg_rejects_point_clouds():
         build_kleinberg(Euclidean(np.zeros((4, 2))), 1.0, 1, Seed(0))
 
 
+@pytest.mark.parametrize("alpha,links,message", [
+    (-0.5, 1, "alpha must be >= 0"), (2.0, 0, "links must be >= 1"),
+    (2.0, -1, "links must be >= 1")])
+def test_kleinberg_refuses_negative_alpha_and_no_links(alpha, links, message):
+    with pytest.raises(ValueError, match=message):
+        build_kleinberg(Grid((4, 4)), alpha, links, Seed(0))
+
+
 # ---------------------------------------------------------------------------
 # thinning
 
@@ -731,6 +739,13 @@ def test_thinning_rejects_tiny_graphs():
     g = build_double_clustering(a)
     with pytest.raises(ValueError):
         thin_edges(g, a.space1, Seed(0))
+
+
+def test_thinning_refuses_a_base_space_of_another_size():
+    a = Assignment.identity(DirectedCycle(16))
+    g = build_double_clustering(a)
+    with pytest.raises(ValueError, match="base space size does not match graph"):
+        thin_edges(g, DirectedCycle(15), Seed(0))
 
 
 def test_thinned_mean_nonbase_degree():

@@ -776,6 +776,9 @@ def test_fit_scaling_constant_input():
 def test_fit_scaling_needs_three_sizes():
     with pytest.raises(ValueError):
         fit_scaling(synthetic_result({64: 1.0, 128: 2.0}))
+    # three sizes, but the mode succeeded at only two of them
+    with pytest.raises(ValueError, match="greedy-1 needs >= 3 sizes with successes"):
+        fit_scaling(synthetic_result({64: 1.0, 128: None, 256: 3.0}))
 
 
 def test_clustering_slope_close_to_interest_slope():

@@ -153,6 +153,16 @@ def test_tau_rejects_overlapping_sets():
         tau_tail(50, [1, 1], [3], samples=10, seed=Seed(0))
 
 
+@pytest.mark.parametrize("a_order,b_set,samples,message", [
+    ([], [3], 10, "A and B must be nonempty"),
+    ([2], [], 10, "A and B must be nonempty"),
+    ([2], [3], 0, "samples must be >= 1"),
+    ([2], [3], -5, "samples must be >= 1")])
+def test_tau_refuses_empty_sets_and_no_samples(a_order, b_set, samples, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tau_tail(10, a_order, b_set, samples=samples, seed=Seed(0))
+
+
 def test_tau_tail_monte_carlo_bounds():
     set_a, set_b = random_disjoint_sets(1000, 100, 100, Seed(5))
     report = tau_tail(1000, set_a, set_b, samples=2000, seed=Seed(5))

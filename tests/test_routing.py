@@ -55,8 +55,11 @@ def phase_by_definition(d):
 
 def test_phase_index_examples():
     # 4 < 5 <= 8 and 8 is in phase 3: the boundary is inclusive above
+    # just above a power of two is the next phase, where log2 rounds down
     for d, i in ((1, 0), (5, 3), (8, 3), (2, 1), (0.3, -1), (1.0, 0),
-                 (4.5, 3), (0, PHASE_AT_ZERO), (0.0, PHASE_AT_ZERO)):
+                 (4.5, 3), (0, PHASE_AT_ZERO), (0.0, PHASE_AT_ZERO),
+                 (16.000000000000004, 5), (2**-10 * (1 + 2**-52), -9),
+                 (16.0, 4), (2.0**-10, -10)):
         assert phase_by_definition(d) == i
         assert rt._phase(d) == i
 
@@ -488,6 +491,9 @@ def test_endpoint_validation():
     # the source is named first when both are out of range
     with pytest.raises(ValueError, match=r"^vertex id 5 out of range"):
         route(g, a, RoutingMode("half-greedy"), 5, -1)
+    # a graph routes only with an assignment of its own size
+    with pytest.raises(ValueError, match="^graph and assignment sizes differ$"):
+        route(g, Assignment.identity(DirectedCycle(5)), RoutingMode("greedy"), 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,39 @@ def test_cloud_rejects_coordinates_whose_differences_overflow(points):
         Euclidean(points)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: DirectedCycle(0), "cycle needs n >= 1"),
+    (lambda: UndirectedCycle(0), "cycle needs n >= 1"),
+    (lambda: Grid(()), "grid dims must be positive"),
+    (lambda: Grid((3, 0)), "grid dims must be positive"),
+    (lambda: TreeLeaves(1, 3), "branching must be >= 2"),
+    (lambda: TreeLeaves(2, -1), "height must be >= 0"),
+    # past 2^53 leaves the 2^s array kernel would read x ^ y rounded
+    # through float64: (2, 60) gave 61 at leaves 0 and 2^60 - 1
+    (lambda: TreeLeaves(2, 60), "at most 2\\^53 leaves, got 2\\^60"),
+    (lambda: TreeLeaves(4, 30), "at most 2\\^53 leaves, got 4\\^30"),
+    (lambda: TreeLeaves(3, 34), "at most 2\\^53 leaves"),
+    (lambda: Euclidean(np.zeros(3)), "nonempty \\(n, dim\\) array"),
+    (lambda: Euclidean(np.zeros((0, 2))), "nonempty \\(n, dim\\) array"),
+], ids=["directed-cycle-0", "undirected-cycle-0", "grid-no-axes",
+        "grid-empty-axis", "tree-branching-1", "tree-height-negative",
+        "tree-2^60", "tree-4^30", "tree-3^34", "cloud-1-d", "cloud-empty"])
+def test_constructors_refuse_what_they_cannot_hold(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("branching,height", [(2, 53), (8, 17), (3, 33)])
+def test_the_largest_trees_read_equal_kernels(branching, height):
+    # at most 2^53 leaves, x ^ y is exact in float64: the array kernel
+    # agrees with the scalar one on the two farthest-apart leaves
+    tree = TreeLeaves(branching, height)
+    last = tree.n - 1
+    assert tree.distances_between(0, last) == height
+    assert tree.distance_to(last)(0) == height
+    assert tree.distances_between(last - 1, last) == 1 == tree.distance_to(last)(last - 1)
+
+
 def test_cloud_with_a_wide_finite_box_is_accepted():
     cloud = Euclidean([[1e153, 1e153], [-1e153, -1e153], [0.0, 0.0]])
     assert cloud.ball_members(2, 1.0)[1].tolist() == [2]
