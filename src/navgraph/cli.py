@@ -45,10 +45,12 @@ def _resolve_seed(value) -> int:
     return int(env) if env else 0
 
 
-def _echo(argv: list[str], seed: int | None) -> None:
+def _echo(argv: list[str], args) -> None:
     line = "navgraph " + " ".join(argv)
-    if seed is not None and "--seed" not in argv:
-        line += f" --seed {seed}"
+    # a command that takes a seed names it: one no --seed flag gave comes
+    # from NAVGRAPH_SEED or the default
+    if "seed" in args and args.seed is None:
+        line += f" --seed {_resolve_seed(None)}"
     print(f"# {line}")
 
 
@@ -80,16 +82,9 @@ def _model_params(args) -> dict:
     return params
 
 
-def _check_file_flag(flag: str, value: str | None) -> None:
-    # an empty value names no file; it is refused, never read as absent
-    if value == "":
-        raise _UsageError(f"{flag} must name a file, got an empty value")
-
-
 def _checked_model(args, modes=(), thinning: bool = False):
     """The model's params and explicit permutation (None where the seed
     draws one), once the model check has passed and --pi-file is read."""
-    _check_file_flag("--pi-file", args.pi_file)
     params = _model_params(args)
     harness.check_model(args.model, params, (args.n,), modes,
                         thinning=thinning,
@@ -113,7 +108,7 @@ def _cmd_generate(args, argv) -> int:
     # every input is checked before the build, which can take seconds
     params, pi = _checked_model(args, thinning=args.thin)
     seed = _resolve_seed(args.seed)
-    _echo(argv, seed)
+    _echo(argv, args)
     assignment, graph = harness.build_model(args.model, params, args.n,
                                             Seed(seed), pi=pi)
     if args.thin:
@@ -133,7 +128,6 @@ def _cmd_route(args, argv) -> int:
     mode = RoutingMode(
         args.mode, max_steps=args.max_steps,
         plateau=None if args.plateau == "auto" else args.plateau == "on")
-    _check_file_flag("--edges", args.edges)
     params, pi = _checked_model(args, (mode,))
     for v in (args.source, args.target):
         if not 0 <= v < args.n:
@@ -142,14 +136,14 @@ def _cmd_route(args, argv) -> int:
     # an edge list replaces the model's graph, which is then never built;
     # it is read over the assignment's space 1, before the invocation line
     if args.edges is None:
-        _echo(argv, seed)
+        _echo(argv, args)
         assignment, graph = harness.build_model(args.model, params, args.n,
                                                 Seed(seed), pi=pi)
     else:
         assignment = harness.build_assignment(args.model, params, args.n,
                                               Seed(seed), pi=pi)
         graph = read_edge_list(args.edges, assignment.space1)
-        _echo(argv, seed)
+        _echo(argv, args)
     outcome = route(graph, assignment, mode, args.source, args.target)
     print(f"mode: {mode.label}")
     print("path: " + " -> ".join(str(v) for v in outcome.path))
@@ -167,12 +161,12 @@ def _fail(message: str) -> int:
     return EXIT_ASSERTION
 
 
-def _report(args, argv, seed: int | None, text: str | None, write_csv,
+def _report(args, argv, text: str | None, write_csv,
             failure: str | None) -> int:
     """Echo the invocation line of an oracle that has returned, print its
     report (if any), write its CSV where --csv asks, and turn a failure
     message into exit 2."""
-    _echo(argv, seed)
+    _echo(argv, args)
     if text is not None:
         print(text)
         if args.csv:
@@ -184,27 +178,27 @@ def _cmd_oracle(args, argv) -> int:
     if args.oracle_cmd == "marginal":
         report = oracle.marginal_edge_law(args.n)
         if report.all_exact:
-            return _report(args, argv, None, report.table(),
+            return _report(args, argv, report.table(),
                            report.write_csv, None)
         bad = [r for r in report.rows if not r.exact][0]
-        return _report(args, argv, None, report.table(), report.write_csv,
+        return _report(args, argv, report.table(), report.write_csv,
                        f"edge frequency to y={bad.head} is {bad.probability}, "
                        f"expected {bad.expected}")
     if args.oracle_cmd == "monotonicity":
         report = oracle.monotonicity_check(args.n)
         if not report.violations:
-            return _report(args, argv, None, report.table() + "\n0 violations",
+            return _report(args, argv, report.table() + "\n0 violations",
                            report.write_csv, None)
         ex = report.examples[0]
-        return _report(args, argv, None, report.table(), report.write_csv,
+        return _report(args, argv, report.table(), report.write_csv,
                        f"{report.violations} monotonicity violations, e.g. "
                        f"pi={ex.pi} {ex.source}->{ex.target}")
     if args.oracle_cmd == "divergence":
         witness = oracle.find_divergent_permutation(args.n_max)
         if witness is None:
-            return _report(args, argv, None, None, None,
+            return _report(args, argv, None, None,
                            f"no divergent permutation up to n={args.n_max}")
-        return _report(args, argv, None, witness.table(), witness.write_csv,
+        return _report(args, argv, witness.table(), witness.write_csv,
                        None)
     if args.oracle_cmd == "tau":
         if args.set_size < 1:
@@ -215,7 +209,7 @@ def _cmd_oracle(args, argv) -> int:
         set_a, set_b = oracle.random_disjoint_sets(args.n, args.set_size,
                                                    args.set_size, Seed(seed))
         report = oracle.tau_tail(args.n, set_a, set_b, args.samples, Seed(seed))
-        return _report(args, argv, seed, report.table(), report.write_csv,
+        return _report(args, argv, report.table(), report.write_csv,
                        None if report.passed else
                        f"tau tail checks failed: P(tau=1)={report.tau1_probability:.4f} "
                        f"needs >= {report.p_lower:.4f}, "
@@ -238,7 +232,7 @@ def _cmd_oracle(args, argv) -> int:
         observed = sum(means) / len(means)
         rel = abs(observed - expected) / expected
         return _report(
-            args, argv, seed,
+            args, argv,
             f"independent interest on a directed cycle, n={args.n}, "
             f"{args.seeds} seeds\n"
             f"mean out-degree: {observed:.4f} (harmonic oracle {expected:.4f}, "
@@ -257,7 +251,7 @@ def _cmd_experiment(args, argv) -> int:
     if args.workers < 0:
         raise _UsageError(f"--workers must be >= 0, got {args.workers}")
     spec = harness.load_experiment_config(args.config)
-    _echo(argv, None)
+    _echo(argv, args)
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     result = harness.run_experiment(spec, workers=workers,
                                     dump_edges_dir=args.dump_edges)
@@ -357,6 +351,12 @@ _COMMANDS = {
 }
 
 
+# every flag that names a file or a directory, in every command that takes
+# it: an empty value names none, and is refused before the command runs
+_FILE_FLAGS = ("--out", "--raw-out", "--csv", "--config", "--dump-edges",
+               "--pi-file", "--edges")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -365,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
+        for flag in _FILE_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_"), None) == "":
+                raise _UsageError(f"{flag} must name a file, got an empty value")
         return _COMMANDS[args.command](args, argv)
     except ValueError as exc:  # _UsageError too
         print(f"error: {exc}", file=sys.stderr)

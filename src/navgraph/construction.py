@@ -626,7 +626,7 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
     n = space.n
     if n == 1:
         return NavGraph(n, [[]])
-    base_tails, base_heads = space.base_edges()
+    base = space.base_codes
     weights = _link_weights(space, alpha)
     u = seed.streams("kleinberg", np.arange(n)).uniforms(links).reshape(n, links)
     block = max(1, _KLEINBERG_ENTRIES // n)
@@ -640,9 +640,8 @@ def build_kleinberg(space: Space, alpha: float, links: int, seed: Seed) -> NavGr
                           for row, v in zip(cdf, u[start:start + len(rows)])])
         # candidate -> id
         draws += draws >= rows[:, None]
-        lo, hi = np.searchsorted(base_tails, (start, start + len(rows)))
-        codes = np.concatenate((base_tails[lo:hi] * n + base_heads[lo:hi],
-                                (rows[:, None] * n + draws).ravel()))
+        lo, hi = np.searchsorted(base, (start * n, (start + len(rows)) * n))
+        codes = np.concatenate((base[lo:hi], (rows[:, None] * n + draws).ravel()))
         out += _split_rows(_distinct(codes) - start * n, len(rows), space.ids)
     return NavGraph(n, out)
 
@@ -669,16 +668,15 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
         raise ValueError("base space size does not match graph")
     keep_p = edge_keep_probability(n)
     degrees = np.fromiter(map(len, graph.out_edges), dtype=np.int64, count=n)
-    heads = np.fromiter(itertools.chain.from_iterable(graph.out_edges),
+    # each edge's code tail * n + head: the heads, then each row's tail * n
+    codes = np.fromiter(itertools.chain.from_iterable(graph.out_edges),
                         dtype=np.int64, count=int(degrees.sum()))
-    tails = np.repeat(np.arange(n), degrees)
-    codes = tails * n + heads
+    codes += np.repeat(np.arange(0, n * n, n), degrees)
     # base edges by search in their ascending codes
-    base_tails, base_heads = base_space.base_edges()
-    base_codes = np.append(base_tails * n + base_heads, -1)
-    keep = base_codes[np.searchsorted(base_codes[:-1], codes)] == codes
+    base = np.append(base_space.base_codes, -1)
+    keep = base[np.searchsorted(base[:-1], codes)] == codes
     extras = np.flatnonzero(~keep)
-    counts = np.bincount(tails[extras], minlength=n)
+    counts = np.bincount(codes[extras] // n, minlength=n)
     drawing = np.flatnonzero(counts)
     u = seed.streams("thin", drawing).uniforms(counts[drawing])
     keep[extras[u < keep_p]] = True
@@ -720,12 +718,12 @@ def read_edge_list(path: str | Path, space: Space) -> NavGraph:
     and number.  Once every line has parsed, the first edge out of range
     for ``space.n`` is refused; self-loops and repeated edges are dropped.
     The file is read 2^20 characters at a time into one int64 array of
-    (tail, head) pairs, whose heads become entries of the space's id table
-    (:attr:`Space.ids`).
+    edge codes ``tail * n + head``, whose heads become entries of the
+    space's id table (:attr:`Space.ids`).
     """
     n = space.n
-    pairs, outside, number, rest = array("q"), None, 0, ""
-    append = pairs.append
+    codes, outside, number, rest = array("q"), None, 0, ""
+    append = codes.append
     with open(path) as fh:
         while True:
             chunk = fh.read(1 << 20)
@@ -747,8 +745,7 @@ def read_edge_list(path: str | Path, space: Space) -> NavGraph:
                                      "'tail<TAB>head' integers, got "
                                      f"{line.strip()!r}") from None
                 if 0 <= tail < n and 0 <= head < n:
-                    append(tail)
-                    append(head)
+                    append(tail * n + head)
                 elif outside is None:
                     outside = tail, head
             if not chunk:
@@ -756,7 +753,6 @@ def read_edge_list(path: str | Path, space: Space) -> NavGraph:
     if outside is not None:
         raise ValueError(f"edge ({outside[0]}, {outside[1]}) out of range "
                          f"for n={n}")
-    tails, heads = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2).T
-    loop = tails == heads
-    codes = _distinct(tails[~loop] * n + heads[~loop])
+    codes = np.frombuffer(codes, dtype=np.int64)
+    codes = _distinct(codes[codes // n != codes % n])
     return NavGraph(n, _split_rows(codes, n, space.ids))

@@ -46,11 +46,12 @@ unchecked pairwise kernel, ``_between``; balls check their centers, and
 the scalar forms check the target when they prepare it and each vertex
 they are asked about.
 
-Base adjacency is stated once per kind, by :meth:`Space.base_edges`, which
-lists every base edge at once: the ball of radius 1 without its center on
-the kinds with integer distances, each point's nearest other points on a
-point cloud.  :meth:`Space.base_neighbors` reads one vertex's slice of
-those edges, for the half-greedy router's small steps.
+Base adjacency is stated once per kind, by :attr:`Space.base_codes`: every
+base edge, computed once, as ascending codes ``tail * n + head``; the ball
+of radius 1 without its center on the kinds with integer distances, each
+point's nearest other points on a point cloud.  Builders and thinning read
+the codes as they are; :meth:`Space.base_neighbors` reads one vertex's run
+of them, for the half-greedy router's small steps.
 
 Balls are listed by :meth:`Space.ball_members`, exactly in every kind,
 each nearest first and with every member's distance.  The cycles (an
@@ -196,23 +197,24 @@ class Space:
         return ids
 
     def base_neighbors(self, x: int) -> list[int]:
-        """Base-graph neighbors of ``x``, ascending: its slice of
-        :meth:`base_edges`, as a new list of entries of :attr:`ids`."""
+        """Base-graph neighbors of ``x``, ascending: its run of
+        :attr:`base_codes`, as a new list of entries of :attr:`ids`."""
         self._check_vertex(x)
         bounds, heads = self._base_view
         return heads[bounds[x]:bounds[x + 1]]
 
     @cached_property
     def _base_view(self) -> tuple[list[int], list[int]]:
-        # base_edges as Python lists, built on the first base_neighbors
+        # base_codes as Python lists, built on the first base_neighbors
         # call: vertex x's heads are heads[bounds[x]:bounds[x + 1]]
-        tails, heads = self.base_edges()
-        bounds = np.searchsorted(tails, np.arange(self.n + 1))
-        return bounds.tolist(), self.ids[heads].tolist()
+        n, codes = self.n, self.base_codes
+        bounds = np.searchsorted(codes, np.arange(0, n * n + 1, n))
+        return bounds.tolist(), self.ids[codes % n].tolist()
 
-    def base_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every base-graph edge at once: ``(tail, head)`` arrays, tails
-        ascending and each tail's heads ascending.
+    @cached_property
+    def base_codes(self) -> np.ndarray:
+        """Every base-graph edge at once, computed once: ascending codes
+        ``tail * n + head``, with no self-loop.
 
         This version serves the kinds with integer distances, whose base
         neighbors are the other vertices at distance 1: the ball of
@@ -220,9 +222,7 @@ class Space:
         """
         n = self.n
         owner, member, _ = self.ball_members(np.arange(n), 1)
-        codes = np.sort(owner * n + member)
-        codes = codes[codes // n != codes % n]
-        return codes // n, codes % n
+        return np.sort((owner * n + member)[owner != member])
 
     def ball_members(self, centers, radii
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -809,7 +809,7 @@ class Euclidean(Space):
         return _norms(column[ys] - column[xs] for column in self._columns)
 
     @cached_property
-    def _nearest(self) -> np.ndarray:
+    def base_codes(self) -> np.ndarray:
         """Every point's nearest other points, as ascending codes
         ``x * n + y``, found a block of points at a time: balls of doubling
         radius around each point until one holds another point, whose
@@ -832,6 +832,3 @@ class Euclidean(Space):
             todo = todo[~np.concatenate(found)]
             radius *= 2
         return np.sort(np.concatenate(codes))
-
-    def base_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._nearest // self.n, self._nearest % self.n

@@ -988,6 +988,58 @@ def test_oracle_without_a_subcommand_is_refused(capsys):
         "| tau | degree\n")
 
 
+# every command with a flag that names a file or a directory, that flag
+# given an empty value; generate's and route's --pi-file and route's
+# --edges are refused with the model inputs above
+_EMPTY_FILE_FLAGS = [
+    (("generate", "--model", "two-undirected-cycles", "--n", "16"), "--out"),
+    (("oracle", "marginal", "--n", "4"), "--csv"),
+    (("oracle", "monotonicity", "--n", "4"), "--csv"),
+    (("oracle", "divergence", "--n-max", "4"), "--csv"),
+    (("oracle", "tau", "--n", "50", "--set-size", "5", "--samples", "100"),
+     "--csv"),
+    (("oracle", "degree", "--n", "16", "--seeds", "1"), "--csv"),
+    (("experiment", "--out", "a.csv"), "--config"),
+    (("experiment", "--config", "c.json"), "--out"),
+    (("experiment", "--config", "c.json", "--out", "a.csv"), "--raw-out"),
+    (("experiment", "--config", "c.json", "--out", "a.csv"), "--dump-edges"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", _EMPTY_FILE_FLAGS,
+                         ids=[f"{a[1] if a[0] == 'oracle' else a[0]}{f[1:]}"
+                              for a, f in _EMPTY_FILE_FLAGS])
+def test_an_empty_file_flag_is_refused_before_any_output(
+        monkeypatch, tmp_path, capsys, argv, flag):
+    # an empty value names no file: it is refused, never read as absent
+    # nor as the working directory, and nothing runs or is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"model": "two-undirected-cycles", "sizes": [16], "seeds": [1],
+         "routes_per_size": 2}))
+    assert run_cli(*argv, flag, "") == 1
+    assert capsys.readouterr() == (
+        "", f"error: {flag} must name a file, got an empty value\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("route", "--model", "two-undirected-cycles", "--n", "16", "--source",
+     "0", "--target", "5"),
+    ("oracle", "tau", "--n", "50", "--set-size", "5", "--samples", "100")],
+    ids=["route", "oracle-tau"])
+@pytest.mark.parametrize("seed", [("--seed=7",), ("--see", "7")],
+                         ids=["equals", "abbreviated"])
+def test_the_invocation_line_names_a_given_seed_once(capsys, argv, seed):
+    # the seed a flag gave, in any spelling argparse accepts, is echoed as
+    # given and not appended again; the run is the one --seed 7 makes
+    assert run_cli(*argv, *seed) == 0
+    echo, *rest = capsys.readouterr().out.splitlines()
+    assert echo == "# navgraph " + " ".join([*argv, *seed])
+    assert run_cli(*argv, "--seed", "7") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == rest
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.edges"
     proc = subprocess.run(

@@ -748,6 +748,43 @@ def test_thinning_refuses_a_base_space_of_another_size():
         thin_edges(g, DirectedCycle(15), Seed(0))
 
 
+@pytest.mark.parametrize("space", [
+    UndirectedCycle(40), Grid((6, 5), toric=True), TreeLeaves(3, 3),
+    snapped_cloud(np.random.default_rng(5), 60, 2, 4)],
+    ids=lambda s: repr(s)[:40])
+def test_every_base_graph_reader_shares_one_computation(monkeypatch, space):
+    # Kleinberg, thinning and half-greedy's base_neighbors read one cached
+    # array: the radius-1 balls, or a cloud's nearest-point search, run
+    # for the first reader only
+    graph = build_independent_interest(space, Seed(1))
+    cloud, searches = isinstance(space, Euclidean), []
+    if not cloud:
+        method, ball = "ball_members", type(space).ball_members
+
+        def counted(self, centers, radii):
+            if np.all(np.equal(radii, 1)):
+                searches.append(1)
+            return ball(self, centers, radii)
+    else:
+        method, near = "_near", Euclidean._near
+
+        def counted(self, centers, radii):
+            searches.append(1)
+            return near(self, centers, radii)
+    monkeypatch.setattr(type(space), method, counted)
+    readers = [lambda: thin_edges(graph, space, Seed(3)),
+               lambda: [space.base_neighbors(x) for x in range(space.n)],
+               lambda: thin_edges(graph, space, Seed(4))]
+    if space.is_graph_kind:
+        readers.insert(0, lambda: build_kleinberg(space, 2.0, 1, Seed(2)))
+    readers[0]()
+    first = len(searches)
+    assert first >= 1 if cloud else first == 1
+    for read in readers[1:]:
+        read()
+    assert len(searches) == first
+
+
 def test_thinned_mean_nonbase_degree():
     # pre-thinning non-base degree averages H_{n-1} - 1 (marginal law);
     # each survives with probability 1/ln(n)

@@ -399,13 +399,17 @@ def enumerated_base(space, x):
 
 
 def assert_base_adjacency_enumerated(space):
-    # every vertex's base_neighbors, ascending, and base_edges listing
-    # them all in turn, against the enumeration
-    expected = [enumerated_base(space, x) for x in range(space.n)]
-    assert [space.base_neighbors(x) for x in range(space.n)] == expected
-    tails, heads = space.base_edges()
-    assert list(zip(tails.tolist(), heads.tolist())) == \
-        [(x, y) for x in range(space.n) for y in expected[x]]
+    # every vertex's base_neighbors, ascending, and base_codes listing
+    # them all in turn as ascending codes x * n + y with no self-loop,
+    # against the enumeration
+    n = space.n
+    expected = [enumerated_base(space, x) for x in range(n)]
+    assert [space.base_neighbors(x) for x in range(n)] == expected
+    codes = space.base_codes
+    assert codes.dtype == np.int64
+    assert np.all(np.diff(codes) > 0)
+    assert not np.any(codes // n == codes % n)
+    assert codes.tolist() == [x * n + y for x in range(n) for y in expected[x]]
 
 
 @pytest.mark.parametrize("space", cell_index_clouds() + small_spaces()[-1:],
@@ -573,10 +577,10 @@ def test_base_edges_list_every_base_neighbor(space):
 
 
 def test_base_neighbors_view_is_lazy_and_hands_out_new_lists():
-    # builders read base_edges alone and pay nothing for the per-vertex
+    # builders read base_codes alone and pay nothing for the per-vertex
     # view; a caller that edits its list leaves the space as it was
     g = Grid((3, 4))
-    g.base_edges()
+    g.base_codes
     assert "_base_view" not in g.__dict__
     first = g.base_neighbors(5)
     first.append(0)
