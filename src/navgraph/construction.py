@@ -6,16 +6,16 @@ space.  Ties in the first space form one unordered shell: members of a
 shell never constrain each other, and the running second-space minimum is
 updated only after the whole shell has been scanned.  One kernel,
 ``_record_keep``, applies the rule for every builder and size.  Each row's
-candidates form two sets, the space-1 prefix ball and the second ball
-that the prefix bounds (less the prefix), and each comes nearest first
-from its own ball, as :meth:`Space.ball_members` lists it.  The rule is
-the same with the two spaces swapped, so the kernel reads each set in
-that order and sorts nothing.  Rows go to the kernel in blocks.  A
-double-clustering row is one chosen vertex under one permutation: a build
-lists every vertex of its permutation, and the exhaustive oracles'
-enumerations put the rows of many permutations in one block, every vertex
-of each for the graphs they route on and only vertex 0 of each for the
-marginal law.
+candidates form two sets, its space-1 prefix ball and the second ball that
+the prefix bounds (less the prefix), and each comes nearest first from its
+own ball as :meth:`Space.ball_members` lists it, without the row itself,
+so no row is its own candidate.  The rule is the same with the two spaces
+swapped, so the kernel reads each set in that order and sorts nothing.
+Rows go to the kernel in blocks.  A double-clustering row is one chosen
+vertex under one permutation: a build lists every vertex of its
+permutation, and the exhaustive oracles' enumerations put the rows of many
+permutations in one block, every vertex of each for the graphs they route
+on and only vertex 0 of each for the marginal law.
 
 All builders are pure functions of their parameters and a :class:`Seed`;
 randomness is drawn from per-vertex streams derived from (master seed,
@@ -410,31 +410,22 @@ def _prefix_plan(space: Space) -> tuple[float, int]:
     return space.prefix_radius, max(1, _BLOCK_ENTRIES // (2 * k))
 
 
-def _prefix(space: Space, rows: np.ndarray, radius
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(owner, member, distance) of each row's prefix, nearest first: the
-    whole space-1 ball of ``radius`` around ``rows[owner]``, the row itself
-    left out."""
-    owner, member, d = space.ball_members(rows, radius)
-    other = member != rows[owner]
-    return owner[other], member[other], d[other]
-
-
 def _block_heads(space1: Space, rows: np.ndarray, radius, prefix, bounded
                  ) -> list[list[int]]:
     """Sorted heads of a block of rows from its two candidate sets, each
     listed per row in its own order.
 
-    ``prefix`` is (owner, member, d1, value): each row's prefix P, nearest
-    first in space 1.  ``bounded`` is (owner, member, value): the vertices
-    whose value is within the bound that P sets, ascending in value.
-    Those inside the prefix ball, the row itself among them, are listed in
-    P and dropped; the rest, L, lie farther in space 1 than all of P and
+    ``prefix`` is (owner, member, d1, value): each row's prefix P, the other
+    vertices of its space-1 ball, nearest first.  ``bounded`` is (owner,
+    member, value): the vertices whose value is within the bound that P
+    sets, ascending in value.  Those inside the prefix ball, members of P or
+    the row itself (whose interest value is listed, though no ball holds
+    it), are dropped; the rest, L, lie farther in space 1 than all of P and
     no farther in value, so only L can block L.  "No candidate is both
-    strictly closer and of strictly lower value" reads the same with the
-    two orders swapped, so the rule keeps a member of P whose value is <=
-    that of every closer member, and a member of L whose d1 is <= that of
-    every member of lower value.
+    strictly closer and of strictly lower value" reads the same with the two
+    orders swapped, so the rule keeps a member of P whose value is <= that
+    of every closer member, and a member of L whose d1 is <= that of every
+    member of lower value.
     """
     owner1, member1, d1, value1 = prefix
     owner2, member2, value2 = bounded
@@ -499,7 +490,7 @@ def _chosen_rows(space1: Space, space2: Space, perms, vertices):
             verts = chosen[rows % m]
             base = rows // m * n  # entry of each row's permutation's vertex 0
             here = pos[base + verts]  # each row's own space-2 position
-            owner1, member1, d1 = _prefix(space1, verts, radius)
+            owner1, member1, d1 = space1.ball_members(verts, radius)
             value1 = space2.distances_between(here[owner1],
                                               pos[base[owner1] + member1])
             bound = np.full(len(rows), np.inf)
@@ -561,7 +552,7 @@ def build_independent_interest(space: Space, seed: Seed) -> NavGraph:
     out = []
     for start in range(0, n, block):
         rows = np.arange(start, min(n, start + block))
-        owner1, member1, d1 = _prefix(space, rows, radius)
+        owner1, member1, d1 = space.ball_members(rows, radius)
         values = np.empty((len(rows), n))
         for k, i in enumerate(rows.tolist()):
             streams.random(i, values[k])
@@ -687,13 +678,23 @@ def thin_edges(graph: NavGraph, base_space: Space, seed: Seed) -> NavGraph:
 # text formats
 
 
+def _plain(text: str) -> bool:
+    """Whether ``int`` reads each whitespace-separated token of ``text``
+    only as ASCII digits with an optional leading '-': ``text`` is ASCII
+    and holds no '+' and no '_'.  Any other token ``int`` refuses."""
+    return text.isascii() and "+" not in text and "_" not in text
+
+
 def load_permutation(path: str | Path) -> np.ndarray:
-    """The permutation a file of whitespace-separated integers lists; any
-    other token is refused with the file's path."""
+    """The permutation a file of whitespace-separated integers lists, each
+    ASCII digits with an optional leading '-'; any other token is refused
+    with the file's path."""
     # compared as Python ints, so that no entry overflows int64 unchecked
     values = []
-    for tok in Path(path).read_text().split():
+    for tok in Path(path).read_text(encoding="utf-8", errors="replace").split():
         try:
+            if not _plain(tok):
+                raise ValueError
             values.append(int(tok))
         except ValueError:
             raise ValueError(f"{path}: expected whitespace-separated "
@@ -714,9 +715,11 @@ def write_edge_list(graph: NavGraph, path: str | Path) -> None:
 def read_edge_list(path: str | Path, space: Space) -> NavGraph:
     """The graph over ``space``'s ids of a file of `tail<TAB>head` lines.
 
-    Blank lines are skipped, and any other line is refused with its path
-    and number.  Once every line has parsed, the first edge out of range
-    for ``space.n`` is refused; self-loops and repeated edges are dropped.
+    Blank lines are skipped, and a line of any other form than two ASCII
+    integers (digits with an optional leading '-') is refused with its path
+    and number; a byte that is not UTF-8 reads as U+FFFD, refused so.  Once
+    every line has parsed, the first edge out of range for ``space.n`` is
+    refused; self-loops and repeated edges are dropped.
     The file is read 2^20 characters at a time into one int64 array of
     edge codes ``tail * n + head``, whose heads become entries of the
     space's id table (:attr:`Space.ids`).
@@ -724,7 +727,7 @@ def read_edge_list(path: str | Path, space: Space) -> NavGraph:
     n = space.n
     codes, outside, number, rest = array("q"), None, 0, ""
     append = codes.append
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         while True:
             chunk = fh.read(1 << 20)
             # the whole lines read so far, split as str.splitlines splits
@@ -732,13 +735,17 @@ def read_edge_list(path: str | Path, space: Space) -> NavGraph:
             # partial last line waits for the next chunk
             text = rest + chunk
             end = text.rfind("\n") + 1 if chunk else len(text)
-            rest = text[end:]
-            for line in text[:end].splitlines():
+            text, rest = text[:end], text[end:]
+            # a plain chunk needs no check per line
+            plain = _plain(text)
+            for line in text.splitlines():
                 number += 1
                 fields = line.split()
                 if not fields:
                     continue
                 try:
+                    if not (plain or _plain(line)):
+                        raise ValueError
                     tail, head = map(int, fields)
                 except ValueError:
                     raise ValueError(f"{path}:{number}: expected "

@@ -19,7 +19,7 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -58,12 +58,6 @@ __all__ = [
 # balls on every space kind, but the kleinberg and independent-interest
 # baselines still do O(n) work per vertex, so their builds are O(n^2).
 MAX_SIZE = 2**16
-
-AGGREGATE_HEADER = ("model,n,seed,mode,routes,successes,success_rate,"
-                    "mean_len,median_len,mean_outdeg,thin_ms,build_ms,wall_ms")
-RAW_HEADER = "n,seed,mode,source,target,steps,success,failure"
-# one raw line from a RouteRecord; %d writes the success flag as 0 or 1
-_RAW_ROW = "%d,%d,%s,%d,%d,%d,%d,%s"
 
 
 @dataclass(frozen=True)
@@ -177,6 +171,14 @@ def _refuse_unread(data: dict, reads: tuple, what: str) -> None:
                              + (", ".join(map(repr, reads)) or "no keys"))
 
 
+def _refuse_empty(**paths) -> None:
+    """Refuse an empty string given for a path, which names no file and
+    which ``Path`` would read as the working directory."""
+    for name, value in paths.items():
+        if value == "":
+            raise ValueError(f"{name} must name a path, got an empty value")
+
+
 def _config_value(data: dict, key: str, default, valid, expected: str,
                   where: str = "config key"):
     value = data.get(key, default)
@@ -208,8 +210,13 @@ def experiment_spec_from_dict(data: dict) -> ExperimentSpec:
 
 def load_experiment_config(path: str | Path) -> ExperimentSpec:
     """Read an experiment spec from a JSON config file (keys mirror
-    :class:`ExperimentSpec`; see README for the documented key set)."""
-    return experiment_spec_from_dict(json.loads(Path(path).read_text()))
+    :class:`ExperimentSpec`; see README for the documented key set).  A
+    file that is not UTF-8 or not JSON is refused with its path."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+    return experiment_spec_from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -235,7 +242,7 @@ class AggregateRow:
 
 
 class RouteRecord(NamedTuple):
-    """One routed pair, its fields in :data:`RAW_HEADER` order."""
+    """One routed pair: one line of the raw CSV."""
 
     n: int
     seed: int
@@ -245,6 +252,13 @@ class RouteRecord(NamedTuple):
     steps: int
     success: bool
     failure: str
+
+
+# each CSV's header is its row type's fields, in order
+AGGREGATE_HEADER = ",".join(f.name for f in fields(AggregateRow))
+RAW_HEADER = ",".join(RouteRecord._fields)
+# one raw line from a RouteRecord; %d writes the success flag as 0 or 1
+_RAW_ROW = "%d,%d,%s,%d,%d,%d,%d,%s"
 
 
 @dataclass
@@ -491,21 +505,18 @@ def _run_trial(spec: ExperimentSpec, n: int, master: int,
     raw: list[RouteRecord] = []
     for mode in spec.routing_modes:
         t1 = time.perf_counter()
-        lengths: list[int] = []
-        successes = 0
         for source, target in pairs:
             outcome = route(graph, assignment, mode, source, target)
-            if outcome.success:
-                successes += 1
-                lengths.append(outcome.steps)
             raw.append(RouteRecord(n, master, mode.label, source, target,
                                    outcome.steps, outcome.success,
                                    outcome.failure.value))
         mode_ms = (time.perf_counter() - t1) * 1000.0
+        # the aggregate of this mode's records, as the raw CSV lists them
+        lengths = [r.steps for r in raw[-len(pairs):] if r.success]
         rows.append(AggregateRow(
             model=spec.model, n=n, seed=master, mode=mode.label,
-            routes=len(pairs), successes=successes,
-            success_rate=successes / len(pairs),
+            routes=len(pairs), successes=len(lengths),
+            success_rate=len(lengths) / len(pairs),
             mean_len=(sum(lengths) / len(lengths)) if lengths else None,
             median_len=float(statistics.median(lengths)) if lengths else None,
             mean_outdeg=mean_outdeg, thin_ms=thin_ms, build_ms=build_ms,
@@ -521,10 +532,12 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
     success rate.  Trials are independent; with workers > 1 they fan out
     across at most one process per trial and are reduced in (size, seed)
     order, so the result is identical for any worker count.  ``workers``
-    must be >= 1.
+    must be >= 1, and an empty ``dump_edges_dir`` is refused before the
+    first trial.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _refuse_empty(dump_edges_dir=dump_edges_dir)
     tasks = [(n, master) for n in spec.sizes for master in spec.seeds]
     workers = min(workers, len(tasks))
     rows: list[AggregateRow] = []
@@ -606,7 +619,9 @@ def raw_csv_text(result: ExperimentResult) -> str:
 
 def export_csv(result: ExperimentResult, path: str | Path,
                raw_path: str | Path | None = None) -> None:
-    """Aggregate CSV (one row per size/seed/mode); optional raw per-route CSV."""
+    """Aggregate CSV (one row per size/seed/mode); optional raw per-route CSV.
+    An empty path is refused before either file is written."""
+    _refuse_empty(path=path, raw_path=raw_path)
     Path(path).write_text(aggregate_csv_text(result))
     if raw_path is not None:
         Path(raw_path).write_text(raw_csv_text(result))

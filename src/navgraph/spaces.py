@@ -48,15 +48,17 @@ they are asked about.
 
 Base adjacency is stated once per kind, by :attr:`Space.base_codes`: every
 base edge, computed once, as ascending codes ``tail * n + head``; the ball
-of radius 1 without its center on the kinds with integer distances, each
-point's nearest other points on a point cloud.  Builders and thinning read
-the codes as they are; :meth:`Space.base_neighbors` reads one vertex's run
-of them, for the half-greedy router's small steps.
+of radius 1 on the kinds with integer distances, each point's nearest
+other points on a point cloud.  Builders and thinning read the codes as
+they are; :meth:`Space.base_neighbors` reads one vertex's run of them, for
+the half-greedy router's small steps.
 
 Balls are listed by :meth:`Space.ball_members`, exactly in every kind,
-each nearest first and with every member's distance.  The cycles (an
-arc), the grid (an L1 diamond, wrapped or clipped per axis) and tree
-leaves (the leaves of one subtree) list them in closed form: their
+each nearest first, with every member's distance and without its center:
+no vertex is its own candidate or base neighbour, and coincident cloud
+points, other vertices at distance 0, lie in each other's balls.  The
+cycles (an arc), the grid (an L1 diamond, wrapped or clipped per axis) and
+tree leaves (the leaves of one subtree) list them in closed form: their
 distances are integers, so a radius r reaches exactly the vertices at
 distance <= floor(r), and the closed form generates exactly those
 vertices rather than estimating a volume.  Point clouds have no such
@@ -70,10 +72,11 @@ point clouds sort each ball on the distances they computed.
 Ball sizes around one center are counted by :meth:`Space.prepare_target`,
 which prepares a target once for combined routing: it returns the scalar
 kernel toward the target and a counter ``r -> |ball of radius r|`` around
-it.  The integer kinds share one counter, stated once on the base class,
-so a route pays nothing per vertex of the space: it checks and floors the
-radius and reads the kind's table of ball sizes at each integer radius up
-to the target's largest distance, and counts every vertex from there on.
+it, center counted, the size the combined rule compares.  The integer
+kinds share one counter, stated once on the base class, so a route pays
+nothing per vertex of the space: it checks and floors the radius and reads
+the kind's table of ball sizes at each integer radius up to the target's
+largest distance, and counts every vertex from there on.
 Each kind supplies only its table: the arc lengths 1, 2, 3, ... on the
 directed cycle and 1, 3, 5, ... on the undirected one, the subtree widths
 b^k on tree leaves (one table per tree), and on the grid the running sum
@@ -218,15 +221,16 @@ class Space:
 
         This version serves the kinds with integer distances, whose base
         neighbors are the other vertices at distance 1: the ball of
-        radius 1 without its center.
+        radius 1.
         """
         n = self.n
         owner, member, _ = self.ball_members(np.arange(n), 1)
-        return np.sort((owner * n + member)[owner != member])
+        return np.sort(owner * n + member)
 
     def ball_members(self, centers, radii
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every y with ``distance(centers[k], y) <= radii[k]``, for every k.
+        """Every ``y != centers[k]`` with ``distance(centers[k], y) <=
+        radii[k]``, for every k (another id at distance 0 included).
 
         Returns ``(owner, member, distance)`` arrays: ``member[t]`` lies in
         the ball around ``centers[owner[t]]``, and ``distance[t]`` equals
@@ -249,9 +253,9 @@ class Space:
         """Distances toward ``y`` and ball sizes around it, prepared once.
 
         Returns ``(dist, count)``: ``dist(v)`` equals ``distance_to(y)(v)``
-        bit for bit, and ``count(r)`` is ``|{u : distance(y, u) <= r}|``
-        for any ``r >= 0``, infinity included; a negative or NaN ``r``
-        raises ValueError.
+        bit for bit, and ``count(r)`` is ``|{u : distance(y, u) <= r}|``,
+        the closed ball with y counted, for any ``r >= 0``, infinity
+        included; a negative or NaN ``r`` raises ValueError.
 
         This version serves the kinds with integer distances: one counter
         reads the kind's table of ball sizes, :meth:`_ball_sizes`, at
@@ -340,9 +344,9 @@ class DirectedCycle(Space):
         return (ys - xs) % self.n
 
     def ball_members(self, centers, radii):
-        # the forward arc x, x+1, ..., x+r, nearest first as it stands
+        # the forward arc x+1, ..., x+r, nearest first as it stands
         centers, steps = self._ball_steps(centers, radii)
-        owner, ahead = _ranges(np.zeros_like(steps), steps + 1)
+        owner, ahead = _ranges(np.ones_like(steps), steps)
         return owner, (centers[owner] + ahead) % self.n, ahead
 
     def _ball_sizes(self, y: int):
@@ -382,11 +386,11 @@ class UndirectedCycle(Space):
         return np.minimum(a, self.n - a)
 
     def ball_members(self, centers, radii):
-        # the arc x-r, ..., x+r nearest first: x, x-1, x+1, x-2, x+2, ...,
-        # entry t at (t + 1) // 2 steps, behind x for odd t; its first n
-        # entries cover the whole cycle once 2r+1 >= n
+        # the arc x-r, ..., x+r nearest first: x-1, x+1, x-2, x+2, ...,
+        # entry t at (t + 1) // 2 steps, behind x for odd t; entries 1 to
+        # n - 1 cover the rest of the cycle once 2r+1 >= n
         centers, steps = self._ball_steps(centers, radii)
-        owner, t = _ranges(np.zeros_like(steps), np.minimum(2 * steps + 1, self.n))
+        owner, t = _ranges(np.ones_like(steps), np.minimum(2 * steps, self.n - 1))
         d = (t + 1) >> 1
         return owner, (centers[owner] + np.where(t & 1, -d, d)) % self.n, d
 
@@ -510,9 +514,11 @@ class Grid(Space):
             owner = owner[entry]
             member = member[entry] + coord * stride
             budget = budget[entry] - np.abs(offset)
-        # nearest first, on the budget each member spent
+        # nearest first, on the budget each member spent; the center alone
+        # spent none, and is left out
         d = steps[owner] - budget
-        order = _owner_order(owner, d)
+        other = np.flatnonzero(d)
+        order = other[_owner_order(owner[other], d[other])]
         return owner[order], member[order], d[order]
 
     def _ball_sizes(self, y: int):
@@ -611,14 +617,14 @@ class TreeLeaves(Space):
         return d
 
     def ball_members(self, centers, radii):
-        # the leaves of x's subtree of height r, nearest first: member k of
-        # a ball is x with each digit combined with k's, so that exactly
-        # the digits where k's is nonzero change (xor when b = 2^s, else
-        # addition mod b); it parts from x at k's highest nonzero digit, as
-        # many levels up as k has digits
+        # the leaves of x's subtree of height r, nearest first, x left out:
+        # member k >= 1 of a ball is x with each digit combined with k's,
+        # so that exactly the digits where k's is nonzero change (xor when
+        # b = 2^s, else addition mod b); it parts from x at k's highest
+        # nonzero digit, as many levels up as k has digits
         centers, steps = self._ball_steps(centers, radii)
         b = self.branching
-        owner, k = _ranges(np.zeros_like(steps), b ** steps)
+        owner, k = _ranges(np.ones_like(steps), b ** steps - 1)
         x = centers[owner]
         if self._bits:
             member = x ^ k
@@ -737,7 +743,7 @@ class Euclidean(Space):
         entry, pos = _ranges(lo, starts[row + last[owner, -1] + 1] - lo)
         owner, member = owner[entry], order[pos]
         d = self._between(centers[owner], member)
-        inside = d <= radii[owner]
+        inside = (d <= radii[owner]) & (member != centers[owner])
         return owner[inside], member[inside], d[inside]
 
     def ball_members(self, centers, radii):
@@ -822,8 +828,6 @@ class Euclidean(Space):
             for start in range(0, todo.size, _NEAREST_BLOCK):
                 centers = todo[start:start + _NEAREST_BLOCK]
                 owner, member, d = self._near(centers, radius)
-                other = member != centers[owner]
-                owner, member, d = owner[other], member[other], d[other]
                 best = np.full(len(centers), np.inf)
                 np.minimum.at(best, owner, d)
                 nearest = d == best[owner]

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -971,6 +972,74 @@ def test_every_command_input_runs_or_is_refused_before_output(inputs):
         return
     result = harness.run_experiment(spec, workers=1)
     assert len(result.rows) == len(i.modes)
+
+
+# edge-list tokens for --n 16: ids in and out of range, and stray forms,
+# some of which int() reads though the format does not define them (an
+# underscore, a '+', other scripts' digits, a byte that is not UTF-8,
+# written from U+DCFF)
+_EDGE_IDS = ["0", "1", "5", "15", "007", "-0", "16", "-1", str(2**70)]
+_STRAY_TOKENS = ["1_0", "+1", "\u0661", "\u00b2", "\udcff", "x", "1.0", "-"]
+# the lines of an edge list as the format defines them: ASCII line ends,
+# \r\n one of them, and two ASCII integers apart by spaces or tabs
+_LINE_END = re.compile(r"\r\n|[\n\r\v\f]")
+_EDGE_LINE = re.compile(r"[ \t]*(?:(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*)?")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge list's text: lines of two drawn ids, or of zero to three
+    drawn tokens, apart by tabs, spaces or a no-break space, each ended by
+    \\n, \\r\\n, \\r, \\v or \\f; blank lines, self-loops and repeats
+    among them."""
+    text = ""
+    for tokens in draw(st.lists(st.one_of(
+            st.lists(st.sampled_from(_EDGE_IDS), min_size=2, max_size=2),
+            st.lists(st.sampled_from(_EDGE_IDS + _STRAY_TOKENS), max_size=3)),
+            max_size=6)):
+        sep = draw(st.sampled_from(["\t", " ", "\t ", "\u00a0"]))
+        text += sep.join(tokens) + draw(st.sampled_from(
+            ["\n", "\r\n", "\r", "\v", "\f"]))
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_texts())
+@example("0\t1_0\n")
+@example("0\t\u0661\n")
+@example("0\t1\n\udcff\n")
+@example("0\t1\r\n1\t2\v2\t3\f\n3\t4\r")
+@example("0\t0\n0\t1\n0\t1\n\n")
+@example("-1\t2\n")
+@example("0\u00a01\n")
+def test_every_edge_list_routes_or_is_refused_with_its_file(text):
+    # route --edges exits 0 on a file of the format's lines whose ids lie in
+    # range; otherwise it exits 1 with no stdout and one error line, which
+    # names the file and the first line not of the format, or else the
+    # first edge out of range
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["route", "--model", "two-directed-cycles",
+                             "--n", "16", "--seed", "1", "--source", "0",
+                             "--target", "5", "--edges", str(path)])
+    matches = [_EDGE_LINE.fullmatch(line) for line in _LINE_END.split(text)]
+    bad = [k for k, m in enumerate(matches, 1) if m is None]
+    outside = [(int(m[1]), int(m[2])) for m in matches if m and m[1]
+               and not (0 <= int(m[1]) < 16 and 0 <= int(m[2]) < 16)]
+    if not (bad or outside):
+        assert code == 0, err.getvalue()
+        return
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1
+    if bad:
+        assert err.getvalue().startswith(
+            f"error: {path}:{bad[0]}: expected 'tail<TAB>head' integers")
+    else:
+        assert err.getvalue() == (
+            f"error: edge {outside[0]} out of range for n=16\n")
 
 
 # ---------------------------------------------------------------------------

@@ -883,6 +883,33 @@ def test_edge_list_refuses_every_syntax_error_before_any_range_error(
     assert str(refused.value) == message.format(path=path)
 
 
+# lines that int() would read as edges, though the format defines only
+# ASCII digits with an optional leading '-': underscores, a '+', digits and
+# spaces of other scripts, and a byte that is not UTF-8 (read as U+FFFD)
+@pytest.mark.parametrize("line", [
+    b"0\t1_0", b"0\t+1", "0\t\u0661".encode(), "\u0660\t1".encode(),
+    "0\u00a01".encode(), b"0\t\xff"],
+    ids=["underscore", "plus", "arabic-indic-digit", "arabic-indic-zero",
+         "no-break-space", "not-utf-8"])
+def test_edge_list_refuses_what_only_int_reads(tmp_path, line):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"0\t1\n" + line + b"\n")
+    with pytest.raises(ValueError) as refused:
+        read_edge_list(path, DirectedCycle(16))
+    got = line.decode(errors="replace")
+    assert str(refused.value) == (f"{path}:2: expected 'tail<TAB>head' "
+                                  f"integers, got {got!r}")
+
+
+def test_edge_list_negative_id_is_a_range_error(tmp_path):
+    # a leading '-' parses, so a negative id is refused as out of range
+    path = tmp_path / "g.edges"
+    path.write_text("0\t1\n-1\t2\n")
+    with pytest.raises(ValueError) as refused:
+        read_edge_list(path, DirectedCycle(16))
+    assert str(refused.value) == "edge (-1, 2) out of range for n=16"
+
+
 def test_permutation_parsing(tmp_path):
     path = tmp_path / "pi.txt"
     path.write_text("2 0 1")
@@ -903,6 +930,19 @@ def test_permutation_parsing(tmp_path):
 def test_permutation_refuses_a_token_with_its_path(tmp_path, text, token):
     path = tmp_path / "pi.txt"
     path.write_text(text)
+    with pytest.raises(ValueError) as refused:
+        load_permutation(path)
+    assert str(refused.value) == (f"{path}: expected whitespace-separated "
+                                  f"integers, got {token!r}")
+
+
+@pytest.mark.parametrize("data,token", [
+    (b"0 1_0 2", "1_0"), (b"1 +0 2", "+0"), ("0 \u0661 2".encode(), "\u0661"),
+    (b"0 \xff 1", "\ufffd")],
+    ids=["underscore", "plus", "arabic-indic-digit", "not-utf-8"])
+def test_permutation_refuses_what_only_int_reads(tmp_path, data, token):
+    path = tmp_path / "pi.txt"
+    path.write_bytes(data)
     with pytest.raises(ValueError) as refused:
         load_permutation(path)
     assert str(refused.value) == (f"{path}: expected whitespace-separated "

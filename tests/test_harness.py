@@ -1,8 +1,11 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
+import statistics
 from types import SimpleNamespace
 
 import numpy as np
@@ -139,6 +142,19 @@ def test_config_round_trip(tmp_path):
         "thinning": False, "params": {"branching": 2}}))
     loaded = load_experiment_config(path)
     assert loaded == spec
+
+
+@pytest.mark.parametrize("data,message", [
+    (b'{"model": }', "Expecting value: line 1 column 11 (char 10)"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["not-json", "not-utf-8"])
+def test_config_that_cannot_be_read_is_refused_with_its_path(tmp_path, data,
+                                                             message):
+    path = tmp_path / "c.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as refused:
+        load_experiment_config(path)
+    assert str(refused.value).startswith(f"{path}: {message}")
 
 
 def test_config_rejects_unknown_keys():
@@ -755,6 +771,21 @@ def test_edge_dump(tmp_path):
     assert "two-directed-cycles-n32-seed1" in dumped[0].name
 
 
+def test_edge_dump_refuses_an_empty_directory(monkeypatch, tmp_path):
+    # an empty value names no directory: it is refused before the first
+    # trial, never read as the working directory
+    monkeypatch.chdir(tmp_path)
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(harness, "_run_trial", no_trial)
+    spec = make_spec(sizes=(32,), seeds=(1,), routes_per_size=5)
+    with pytest.raises(ValueError, match="^dump_edges_dir must name a path, "
+                                         "got an empty value$"):
+        run_experiment(spec, dump_edges_dir="")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # scaling fits
 
@@ -831,6 +862,51 @@ def test_export_csv_row_count_and_round_trip(tmp_path):
              repr(r.mean_outdeg), "" if r.thin_ms is None else repr(r.thin_ms),
              repr(r.build_ms), repr(r.wall_ms)]
             for r in result.rows]
+
+
+@pytest.mark.parametrize("path,raw_path,name", [
+    ("", None, "path"), ("", "raw.csv", "path"), ("agg.csv", "", "raw_path")])
+def test_export_csv_refuses_an_empty_path_before_writing(
+        monkeypatch, tmp_path, path, raw_path, name):
+    # an empty path names no file: refused before either file is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{name} must name a path, got an "
+                                         "empty value$"):
+        export_csv(ExperimentResult(make_spec(), [], []), path, raw_path=raw_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+# one study per model, with modes that fail on some pairs where the model
+# has any
+@pytest.mark.parametrize("model,params,modes", [
+    ("two-directed-cycles", {}, ("greedy-1", "greedy-2", "combined")),
+    ("two-undirected-cycles", {}, ("greedy-2", "half-greedy-1")),
+    ("grid-tree", {"branching": 2}, ("greedy-2", "combined-literal-m")),
+    ("continuum", {}, ("greedy-1", "greedy-2", "combined")),
+    ("kleinberg", {"alpha": 2.0}, ("greedy-1", "half-greedy-1")),
+    ("independent-interest", {"space": {"kind": "tree"}}, ("greedy-1",)),
+])
+def test_aggregate_csv_is_a_function_of_the_raw_csv(model, params, modes):
+    # every aggregate row's counts and lengths, recomputed from the raw CSV
+    # text alone, equal the aggregate CSV's own fields
+    spec = ExperimentSpec(model, (64, 128), (1, 2), routes_per_size=30,
+                          params=params,
+                          routing_modes=tuple(map(RoutingMode.parse, modes)))
+    result = run_experiment(spec)
+    raw = list(csv.DictReader(io.StringIO(raw_csv_text(result))))
+    rows = list(csv.DictReader(io.StringIO(aggregate_csv_text(result))))
+    assert len(rows) == 2 * 2 * len(modes)
+    for row in rows:
+        records = [r for r in raw
+                   if (r["n"], r["seed"], r["mode"]) == (row["n"], row["seed"],
+                                                         row["mode"])]
+        steps = [int(r["steps"]) for r in records if r["success"] == "1"]
+        assert row["routes"] == str(len(records))
+        assert row["successes"] == str(len(steps))
+        assert row["success_rate"] == repr(len(steps) / len(records))
+        assert row["mean_len"] == (repr(sum(steps) / len(steps)) if steps else "")
+        assert row["median_len"] == (repr(float(statistics.median(steps)))
+                                     if steps else "")
 
 
 def test_round_trip_preserves_missing_means(tmp_path):

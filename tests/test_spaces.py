@@ -326,16 +326,22 @@ def test_ball_count_examples():
 
 def test_ball_members():
     owner, member, d = UndirectedCycle(8).ball_members(0, 2)
-    assert owner.tolist() == [0] * 5
-    assert member.tolist() == [0, 7, 1, 6, 2]  # nearest first
-    assert d.tolist() == [0, 1, 1, 2, 2]
+    assert owner.tolist() == [0] * 4
+    assert member.tolist() == [7, 1, 6, 2]  # nearest first, center left out
+    assert d.tolist() == [1, 1, 2, 2]
     owner, member, d = DirectedCycle(8).ball_members([6, 1], [3, 0.5])
-    assert owner.tolist() == [0, 0, 0, 0, 1]
-    assert member.tolist() == [6, 7, 0, 1, 1]  # forward arc, center included
-    assert d.tolist() == [0, 1, 2, 3, 0]
+    assert owner.tolist() == [0, 0, 0]
+    assert member.tolist() == [7, 0, 1]  # forward arc; center 1's is empty
+    assert d.tolist() == [1, 2, 3]
     owner, member, d = TreeLeaves(3, 2).ball_members(4, 1)
-    assert member.tolist() == [4, 5, 3] and d.tolist() == [0, 1, 1]
+    assert member.tolist() == [5, 3] and d.tolist() == [1, 1]
     assert all(a.size == 0 for a in UndirectedCycle(8).ball_members([], 1))
+    # coincident points are other vertices at distance 0, in each other's
+    # balls at radius 0
+    owner, member, d = Euclidean([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]]
+                                 ).ball_members([0, 1, 2], 0)
+    assert owner.tolist() == [0, 2] and member.tolist() == [2, 0]
+    assert d.tolist() == [0.0, 0.0]
 
 
 def assert_nearest_first(space, centers, owner, member, d):
@@ -348,8 +354,11 @@ def assert_nearest_first(space, centers, owner, member, d):
 
 
 def enumerated_ball(space, center, radius):
-    """The ball read verbatim from the array kernel: the test oracle."""
-    return np.flatnonzero(space.distances_from(center) <= radius).tolist()
+    """The ball read verbatim from the array kernel, its center left out:
+    the test oracle."""
+    inside = space.distances_from(center) <= radius
+    inside[center] = False
+    return np.flatnonzero(inside).tolist()
 
 
 @pytest.mark.parametrize("space", tie_heavy_spaces(), ids=space_id)
@@ -469,7 +478,8 @@ def test_the_largest_trees_read_equal_kernels(branching, height):
 
 def test_cloud_with_a_wide_finite_box_is_accepted():
     cloud = Euclidean([[1e153, 1e153], [-1e153, -1e153], [0.0, 0.0]])
-    assert cloud.ball_members(2, 1.0)[1].tolist() == [2]
+    assert cloud.ball_members(2, 1.0)[1].tolist() == []
+    assert sorted(cloud.ball_members(2, 1.5e153)[1].tolist()) == [0, 1]
 
 
 @pytest.mark.parametrize("space", tie_heavy_spaces() + scalar_form_spaces(),
