@@ -329,6 +329,11 @@ class NavGraph:
     head as the entry of space 1's id table (:attr:`Space.ids`), so a head
     costs one list slot and refers to the int object that the assignment's
     positions hold too.
+
+    Each vertex's heads ascend strictly inside [0, n), and the routers rely
+    on it: a router reads only the heads its search needs (the ordered
+    search of a cycle in space 1, :attr:`Space.nearest`), and each kernel
+    still checks every vertex it reads.
     """
 
     n: int
@@ -687,8 +692,8 @@ def _plain(text: str) -> bool:
 
 def load_permutation(path: str | Path) -> np.ndarray:
     """The permutation a file of whitespace-separated integers lists, each
-    ASCII digits with an optional leading '-'; any other token is refused
-    with the file's path."""
+    ASCII digits with an optional leading '-'; any other token, and a list
+    that is no permutation of 0..n-1, is refused with the file's path."""
     # compared as Python ints, so that no entry overflows int64 unchecked
     values = []
     for tok in Path(path).read_text(encoding="utf-8", errors="replace").split():
@@ -700,7 +705,7 @@ def load_permutation(path: str | Path) -> np.ndarray:
             raise ValueError(f"{path}: expected whitespace-separated "
                              f"integers, got {tok!r}") from None
     if sorted(values) != list(range(len(values))):
-        raise ValueError("input is not a permutation of 0..n-1")
+        raise ValueError(f"{path}: input is not a permutation of 0..n-1")
     return np.array(values, dtype=np.int64)
 
 
@@ -719,7 +724,8 @@ def read_edge_list(path: str | Path, space: Space) -> NavGraph:
     integers (digits with an optional leading '-') is refused with its path
     and number; a byte that is not UTF-8 reads as U+FFFD, refused so.  Once
     every line has parsed, the first edge out of range for ``space.n`` is
-    refused; self-loops and repeated edges are dropped.
+    refused with its path and number; self-loops and repeated edges are
+    dropped.
     The file is read 2^20 characters at a time into one int64 array of
     edge codes ``tail * n + head``, whose heads become entries of the
     space's id table (:attr:`Space.ids`).
@@ -754,12 +760,13 @@ def read_edge_list(path: str | Path, space: Space) -> NavGraph:
                 if 0 <= tail < n and 0 <= head < n:
                     append(tail * n + head)
                 elif outside is None:
-                    outside = tail, head
+                    outside = number, tail, head
             if not chunk:
                 break
     if outside is not None:
-        raise ValueError(f"edge ({outside[0]}, {outside[1]}) out of range "
-                         f"for n={n}")
+        number, tail, head = outside
+        raise ValueError(f"{path}:{number}: edge ({tail}, {head}) out of "
+                         f"range for n={n}")
     codes = np.frombuffer(codes, dtype=np.int64)
     codes = _distinct(codes[codes // n != codes % n])
     return NavGraph(n, _split_rows(codes, n, space.ids))

@@ -162,21 +162,13 @@ class MonotonicityReport:
                      self.violations]])
 
 
-def _greedy_routes(space: DirectedCycle):
-    """``(pi, routes)`` for every permutation of ``space``'s ids,
-    lexicographically, on the double cycle over ``space``: ``routes``
-    yields the (greedy-1, greedy-2) outcomes of every ordered pair of
-    distinct vertices, in order, as it is read.  The graphs are built
-    lazily, chunk by chunk."""
-    n = space.n
-    mode1, mode2 = RoutingMode("greedy-1"), RoutingMode("greedy-2")
-    pairs = list(itertools.permutations(range(n), 2))
-    mine, built = itertools.tee(itertools.permutations(range(n)))
+def _double_cycles(space: DirectedCycle):
+    """``(pi, assignment, graph)`` for every permutation of ``space``'s ids,
+    lexicographically, on the double cycle over ``space``.  The graphs are
+    built lazily, chunk by chunk."""
+    mine, built = itertools.tee(itertools.permutations(range(space.n)))
     for pi, graph in zip(mine, _graphs(space, space, built)):
-        a = Assignment(space, space, np.array(pi, dtype=np.int64))
-        yield pi, ((route(graph, a, mode1, source, target),
-                    route(graph, a, mode2, source, target))
-                   for source, target in pairs)
+        yield pi, Assignment(space, space, np.array(pi, dtype=np.int64)), graph
 
 
 def _translations(d: np.ndarray) -> list[bytes]:
@@ -210,22 +202,24 @@ def monotonicity_check(n: int) -> MonotonicityReport:
         for c in itertools.combinations(range(n - 1, -1, -1), k))
     d = space.distances_between(ids[:, None], ids)
     own = _translations(d)
-    paths = violations = 0
+    mode1, mode2 = RoutingMode("greedy-1"), RoutingMode("greedy-2")
+    pairs = list(itertools.permutations(range(n), 2))
+    violations = 0
     examples: list[MonotonicityViolation] = []
-    for pi, routes in _greedy_routes(space):
+    for pi, a, graph in _double_cycles(space):
         pos = np.array(pi)
         other = _translations(d[pos[:, None], pos])
-        for one, two in routes:
-            for routed, outcome, table in (1, one, other), (2, two, own):
-                paths += 1
+        for source, target in pairs:
+            for routed, mode, table in (1, mode1, other), (2, mode2, own):
+                outcome = route(graph, a, mode, source, target)
                 path = outcome.path
                 if not (outcome.success and bytes(path).translate(
-                        table[outcome.target]) in descending):
+                        table[target]) in descending):
                     violations += 1
                     if len(examples) < 100:
                         examples.append(MonotonicityViolation(
-                            pi, outcome.source, outcome.target, routed,
-                            tuple(path)))
+                            pi, source, target, routed, tuple(path)))
+    paths = 2 * len(pairs) * math.factorial(n)
     return MonotonicityReport(n, math.factorial(n), paths, violations, examples)
 
 
@@ -266,12 +260,16 @@ def find_divergent_permutation(n_max: int) -> DivergenceWitness | None:
         raise ValueError(f"exhaustive search needs n_max >= 2, got {n_max}")
     if n_max > _MAX_DIVERGENCE_N:
         raise ValueError(f"exhaustive search supports n_max <= {_MAX_DIVERGENCE_N}")
+    mode1, mode2 = RoutingMode("greedy-1"), RoutingMode("greedy-2")
     for n in range(2, n_max + 1):
-        for pi, routes in _greedy_routes(DirectedCycle(n)):
-            for one, two in routes:
-                if one.path != two.path:
-                    return DivergenceWitness(n, pi, one.source, one.target,
-                                             tuple(one.path), tuple(two.path))
+        pairs = list(itertools.permutations(range(n), 2))
+        for pi, a, graph in _double_cycles(DirectedCycle(n)):
+            for source, target in pairs:
+                one = route(graph, a, mode1, source, target).path
+                two = route(graph, a, mode2, source, target).path
+                if one != two:
+                    return DivergenceWitness(n, pi, source, target,
+                                             tuple(one), tuple(two))
     return None
 
 

@@ -19,7 +19,15 @@ Heads and positions are the spaces' id objects
 so every vertex on a path is one, and greedy-1's ``pos[v]`` is ``v`` itself.
 They read each distance through the space's scalar kernel toward the
 target (:meth:`~navgraph.spaces.Space.distance_to`), so a route costs its
-path length times the out-degree, at every size.  A step
+path length times the out-degree, at every size.  In space 1 of a cycle
+they read the heads through the cycle's ordered search
+(:attr:`~navgraph.spaces.Space.nearest`): out-lists ascend and a vertex's
+position there is its id, so one bisection finds the head nearest the
+target among the one or two that bracket it, and a route costs its path
+length times the log of the out-degree.  Greedy routing scans every head
+there only when none improves and plateau moves are on; a half-greedy
+small step reads x's base neighbors in order and takes the first exactly
+one closer that is a head.  Every other step
 makes one kernel read per out-neighbor (combined routing one per space)
 and nothing else: the distance of the vertex a route stands on comes from
 the step that chose it.  A route returns those distances of the vertices
@@ -36,9 +44,10 @@ target's distance array once per route, reads its distances from it and
 counts a ball by comparing the array with the radius.
 
 Plateau moves (equal-distance steps to vertices not already on the path)
-are allowed when enabled; they default on for tree-distance and combined
-routing, where huge equal-distance shells otherwise strand most routes,
-and off elsewhere.  :func:`route` is the one entry point; a
+are allowed when enabled; they default on for combined routing and for
+greedy routing in a space whose kind says so
+(:attr:`~navgraph.spaces.Space.plateau_default`, tree leaves, where huge
+equal-distance shells otherwise strand most routes), and off elsewhere.  :func:`route` is the one entry point; a
 :class:`RoutingMode` selects the algorithm.
 """
 
@@ -49,7 +58,6 @@ from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 
 from .construction import Assignment, NavGraph
-from .spaces import TreeLeaves
 
 __all__ = [
     "Failure",
@@ -88,8 +96,8 @@ class RoutingMode:
     ``kind``, ``space`` and ``literal_m`` are read from its row of the mode
     table; they cannot be passed in.
 
-    ``plateau=None`` resolves at routing time: on for combined routing and
-    for greedy over a tree-distance space, off otherwise; half-greedy
+    ``plateau=None`` resolves at routing time: on for combined routing and,
+    for greedy routing, the routed space's ``plateau_default``; half-greedy
     routing makes no plateau moves and refuses an explicit ``plateau``.
     ``max_steps=None`` resolves to 10*n, a termination backstop reported as
     a failure rather than silently truncated.  ``literal_m`` (the
@@ -181,14 +189,6 @@ def _phase(d) -> int | float:
     return e - 1 if m == 0.5 else e
 
 
-def resolved_plateau(mode: RoutingMode, assignment: Assignment) -> bool:
-    if mode.plateau is not None:
-        return mode.plateau
-    if mode.kind == "combined":
-        return True
-    return isinstance(assignment.spaces[mode.space - 1], TreeLeaves)
-
-
 # ---------------------------------------------------------------------------
 # algorithms
 #
@@ -196,12 +196,20 @@ def resolved_plateau(mode: RoutingMode, assignment: Assignment) -> bool:
 # that chose it, and reads each out-neighbor's distance once per step; it
 # appends that distance to ``trace`` as it leaves the vertex.  The minimum
 # over a step's neighbors is the first strict one in list order, which is
-# the smallest id on ties since out-neighbor lists ascend.
+# the smallest id on ties since out-neighbor lists ascend.  In space 1 of a
+# kind with an ordered search (:attr:`~navgraph.spaces.Space.nearest`),
+# where a head's position is its id, the search finds that minimum and
+# reads only the heads it needs.
 
 
 def _greedy(graph, a, s, plateau, max_steps, source, target):
-    pos = a.positions[s - 1]
-    to = a.spaces[s - 1].distance_to(pos[target])
+    space, pos = a.spaces[s - 1], a.positions[s - 1]
+    if plateau is None:
+        plateau = space.plateau_default
+    y = pos[target]
+    to = space.distance_to(y)
+    nearest = space.nearest if s == 1 else None
+    scan = plateau or nearest is None
     out = graph.out_edges
     path, trace = [source], []
     visited = {source} if plateau else None
@@ -209,20 +217,27 @@ def _greedy(graph, a, s, plateau, max_steps, source, target):
     while x != target:
         if len(trace) >= max_steps:
             return RouteOutcome(source, target, path, trace, Failure.STEP_LIMIT)
-        # the closest neighbor if it improves, else the first unvisited one
-        # level with x; every visited vertex is at least as far as x, so
-        # only a plateau move could revisit one
-        w, dw, level = -1, dx, -1
-        for v in out[x]:
-            dv = to(pos[v])
-            if dv < dw:
-                w, dw = v, dv
-            elif plateau and dv == dx and level < 0 and v not in visited:
-                level = v
-        if w < 0:
-            w = level
+        heads = out[x]
+        w = -1
+        if nearest and heads:
+            w, dw = nearest(heads, y, to)
+            if not dw < dx:
+                w = -1
+        if w < 0 and scan:
+            # the closest neighbor if it improves, else the first unvisited
+            # one level with x; every visited vertex is at least as far as
+            # x, so only a plateau move could revisit one
+            w, dw, level = -1, dx, -1
+            for v in heads:
+                dv = to(pos[v])
+                if dv < dw:
+                    w, dw = v, dv
+                elif plateau and dv == dx and level < 0 and v not in visited:
+                    level = v
             if w < 0:
-                return RouteOutcome(source, target, path, trace, Failure.STUCK)
+                w = level
+        if w < 0:
+            return RouteOutcome(source, target, path, trace, Failure.STUCK)
         trace.append(dx)
         path.append(w)
         if plateau:
@@ -237,7 +252,9 @@ def _half_greedy(graph, a, s, max_steps, source, target):
         raise ValueError(
             "half-greedy routing needs a graph-kind space (no base neighbors "
             f"on {space.kind})")
-    to = space.distance_to(pos[target])
+    y = pos[target]
+    to = space.distance_to(y)
+    nearest = space.nearest if s == 1 else None
     base_of = space.base_neighbors
     out = graph.out_edges
     path, trace = [source], []
@@ -245,14 +262,20 @@ def _half_greedy(graph, a, s, max_steps, source, target):
     while x != target:
         if len(trace) >= max_steps:
             return RouteOutcome(source, target, path, trace, Failure.STEP_LIMIT)
-        # the closest neighbor, and the neighbors exactly one closer
-        w, dw, one_closer = -1, dx, []
-        for v in out[x]:
-            dv = to(pos[v])
-            if dv < dw:
-                w, dw = v, dv
-            if dv == dx - 1:
-                one_closer.append(v)
+        heads = out[x]
+        if nearest:
+            # the closest neighbor; a small step reads x's base neighbors
+            w, dw = nearest(heads, y, to) if heads else (-1, dx)
+            one_closer = None
+        else:
+            # the closest neighbor, and the neighbors exactly one closer
+            w, dw, one_closer = -1, dx, []
+            for v in heads:
+                dv = to(pos[v])
+                if dv < dw:
+                    w, dw = v, dv
+                if dv == dx - 1:
+                    one_closer.append(v)
         # very big step to the closest neighbor if dx > 2 d(w); otherwise a
         # small step to the smallest-id out-neighbor exactly one closer
         # whose position is a base neighbor of x's (thinning keeps only
@@ -260,7 +283,14 @@ def _half_greedy(graph, a, s, max_steps, source, target):
         if not dx > 2 * dw:
             dw = dx - 1
             base = base_of(pos[x])
-            w = next((v for v in one_closer if pos[v] in base), -1)
+            if one_closer is None:
+                w = -1
+                for v in base:
+                    if to(v) == dw and v in heads:
+                        w = v
+                        break
+            else:
+                w = next((v for v in one_closer if pos[v] in base), -1)
             if w < 0:
                 return RouteOutcome(source, target, path, trace, Failure.STUCK)
         trace.append(dx)
@@ -324,23 +354,24 @@ def route(graph: NavGraph, assignment: Assignment, mode: RoutingMode,
     smallest vertex id.  Success requires reaching the target vertex
     identity; routing source == target succeeds with zero steps.
     """
-    n = graph.n
-    if n != assignment.n:
+    positions = assignment.positions[0]
+    n = len(positions)
+    if graph.n != n:
         raise ValueError("graph and assignment sizes differ")
     if not 0 <= source < n > target >= 0:
         v = target if 0 <= source < n else source
         raise ValueError(f"vertex id {v} out of range [0, {n})")
     # a path starts at space 1's id object, as the heads it steps to are
-    source = assignment.positions[0][source]
+    source = positions[source]
     if source == target:
         return RouteOutcome(source, target, [source], [])
     max_steps = mode.max_steps if mode.max_steps is not None else 10 * n
     if mode.kind == "half-greedy":
         return _half_greedy(graph, assignment, mode.space, max_steps,
                             source, target)
-    plateau = resolved_plateau(mode, assignment)
     if mode.kind == "greedy":
-        return _greedy(graph, assignment, mode.space, plateau, max_steps,
+        return _greedy(graph, assignment, mode.space, mode.plateau, max_steps,
                        source, target)
+    plateau = True if mode.plateau is None else mode.plateau
     return _combined(graph, assignment, plateau, max_steps, mode.literal_m,
                      source, target)

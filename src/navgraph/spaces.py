@@ -85,11 +85,23 @@ from the target's (a bincount of the list its scalar read uses),
 convolved across axes.  A point cloud computes the target's row once,
 reads its distances from that array and counts a ball by comparing the
 array with the radius.
+
+The two cycles state an ordered search, :attr:`Space.nearest`: among an
+ascending list of ids, the first at the smallest distance to a target, by
+one bisection and one or two reads of the scalar kernel.  On a cycle the
+nearest id either way round is the first one met going that way, so the
+directed cycle reads the last id at or before the target, going round,
+and the undirected one the nearer of the two that bracket it.  Grids, tree
+leaves and point clouds state none.  Tree leaves could, since a subtree is
+an interval of ids, but no benchmark workload routes tree leaves in space 1.
+Each kind also states whether greedy routing in it makes plateau moves by
+default, :attr:`Space.plateau_default`: on tree leaves only.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
 import numpy as np
@@ -156,6 +168,12 @@ class Space:
 
     kind: str = "abstract"
     is_graph_kind: bool = False
+    # whether greedy routing in this space makes plateau moves unless its
+    # mode says otherwise
+    plateau_default: bool = False
+    # the ordered search over a list of heads, on the kinds that state one:
+    # ``nearest(heads, y, to)``, see :meth:`DirectedCycle.nearest`
+    nearest = None
 
     n: int
 
@@ -331,14 +349,24 @@ class DirectedCycle(Space):
             raise ValueError("cycle needs n >= 1")
 
     def distance_to(self, y: int):
-        self._check_vertex(y)
         n = self.n
+        if not 0 <= y < n:
+            raise _out_of_range(y, n)
 
         def d(v: int) -> int:
             if not 0 <= v < n:
                 raise _out_of_range(v, n)
             return (y - v) % n
         return d
+
+    def nearest(self, heads: list[int], y: int, to) -> tuple[int, int]:
+        """The first of the ascending ids ``heads`` (at least one) at the
+        smallest distance to ``y``, and that distance, read through ``to``,
+        the kernel toward y (:meth:`distance_to`): the last head at or
+        before y, going round.  One bisection finds it; only the head
+        returned is read."""
+        v = heads[bisect_right(heads, y) - 1]
+        return v, to(v)
 
     def _between(self, xs, ys) -> np.ndarray:
         return (ys - xs) % self.n
@@ -371,8 +399,9 @@ class UndirectedCycle(Space):
             raise ValueError("cycle needs n >= 1")
 
     def distance_to(self, y: int):
-        self._check_vertex(y)
         n, half = self.n, self.n // 2
+        if not 0 <= y < n:
+            raise _out_of_range(y, n)
 
         def d(v: int) -> int:
             if not 0 <= v < n:
@@ -380,6 +409,16 @@ class UndirectedCycle(Space):
             a = v - y if v >= y else y - v
             return a if a <= half else n - a
         return d
+
+    def nearest(self, heads: list[int], y: int, to) -> tuple[int, int]:
+        """As :meth:`DirectedCycle.nearest`: the nearer of the two heads
+        that bracket ``y``, going round, the smaller id on a tie.  The
+        nearest head either way round is the first one met going that way,
+        and any head at the smallest distance is one of those two."""
+        i = bisect_left(heads, y)
+        a, b = heads[i - 1], heads[i - len(heads)]
+        da, db = to(a), to(b)
+        return (a, da) if da < db or da == db and a < b else (b, db)
 
     def _between(self, xs, ys) -> np.ndarray:
         a = np.abs(xs - ys)
@@ -547,6 +586,9 @@ class TreeLeaves(Space):
 
     kind = "tree-leaves"
     is_graph_kind = False
+    # greedy routing strands in the equal-distance shells without plateau
+    # moves
+    plateau_default = True
 
     def __post_init__(self):
         if self.branching < 2:

@@ -93,7 +93,7 @@ _REFUSED_MODEL_INPUTS = [
     (("--model", "independent-interest", "--space-kind", "tree", "--n", "0"),
      "n must be >= 1, got 0"),
     (("--model", "two-directed-cycles", "--pi-file", "TMP/repeat.pi"),
-     "input is not a permutation of 0..n-1"),
+     "/repeat.pi: input is not a permutation of 0..n-1"),
     (("--model", "two-directed-cycles", "--pi-file", "TMP/short.pi"),
      "--pi-file lists 3 entries, but --n is 4096"),
     (("--model", "continuum", "--identity-pi"),
@@ -283,7 +283,7 @@ def test_route_unknown_vertex(capsys):
      "model 'two-undirected-cycles': params key 'branching' is not read"),
     *_REFUSED_MODEL_INPUTS,
     (("--model", "two-directed-cycles", "--edges", "TMP/out-of-range.edges"),
-     "edge (0, 4096) out of range for n=4096"),
+     "/out-of-range.edges:2: edge (0, 4096) out of range for n=4096"),
     (("--model", "two-directed-cycles", "--edges", ""),
      "--edges must name a file, got an empty value"),
 ], ids=["max-steps-0", "source-out-of-range", "target-out-of-range",
@@ -1027,7 +1027,8 @@ def test_every_edge_list_routes_or_is_refused_with_its_file(text):
                              "--target", "5", "--edges", str(path)])
     matches = [_EDGE_LINE.fullmatch(line) for line in _LINE_END.split(text)]
     bad = [k for k, m in enumerate(matches, 1) if m is None]
-    outside = [(int(m[1]), int(m[2])) for m in matches if m and m[1]
+    outside = [(k, (int(m[1]), int(m[2])))
+               for k, m in enumerate(matches, 1) if m and m[1]
                and not (0 <= int(m[1]) < 16 and 0 <= int(m[2]) < 16)]
     if not (bad or outside):
         assert code == 0, err.getvalue()
@@ -1038,8 +1039,9 @@ def test_every_edge_list_routes_or_is_refused_with_its_file(text):
         assert err.getvalue().startswith(
             f"error: {path}:{bad[0]}: expected 'tail<TAB>head' integers")
     else:
+        number, edge = outside[0]
         assert err.getvalue() == (
-            f"error: edge {outside[0]} out of range for n=16\n")
+            f"error: {path}:{number}: edge {edge} out of range for n=16\n")
 
 
 # ---------------------------------------------------------------------------

@@ -841,6 +841,32 @@ def test_thinning_matches_per_vertex_loop(base):
         assert thinned.out_edges == thin_per_vertex(graph, base, Seed(master))
 
 
+def test_every_graph_lists_ascending_heads_in_range(tmp_path):
+    # the routers' contract: a vertex's heads ascend, strictly, inside
+    # [0, n), from every builder, thinning and the edge-list reader
+    rng = np.random.default_rng(4)
+    graphs = []
+    for base in thinning_bases():
+        n = base.n
+        built = [build_independent_interest(base, Seed(1)),
+                 build_double_clustering(Assignment(
+                     base, base, Seed(2).permutation(n)))]
+        if base.is_graph_kind:
+            built.append(build_kleinberg(base, 2.0, 2, Seed(3)))
+        graphs += built + [thin_edges(g, base, Seed(4)) for g in built]
+    graphs.append(build_double_clustering(random_assignment(rng, 40)))
+    path = tmp_path / "g.edges"
+    path.write_text("5\t1\n0\t9\n5\t0\n0\t3\n5\t1\n2\t2\n9\t4\n")
+    graphs.append(read_edge_list(path, UndirectedCycle(10)))
+    for graph in graphs:
+        assert len(graph.out_edges) == graph.n
+        for heads in graph.out_edges:
+            assert all(0 <= h < graph.n for h in heads)
+            assert all(a < b for a, b in zip(heads, heads[1:]))
+    assert graphs[-1].out_edges[0] == [3, 9]
+    assert graphs[-1].out_edges[5] == [0, 1]
+
+
 def test_thinning_deterministic():
     a = Assignment.random(UndirectedCycle(64), UndirectedCycle(64), Seed(5))
     g = build_double_clustering(a)
@@ -867,8 +893,9 @@ def test_edge_list_round_trip(tmp_path):
 @pytest.mark.parametrize("text,message", [
     ("0\t99\n1\t2\n3\tx\n",
      "{path}:3: expected 'tail<TAB>head' integers, got '3\\tx'"),
-    ("0\t99\n1\t2\n-3\t4\n", "edge (0, 99) out of range for n=16"),
-    (f"1\t2\n{2**70}\t1\n0\t16\n", f"edge ({2**70}, 1) out of range for n=16"),
+    ("0\t99\n1\t2\n-3\t4\n", "{path}:1: edge (0, 99) out of range for n=16"),
+    (f"1\t2\n{2**70}\t1\n0\t16\n",
+     f"{{path}}:2: edge ({2**70}, 1) out of range for n=16"),
     ("0\t1\x0c2\tx\n", "{path}:2: expected 'tail<TAB>head' integers, got '2\\tx'"),
 ], ids=["syntax-after-range", "first-range", "beyond-int64", "form-feed-line"])
 def test_edge_list_refuses_every_syntax_error_before_any_range_error(
@@ -907,7 +934,7 @@ def test_edge_list_negative_id_is_a_range_error(tmp_path):
     path.write_text("0\t1\n-1\t2\n")
     with pytest.raises(ValueError) as refused:
         read_edge_list(path, DirectedCycle(16))
-    assert str(refused.value) == "edge (-1, 2) out of range for n=16"
+    assert str(refused.value) == f"{path}:2: edge (-1, 2) out of range for n=16"
 
 
 def test_permutation_parsing(tmp_path):

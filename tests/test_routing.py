@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from navgraph import routing as rt
 from navgraph.construction import (Assignment, NavGraph, Seed,
                                    build_double_clustering, build_kleinberg,
-                                   thin_edges)
+                                   read_edge_list, thin_edges,
+                                   write_edge_list)
 from navgraph.harness import build_model
 from navgraph.routing import (MODE_LABELS, PHASE_AT_ZERO, Failure,
-                              RouteOutcome, RoutingMode, resolved_plateau,
-                              route)
+                              RouteOutcome, RoutingMode, route)
 from navgraph.spaces import (DirectedCycle, Euclidean, Grid, TreeLeaves,
                              UndirectedCycle)
 
@@ -33,6 +33,15 @@ def custom_graph(n, edges):
 def ring(n):
     """The base edges of an undirected n-cycle, n >= 3."""
     return [(x, (x + step) % n) for x in range(n) for step in (1, -1)]
+
+
+def plateau_of(mode, a):
+    """Whether a route under ``mode`` makes plateau moves: as the mode says,
+    else always for combined routing and, for greedy routing, by the
+    routed space's default."""
+    if mode.plateau is not None:
+        return mode.plateau
+    return mode.kind == "combined" or a.spaces[mode.space - 1].plateau_default
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +469,27 @@ def test_replacing_plateau_keeps_the_label():
 
 
 def test_plateau_defaults():
+    # toward 0, vertex 2's one out-neighbor 6 is level with it in cycle
+    # distance, and vertex 5's one out-neighbor 6 in tree distance: only a
+    # plateau move leaves either
+    graph = custom_graph(8, [(2, 6), (5, 6), (6, 1), (6, 7), (1, 0), (7, 0)])
     tree_a = Assignment.identity(UndirectedCycle(8), TreeLeaves(2, 3))
     cyc_a = Assignment.identity(UndirectedCycle(8))
-    assert resolved_plateau(RoutingMode("combined"), cyc_a)
-    assert resolved_plateau(RoutingMode("greedy-2"), tree_a)
-    assert not resolved_plateau(RoutingMode("greedy-1"), tree_a)
-    assert not resolved_plateau(RoutingMode("greedy-1"), cyc_a)
-    assert resolved_plateau(RoutingMode("greedy-1", plateau=True), cyc_a)
+    assert TreeLeaves.plateau_default
+    assert not any(kind.plateau_default for kind in (
+        DirectedCycle, UndirectedCycle, Grid, Euclidean))
+
+    def routes(a, label, plateau=None):
+        mode = RoutingMode(label, plateau=plateau)
+        return [route(graph, a, mode, s, 0) for s in range(8)]
+    for a, label, default in ((cyc_a, "combined", True),
+                              (tree_a, "greedy-2", True),
+                              (tree_a, "greedy-1", False),
+                              (cyc_a, "greedy-1", False)):
+        assert routes(a, label) == routes(a, label, default)
+        assert routes(a, label) != routes(a, label, not default)
+    # an explicit plateau overrides the space's default
+    assert routes(cyc_a, "greedy-1", True)[2].path == [2, 6, 1, 0]
 
 
 def test_routing_is_deterministic():
@@ -568,7 +591,7 @@ def check_route_invariants(graph, a, mode, s, t, out):
     assert out.steps <= max_steps
     if out.failure is Failure.STEP_LIMIT:
         assert out.steps == max_steps
-    if mode.kind == "greedy" and not resolved_plateau(mode, a):
+    if mode.kind == "greedy" and not plateau_of(mode, a):
         # distances from the array kernels, not the router's scalar one
         dist = target_distances(a, mode.space, t)
         trace = [dist[v] for v in out.path]
@@ -639,7 +662,7 @@ def greedy_oracle(graph, a, mode, source, target):
     distance."""
     if source == target:
         return RouteOutcome(source, target, [source], [])
-    plateau = resolved_plateau(mode, a)
+    plateau = plateau_of(mode, a)
     max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
     d = target_distances(a, mode.space, target)
     path, failure = [source], Failure.NONE
@@ -725,7 +748,7 @@ def combined_oracle(graph, a, mode, source, target):
     the sorted distance multiset around the target."""
     if source == target:
         return RouteOutcome(source, target, [source], [])
-    plateau = resolved_plateau(mode, a)
+    plateau = plateau_of(mode, a)
     max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
     d1, d2 = target_distances(a, 1, target), target_distances(a, 2, target)
     sorted1 = np.sort(a.space1.distances_from(target))
@@ -781,3 +804,125 @@ def test_combined_matches_array_oracle(instance, data):
                 assert out == combined_oracle(graph, a, mode, s, t)
                 assert out.phase_steps == phases_by_definition(
                     out.path, target_distances(a, 1, t))
+
+
+# ---------------------------------------------------------------------------
+# greedy and half-greedy in space 1 of a cycle: the ordered search against
+# the scan over every out-neighbor that the routers ran before it
+
+
+def scan_greedy(graph, a, mode, source, target):
+    """Greedy routing that reads every out-neighbor at every step."""
+    if source == target:
+        return RouteOutcome(source, target, [source], [])
+    plateau = plateau_of(mode, a)
+    max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
+    pos = a.positions[mode.space - 1]
+    to = a.spaces[mode.space - 1].distance_to(pos[target])
+    path, trace = [source], []
+    visited = {source}
+    x, dx = source, to(pos[source])
+    while x != target:
+        if len(trace) >= max_steps:
+            return RouteOutcome(source, target, path, trace, Failure.STEP_LIMIT)
+        w, dw, level = -1, dx, -1
+        for v in graph.out_edges[x]:
+            dv = to(pos[v])
+            if dv < dw:
+                w, dw = v, dv
+            elif plateau and dv == dx and level < 0 and v not in visited:
+                level = v
+        if w < 0:
+            w = level
+            if w < 0:
+                return RouteOutcome(source, target, path, trace, Failure.STUCK)
+        trace.append(dx)
+        path.append(w)
+        visited.add(w)
+        x, dx = w, dw
+    return RouteOutcome(source, target, path, trace)
+
+
+def scan_half_greedy(graph, a, mode, source, target):
+    """Half-greedy routing that reads every out-neighbor at every step."""
+    if source == target:
+        return RouteOutcome(source, target, [source], [])
+    max_steps = mode.max_steps if mode.max_steps is not None else 10 * a.n
+    space, pos = a.spaces[mode.space - 1], a.positions[mode.space - 1]
+    to = space.distance_to(pos[target])
+    path, trace = [source], []
+    x, dx = source, to(pos[source])
+    while x != target:
+        if len(trace) >= max_steps:
+            return RouteOutcome(source, target, path, trace, Failure.STEP_LIMIT)
+        w, dw, one_closer = -1, dx, []
+        for v in graph.out_edges[x]:
+            dv = to(pos[v])
+            if dv < dw:
+                w, dw = v, dv
+            if dv == dx - 1:
+                one_closer.append(v)
+        if not dx > 2 * dw:
+            dw = dx - 1
+            base = space.base_neighbors(pos[x])
+            w = next((v for v in one_closer if pos[v] in base), -1)
+            if w < 0:
+                return RouteOutcome(source, target, path, trace, Failure.STUCK)
+        trace.append(dx)
+        path.append(w)
+        x, dx = w, dw
+    return RouteOutcome(source, target, path, trace)
+
+
+SEARCHED_MODES = [(RoutingMode("greedy-1", plateau=plateau), scan_greedy)
+                  for plateau in (None, True, False)]
+SEARCHED_MODES.append((RoutingMode("half-greedy-1"), scan_half_greedy))
+
+
+def cycle_graphs(model, form, n, tmp_path):
+    """The model's assignment at size n, seed n, and its graph as built,
+    thinned, or written to an edge list and read back."""
+    a, graph = build_model(model, {}, n, Seed(n))
+    if form == "thinned":
+        graph = thin_edges(graph, a.space1, Seed(n + 1))
+    elif form == "read":
+        path = tmp_path / f"{n}.edges"
+        write_edge_list(graph, path)
+        graph = read_edge_list(path, a.space1)
+    return a, graph
+
+
+@pytest.mark.parametrize("form", ["built", "thinned", "read"])
+@pytest.mark.parametrize("model", ["two-directed-cycles",
+                                   "two-undirected-cycles"])
+def test_search_routes_as_the_scan_did(model, form, tmp_path):
+    # every ordered pair up to 16 vertices, and 300 seeded pairs at 2^12
+    cases = []
+    for n in range(3 if form == "thinned" else 2, 17):
+        cases.append((n, [(s, t) for s in range(n) for t in range(n)]))
+    rng = np.random.default_rng(12)
+    cases.append((4096, rng.integers(0, 4096, size=(300, 2)).tolist()))
+    for n, pairs in cases:
+        a, graph = cycle_graphs(model, form, n, tmp_path)
+        for mode, scan in SEARCHED_MODES:
+            for s, t in pairs:
+                assert route(graph, a, mode, s, t) == scan(graph, a, mode, s, t)
+
+
+def test_search_routes_sparse_out_lists_as_the_scan_did():
+    # hand-built out-lists of zero to three heads, so that routes stand on
+    # vertices with no head, or with none closer and some level (plateau
+    # moves), or with no base neighbor among them (half-greedy gets stuck)
+    rng = np.random.default_rng(5)
+    for n in (6, 11, 12):
+        for _ in range(20):
+            graph = NavGraph(n, [sorted(rng.choice(n, rng.integers(0, 4),
+                                                   replace=False).tolist())
+                                 for _ in range(n)])
+            for space in (UndirectedCycle(n), DirectedCycle(n)):
+                a = Assignment.identity(space, UndirectedCycle(n))
+                for mode, scan in SEARCHED_MODES:
+                    for s in range(n):
+                        for t in range(n):
+                            assert (route(graph, a, mode, s, t)
+                                    == scan(graph, a, mode, s, t))

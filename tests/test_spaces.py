@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navgraph.harness import build_space
@@ -617,6 +617,49 @@ def doubling_ratio(space, radii):
     """Max over centers u and radii r of |B_2r(u)| / |B_r(u)|."""
     return max(ball_count(space, u, 2 * r) / ball_count(space, u, r)
                for u in range(space.n) for r in radii)
+
+
+@st.composite
+def search_cases(draw):
+    """A cycle size n, a target y and a nonempty ascending list of distinct
+    heads."""
+    n = draw(st.integers(1, 64))
+    y = draw(st.integers(0, n - 1))
+    heads = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return n, y, heads
+
+
+@given(search_cases())
+@settings(max_examples=500, deadline=None)
+@example((1, 0, [0]))              # the only head is the target
+@example((8, 5, [2]))              # a single head
+@example((8, 3, [1, 3, 6]))        # the target among the heads
+@example((8, 0, [1, 7]))           # equal distances on both sides of y
+@example((8, 2, [0, 4]))
+@example((10, 9, [0, 8]))          # a tie across the wrap, after y
+@example((10, 0, [2, 8]))          # a tie across the wrap, before y
+@example((9, 0, [4, 5]))           # nearly antipodal at odd n
+@example((8, 4, [0]))
+def test_nearest_is_the_first_strict_minimum(case):
+    n, y, heads = case
+    for space in (DirectedCycle(n), UndirectedCycle(n)):
+        to = space.distance_to(y)
+        first = min(heads, key=to)  # the first minimum in list order
+        reads = []
+
+        def counted(v):
+            reads.append(v)
+            return to(v)
+        assert space.nearest(heads, y, counted) == (first, to(first))
+        # one bisection, then one read on the directed cycle and two on the
+        # undirected one
+        assert len(reads) == (1 if space.kind == "directed-cycle" else 2)
+
+
+def test_only_the_cycles_state_a_search():
+    assert all(kind.nearest is None for kind in (Grid, TreeLeaves, Euclidean))
+    assert all(callable(kind.nearest)
+               for kind in (DirectedCycle, UndirectedCycle))
 
 
 def test_doubling_cycle_bounded_by_two():
